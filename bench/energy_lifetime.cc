@@ -9,12 +9,9 @@
 #include <cstdio>
 
 #include "agg/aggregate_function.h"
-#include "agg/kipda/kipda_protocol.h"
 #include "agg/reading.h"
-#include "agg/run_metrics.h"
 #include "agg/runner.h"
 #include "bench_common.h"
-#include "crypto/stats.h"
 #include "obs/metrics.h"
 #include "stats/summary.h"
 #include "stats/table.h"
@@ -74,24 +71,12 @@ RunOutcome PriceAllProtocols(const agg::RunConfig& config) {
     out.cpda = Price(run->metrics);
   }
   {
-    // KIPDA has no Run* helper; drive it directly and collect the same
-    // way the helpers do.
-    auto topology = agg::BuildRunTopology(config);
-    if (!topology.ok()) return out;
-    sim::Simulator simulator(config.seed);
-    const crypto::CryptoStats crypto_base = crypto::ThreadCryptoStats();
-    net::Network network(&simulator, std::move(*topology));
     agg::KipdaConfig kipda;
     kipda.value_floor = 0.0;
     kipda.value_ceiling = 2.0;  // COUNT-scale readings.
-    agg::KipdaProtocol protocol(&network, kipda);
-    protocol.SetReadings(field->Sample(network.topology()));
-    protocol.Start();
-    simulator.RunUntil(protocol.Duration());
-    simulator.metrics().GetGauge("agg.round_duration_s")
-        ->Set(sim::ToSeconds(protocol.Duration()));
-    agg::CollectRunMetrics(simulator, network, crypto_base);
-    out.kipda = Price(obs::TakeSnapshot(simulator.metrics()));
+    auto run = agg::RunKipda(config, *field, kipda);
+    if (!run.ok()) return out;
+    out.kipda = Price(run->metrics);
   }
   {
     auto run =

@@ -26,8 +26,6 @@
 #include "crypto/link_security.h"
 #include "crypto/pairwise.h"
 #include "crypto/predistribution.h"
-#include "crypto/stats.h"
-#include "sim/simulator.h"
 #include "bench_common.h"
 #include "stats/summary.h"
 #include "stats/table.h"
@@ -114,23 +112,18 @@ int RunScheme(uint64_t seed, const crypto::EgConfig* eg,
   std::vector<bool> broken(capture.broken.begin(), capture.broken.end());
   attack::Eavesdropper eve(topology->node_count(), links, broken);
 
-  sim::Simulator simulator(config.seed);
-  net::Network network(&simulator, std::move(*topology));
+  config.topology = &*topology;
   auto function = agg::MakeCount();
-  agg::IpdaConfig ipda = PaperIpdaConfig(2);
-  agg::IpdaProtocol protocol(&network, function.get(), ipda);
-  protocol.SetLinkCrypto(&cryptos);
-  protocol.SetSliceObserver(eve.Observer());
   auto field = agg::MakeConstantField(1.0);
-  protocol.SetReadings(field->Sample(network.topology()));
-  const crypto::CryptoStats crypto_before = crypto::ThreadCryptoStats();
-  protocol.Start();
-  simulator.RunUntil(protocol.Duration());
-  const auto& stats = protocol.Finish();
-  const crypto::CryptoStats crypto_delta =
-      crypto::ThreadCryptoStats() - crypto_before;
+  agg::IpdaRunHooks hooks;
+  hooks.slice_observer = eve.Observer();
+  hooks.link_crypto = &cryptos;
+  auto run =
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2), hooks);
+  if (!run.ok()) return 1;
+  const agg::IpdaStats& stats = run->stats;
   out.keystream_bytes_per_node =
-      static_cast<double>(crypto_delta.keystream_bytes) /
+      run->metrics.CounterOr("crypto.keystream_bytes", 0.0) /
       static_cast<double>(kNodes);
   out.participation = static_cast<double>(stats.participants) /
                       static_cast<double>(kNodes - 1);

@@ -10,11 +10,9 @@
 #include <cstdio>
 
 #include "agg/aggregate_function.h"
-#include "agg/kipda/kipda_protocol.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
 #include "bench_common.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 
@@ -87,26 +85,15 @@ int Run(int argc, char** argv) {
   for (size_t m : {8u, 16u, 32u}) {
     const auto outcomes = engine.Map<ErrorOutcome>(runs, [&](size_t r) {
       const auto config = PaperRunConfig(kNodes, 0x3A + r * 67);
-      ErrorOutcome out;
-      auto topology = agg::BuildRunTopology(config);
-      if (!topology.ok()) return out;
-      sim::Simulator simulator(config.seed);
-      net::Network network(&simulator, std::move(*topology));
       agg::KipdaConfig kipda;
       kipda.message_size = m;
       kipda.real_positions = std::max<size_t>(2, m / 4);
-      const auto readings = field->Sample(network.topology());
-      agg::KipdaProtocol protocol(&network, kipda);
-      protocol.SetReadings(readings);
-      protocol.Start();
-      simulator.RunUntil(protocol.Duration());
-      double true_max = 0.0;
-      for (size_t i = 1; i < readings.size(); ++i) {
-        true_max = std::max(true_max, readings[i]);
-      }
-      out.error = std::fabs(protocol.FinalizedResult() - true_max);
-      out.bytes =
-          static_cast<double>(network.counters().Totals().bytes_sent);
+      ErrorOutcome out;
+      auto run = agg::RunKipda(config, *field, kipda);
+      if (!run.ok()) return out;
+      // true_acc[0] is the true maximum of the deployed readings.
+      out.error = std::fabs(run->result - run->true_acc[0]);
+      out.bytes = static_cast<double>(run->traffic.bytes_sent);
       out.ok = true;
       return out;
     });

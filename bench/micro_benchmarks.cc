@@ -32,40 +32,10 @@ void BM_XteaBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_XteaBlock);
 
-void BM_CtrCrypt(benchmark::State& state) {
-  const crypto::Key128 key = crypto::Key128::FromSeed(2);
-  util::Bytes payload(static_cast<size_t>(state.range(0)), 0x5a);
-  uint64_t nonce = 0;
-  for (auto _ : state) {
-    crypto::CtrCrypt(key, ++nonce, payload);
-    benchmark::DoNotOptimize(payload.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_CtrCrypt)->Arg(32)->Arg(256)->Arg(4096);
-
-void BM_CtrCryptBatched(benchmark::State& state) {
-  // Precomputed schedule + chunked keystream, against BM_CtrCrypt's
-  // per-message schedule + block-at-a-time loop at the same sizes.
-  const crypto::XteaSchedule sched(crypto::Key128::FromSeed(2));
-  util::Bytes payload(static_cast<size_t>(state.range(0)), 0x5a);
-  uint64_t nonce = 0;
-  for (auto _ : state) {
-    crypto::CtrCrypt(sched, ++nonce, payload);
-    benchmark::DoNotOptimize(payload.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_CtrCryptBatched)->Arg(32)->Arg(256)->Arg(4096);
-
 void BM_CipherKeystream(benchmark::State& state,
                         crypto::CipherKind kind) {
-  // Generic backend path (precompiled schedule + 512 B chunked
-  // keystream) per cipher — the apples-to-apples row set behind
-  // BENCH_cipher.json. Compare against BM_CtrCryptBatched/4096 for the
-  // legacy XTEA-only path.
+  // The CTR path (precompiled schedule + 512 B chunked keystream) per
+  // cipher — the apples-to-apples row set behind BENCH_cipher.json.
   const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
   crypto::CipherSchedule sched;
   backend.build(crypto::Key128::FromSeed(2), sched);

@@ -68,7 +68,6 @@ void CollectRunMetrics(sim::Simulator& simulator,
   SetGauge(reg, "net.energy_hottest_node_j", hottest);
 
   const crypto::CryptoStats d = crypto::ThreadCryptoStats() - crypto_base;
-  SetCounter(reg, "crypto.ctr_blocks_scalar", d.ctr_blocks_scalar);
   SetCounter(reg, "crypto.ctr_blocks_batched", d.ctr_blocks_batched);
   SetCounter(reg, "crypto.keystream_bytes", d.keystream_bytes);
   SetCounter(reg, "crypto.keystore_dense_hits", d.keystore_dense_hits);

@@ -1,6 +1,10 @@
-// One-call experiment runs: deployment → network → protocol → outcome.
-// Benches, examples, and integration tests all drive simulations through
-// these helpers so every experiment shares identical plumbing.
+// One-call protocol rounds: deployment → network → protocol → outcome.
+// Every Run* helper (and each shard of RunShardedIpda) goes through one
+// lifecycle in runner.cc — execution guards, crypto baseline, MAC
+// widening, fault and churn arming, interrupt mapping, truth and metrics
+// — so TAG, SMART, CPDA, KIPDA and iPDA are compared under the identical
+// setup the paper's §IV evaluation assumes. A protocol supplies only its
+// construction, its hooks and the fields of its result.
 
 #ifndef IPDA_AGG_RUNNER_H_
 #define IPDA_AGG_RUNNER_H_
@@ -10,6 +14,7 @@
 #include "agg/aggregate_function.h"
 #include "agg/cpda/cpda_protocol.h"
 #include "agg/ipda/protocol.h"
+#include "agg/kipda/kipda_protocol.h"
 #include "agg/reading.h"
 #include "agg/smart/smart_protocol.h"
 #include "agg/tag/tag_protocol.h"
@@ -48,9 +53,11 @@ struct RunConfig {
   // event, for every protocol under comparison.
   fault::FaultPlan faults;
   // Deterministic mid-round topology churn (joins, leaves, mobility),
-  // armed like `faults`. Currently honored by RunIpda only; for the
-  // protocol to react (repair or rebuild the trees) set
-  // IpdaConfig::churn_response as well — an empty plan mutates nothing.
+  // armed like `faults`. Only iPDA has churn hooks: every other Run*
+  // helper rejects a non-empty plan with InvalidArgument rather than run
+  // a churn-free round under a churn label. For iPDA to react (repair or
+  // rebuild the trees) set IpdaConfig::churn_response as well — an empty
+  // plan mutates nothing.
   fault::ChurnPlan churn;
   RunControl control;
   // Optional prebuilt graph (non-owning; must outlive the run). When set,
@@ -69,14 +76,35 @@ util::Result<net::Topology> BuildRunTopology(const RunConfig& config);
 // collected sum to the real sum", §IV-B-3). 1.0 = no data loss.
 double AccuracyRatio(const Vector& collected, const Vector& truth);
 
-struct TagRunResult {
-  TagStats stats;
+// Ground-truth accumulator: every sensor's contribution summed (node 0,
+// the base station, senses nothing).
+Vector TrueAccumulator(const AggregateFunction& function,
+                       const std::vector<double>& readings);
+
+// One round's outcome; `Stats` is the protocol's own statistics.
+template <typename Stats>
+struct RunResult {
+  Stats stats;
   Vector true_acc;            // Ground-truth total over all sensors.
   net::NodeCounters traffic;  // Network-wide totals.
   obs::Snapshot metrics;      // Full registry snapshot (DESIGN.md §11).
   double average_degree = 0.0;
-  double accuracy = 0.0;
+  double accuracy = 0.0;      // Collected total vs truth.
   double result = 0.0;        // Finalized base-station answer.
+};
+
+using TagRunResult = RunResult<TagStats>;
+using SmartRunResult = RunResult<SmartStats>;
+using CpdaRunResult = RunResult<CpdaStats>;
+// KIPDA's truth is the true extreme, carried as true_acc[0]; accuracy is
+// result / true extreme.
+using KipdaRunResult = RunResult<KipdaStats>;
+
+struct IpdaRunResult : RunResult<IpdaStats> {
+  // `metrics` includes the round's phase spans; `accuracy` is the agreed
+  // (mean) total vs truth and `result` is valid when accepted.
+  double accuracy_red = 0.0;   // Red-tree total vs truth.
+  double accuracy_blue = 0.0;  // Blue-tree total vs truth.
 };
 
 util::Result<TagRunResult> RunTag(const RunConfig& config,
@@ -84,31 +112,11 @@ util::Result<TagRunResult> RunTag(const RunConfig& config,
                                   const SensorField& field,
                                   const TagConfig& tag_config = {});
 
-struct SmartRunResult {
-  SmartStats stats;
-  Vector true_acc;
-  net::NodeCounters traffic;
-  obs::Snapshot metrics;
-  double average_degree = 0.0;
-  double accuracy = 0.0;
-  double result = 0.0;
-};
-
 // SMART baseline (privacy, single tree, no integrity).
 util::Result<SmartRunResult> RunSmart(
     const RunConfig& config, const AggregateFunction& function,
     const SensorField& field, const SmartConfig& smart_config = {},
     SmartProtocol::SliceObserver slice_observer = nullptr);
-
-struct CpdaRunResult {
-  CpdaStats stats;
-  Vector true_acc;
-  net::NodeCounters traffic;
-  obs::Snapshot metrics;
-  double average_degree = 0.0;
-  double accuracy = 0.0;
-  double result = 0.0;
-};
 
 // CPDA baseline (cluster-based privacy, single tree, no integrity).
 util::Result<CpdaRunResult> RunCpda(const RunConfig& config,
@@ -116,23 +124,20 @@ util::Result<CpdaRunResult> RunCpda(const RunConfig& config,
                                     const SensorField& field,
                                     const CpdaConfig& cpda_config = {});
 
-struct IpdaRunResult {
-  IpdaStats stats;
-  Vector true_acc;
-  net::NodeCounters traffic;
-  obs::Snapshot metrics;  // Includes the round's phase spans.
-  double average_degree = 0.0;
-  double accuracy_red = 0.0;   // Red-tree total vs truth.
-  double accuracy_blue = 0.0;  // Blue-tree total vs truth.
-  double accuracy = 0.0;       // Agreed (mean) total vs truth.
-  double result = 0.0;         // Finalized answer (valid when accepted).
-};
+// KIPDA baseline (exact MAX/MIN over camouflaged messages, no crypto).
+// Readings must lie in [value_floor, value_ceiling].
+util::Result<KipdaRunResult> RunKipda(const RunConfig& config,
+                                      const SensorField& field,
+                                      const KipdaConfig& kipda_config = {});
 
 // Optional per-run attack instrumentation.
 struct IpdaRunHooks {
   IpdaProtocol::PollutionHook pollution;
   IpdaProtocol::SliceObserver slice_observer;
   std::vector<net::NodeId> excluded;
+  // Externally provisioned link keys (key-management studies); null keeps
+  // the protocol's own pairwise keying. Must outlive the run.
+  std::vector<crypto::LinkCrypto>* link_crypto = nullptr;
 };
 
 util::Result<IpdaRunResult> RunIpda(const RunConfig& config,

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "net/network.h"
-#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -17,30 +15,18 @@ namespace {
 // single-sink run of the same seed.
 constexpr uint64_t kShardSeedSalt = 0x5348415244534Bull;  // "SHARDSK"
 
-Vector GlobalTruth(const AggregateFunction& function,
-                   const std::vector<double>& readings) {
-  Vector total(function.arity(), 0.0);
-  for (size_t id = 1; id < readings.size(); ++id) {
-    AddInto(total, function.Contribution(readings[id]));
+// A shard's readings, indexed by its local node ids (0 = its sink).
+class ShardField : public SensorField {
+ public:
+  explicit ShardField(std::vector<double> readings)
+      : readings_(std::move(readings)) {}
+  double ReadingFor(net::NodeId id, const net::Topology&) const override {
+    return readings_[id];
   }
-  return total;
-}
 
-util::Status ShardInterruptStatus(const RunConfig& config, size_t shard,
-                                  const sim::Simulator& simulator) {
-  switch (simulator.scheduler().interrupt_cause()) {
-    case sim::Scheduler::InterruptCause::kNone:
-      return util::OkStatus();
-    case sim::Scheduler::InterruptCause::kCancel:
-      return util::UnavailableError("shard " + std::to_string(shard) +
-                                    " cancelled");
-    case sim::Scheduler::InterruptCause::kEventBudget:
-      return util::UnavailableError(
-          "shard " + std::to_string(shard) + " exceeded event budget (" +
-          std::to_string(config.control.event_budget) + " events)");
-  }
-  return util::InternalError("unknown interrupt cause");
-}
+ private:
+  std::vector<double> readings_;
+};
 
 }  // namespace
 
@@ -130,7 +116,7 @@ util::Result<ShardedRunResult> RunShardedIpda(
   }
 
   ShardedRunResult result;
-  result.true_acc = GlobalTruth(function, readings);
+  result.true_acc = TrueAccumulator(function, readings);
   BaseStationAccumulator merge(function.arity());
   bool any_rejected = false;
   double degree_weight = 0.0;
@@ -167,30 +153,31 @@ util::Result<ShardedRunResult> RunShardedIpda(
     }
 
     IPDA_ASSIGN_OR_RETURN(
-        net::Topology topology,
+        const net::Topology topology,
         net::Topology::Build(std::move(local_positions), config.range));
-    sim::Simulator simulator(
-        util::Mix64(util::Mix64(config.seed, kShardSeedSalt), s));
-    simulator.scheduler().SetCancelToken(config.control.cancel);
-    simulator.scheduler().SetEventBudget(config.control.event_budget);
-    net::Network network(&simulator, std::move(topology), config.phy,
-                         config.mac);
-    IpdaProtocol protocol(&network, &function, ipda_config);
-    protocol.SetReadings(local_readings);
-    protocol.Start();
-    simulator.RunUntil(protocol.Duration());
-    IPDA_RETURN_IF_ERROR(ShardInterruptStatus(config, s, simulator));
-    protocol.Finish();
+    // The shard plays the single-sink round on its own deployment and
+    // readings, under a salted seed.
+    RunConfig shard_config = config;
+    shard_config.topology = &topology;
+    shard_config.seed =
+        util::Mix64(util::Mix64(config.seed, kShardSeedSalt), s);
+    auto run = RunIpda(shard_config, function,
+                       ShardField(std::move(local_readings)), ipda_config);
+    if (!run.ok()) {
+      const util::Status status = run.status();
+      return util::Status(status.code(), "shard " + std::to_string(s) +
+                                             ": " + status.message());
+    }
 
-    outcome.stats = protocol.stats();
-    outcome.traffic = network.counters().Totals();
-    outcome.average_degree = network.topology().AverageDegree();
+    outcome.stats = std::move(run->stats);
+    outcome.traffic = run->traffic;
+    outcome.average_degree = run->average_degree;
     merge.Add(TreeColor::kRed, outcome.stats.decision.acc_red);
     merge.Add(TreeColor::kBlue, outcome.stats.decision.acc_blue);
     any_rejected |= !outcome.stats.decision.accepted;
     result.degraded |= outcome.stats.degraded;
     result.traffic += outcome.traffic;
-    const double weight = static_cast<double>(network.size());
+    const double weight = static_cast<double>(topology.node_count());
     degree_sum += outcome.average_degree * weight;
     degree_weight += weight;
     result.shards.push_back(std::move(outcome));

@@ -75,9 +75,12 @@ std::vector<net::Point2D> SinkPlacement(const net::Area& area, size_t sinks);
 std::vector<uint32_t> PartitionBySink(
     const net::Topology& topology, const std::vector<net::Point2D>& sinks);
 
-// Runs one sharded iPDA round. `config.faults` and `config.churn` must be
-// empty (per-shard fault schedules are future work); use
-// ShardedConfig::crashed_sinks for the sink-failure story.
+// Runs one sharded iPDA round: each live shard plays the single-sink
+// RunIpda round on its own sink-rooted deployment and readings, under a
+// seed salted with the shard index (an interrupted shard's error names
+// it). `config.faults` and `config.churn` must be empty (per-shard fault
+// schedules are future work); use ShardedConfig::crashed_sinks for the
+// sink-failure story.
 util::Result<ShardedRunResult> RunShardedIpda(
     const RunConfig& config, const AggregateFunction& function,
     const SensorField& field, const IpdaConfig& ipda_config = {},

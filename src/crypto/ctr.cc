@@ -1,74 +1,11 @@
 #include "crypto/ctr.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "crypto/stats.h"
 
 namespace ipda::crypto {
-
-void CtrCrypt(const Key128& key, uint64_t nonce, util::Bytes& data) {
-  ThreadCryptoStats().ctr_blocks_scalar += (data.size() + 7) / 8;
-  ThreadCryptoStats().keystream_bytes += data.size();
-  uint64_t counter = 0;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    // Standard CTR: block input is nonce + block index. Within one message
-    // inputs are distinct; across messages callers must supply well-mixed
-    // nonces (LinkCrypto derives them from per-link send counters).
-    const uint64_t keystream = XteaEncryptBlock(key, nonce + counter);
-    for (int i = 0; i < 8 && offset < data.size(); ++i, ++offset) {
-      data[offset] ^= static_cast<uint8_t>(keystream >> (8 * i));
-    }
-    ++counter;
-  }
-}
-
-void CtrKeystream(const XteaSchedule& sched, uint64_t nonce,
-                  uint64_t counter0, uint64_t* out, size_t blocks) {
-  // Counter inputs are consecutive, so build them in place and encrypt
-  // four lanes at a time.
-  for (size_t i = 0; i < blocks; ++i) out[i] = nonce + counter0 + i;
-  XteaEncryptBlocks(sched, out, out, blocks);
-}
-
-void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, uint8_t* data,
-              size_t size) {
-  ThreadCryptoStats().ctr_blocks_batched += (size + 7) / 8;
-  ThreadCryptoStats().keystream_bytes += size;
-  // Chunked so the keystream stays in L1 whatever the payload size.
-  constexpr size_t kChunkBlocks = 32;
-  uint64_t ks[kChunkBlocks];
-  uint64_t counter = 0;
-  size_t offset = 0;
-  while (offset < size) {
-    const size_t blocks =
-        std::min(kChunkBlocks, (size - offset + 7) / 8);
-    CtrKeystream(sched, nonce, counter, ks, blocks);
-    counter += blocks;
-    size_t b = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      // Word XOR equals the byte loop on little-endian hosts: byte i of a
-      // loaded u64 is exactly (ks >> 8i).
-      for (; b < blocks && offset + 8 <= size; ++b, offset += 8) {
-        uint64_t w;
-        std::memcpy(&w, data + offset, 8);
-        w ^= ks[b];
-        std::memcpy(data + offset, &w, 8);
-      }
-    }
-    for (; b < blocks && offset < size; ++b) {
-      for (int i = 0; i < 8 && offset < size; ++i, ++offset) {
-        data[offset] ^= static_cast<uint8_t>(ks[b] >> (8 * i));
-      }
-    }
-  }
-}
-
-void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, util::Bytes& data) {
-  CtrCrypt(sched, nonce, data.data(), data.size());
-}
 
 void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
               uint64_t nonce, uint8_t* data, size_t size) {
@@ -107,15 +44,6 @@ void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
 void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
               uint64_t nonce, util::Bytes& data) {
   CtrCrypt(backend, sched, nonce, data.data(), data.size());
-}
-
-util::Bytes CtrCryptCopy(const Key128& key, uint64_t nonce,
-                         const util::Bytes& data) {
-  util::Bytes out = data;
-  // Batched schedule path (one-time expansion amortizes immediately: the
-  // scalar loop re-derives both subkeys for all 32 rounds on every block).
-  CtrCrypt(XteaSchedule(key), nonce, out);
-  return out;
 }
 
 }  // namespace ipda::crypto

@@ -3,12 +3,12 @@
 // keystream XOR; the (nonce, counter) pair must never repeat under one key,
 // which LinkCrypto (crypto/keystore.h) enforces with per-link counters.
 //
-// Three paths produce bit-identical bytes for the XTEA default: the scalar
-// per-block loop over a raw Key128 (reference), the batched XteaSchedule
-// path, and the generic CipherBackend path with the kXtea backend. Hot
-// callers (LinkCrypto) cache a CipherSchedule per link key and take the
-// generic path, which chunks the keystream through a stack buffer and XORs
-// it word-at-a-time whatever the backend's block size.
+// One path serves every backend (crypto/cipher.h): CtrCrypt pulls the
+// backend's keystream through a stack buffer and XORs it word-at-a-time,
+// whatever the block size. Hot callers (LinkCrypto) cache a CipherSchedule
+// per link key. With the kXtea backend the bytes equal the textbook
+// per-block XTEA-CTR loop, which tests/crypto_cipher_test.cc keeps as the
+// referee.
 
 #ifndef IPDA_CRYPTO_CTR_H_
 #define IPDA_CRYPTO_CTR_H_
@@ -17,48 +17,25 @@
 #include <cstdint>
 
 #include "crypto/cipher.h"
-#include "crypto/key.h"
-#include "crypto/xtea.h"
 #include "util/bytes.h"
 
 namespace ipda::crypto {
 
-// XORs `data` in place with the XTEA-CTR keystream for (key, nonce).
-// Scalar reference path: one block cipher call per 8 bytes, subkeys
-// derived inline.
-void CtrCrypt(const Key128& key, uint64_t nonce, util::Bytes& data);
-
-// Batched XTEA path over a precomputed key schedule; bit-identical output.
-void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, util::Bytes& data);
-void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, uint8_t* data,
-              size_t size);
-
-// Generic backend path: XORs `data` in place with `backend`'s keystream
-// for (sched, nonce), chunked so the keystream stays in L1 whatever the
-// payload size. With the kXtea backend this is byte-identical to the
-// overloads above.
+// XORs `data` in place with `backend`'s keystream for (sched, nonce),
+// chunked so the keystream stays in L1 whatever the payload size.
 void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
               uint64_t nonce, uint8_t* data, size_t size);
 void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
               uint64_t nonce, util::Bytes& data);
 
-// Writes the raw XTEA keystream blocks `E(nonce + counter0 + i)` for i in
-// [0, blocks) — the batched primitive underneath CtrCrypt, exposed for
-// equivalence tests and benchmarks.
-void CtrKeystream(const XteaSchedule& sched, uint64_t nonce,
-                  uint64_t counter0, uint64_t* out, size_t blocks);
-
-// Generic form: `blocks` keystream blocks of `backend.block_bytes` each,
-// starting at block index `block0`.
+// Writes `blocks` keystream blocks of `backend.block_bytes` each, starting
+// at block index `block0` — the primitive underneath CtrCrypt, exposed
+// for equivalence tests and benchmarks.
 inline void CtrKeystream(const CipherBackend& backend,
                          const CipherSchedule& sched, uint64_t nonce,
                          uint64_t block0, uint8_t* out, size_t blocks) {
   backend.keystream(sched, nonce, block0, out, blocks);
 }
-
-// Convenience copy variant; routes through the batched schedule path.
-util::Bytes CtrCryptCopy(const Key128& key, uint64_t nonce,
-                         const util::Bytes& data);
 
 }  // namespace ipda::crypto
 

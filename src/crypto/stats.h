@@ -17,16 +17,14 @@
 namespace ipda::crypto {
 
 struct CryptoStats {
-  uint64_t ctr_blocks_scalar = 0;    // Per-block Key128 reference path.
-  uint64_t ctr_blocks_batched = 0;   // Chunked schedule keystream path
-                                     // (blocks of the active backend's size).
-  uint64_t keystream_bytes = 0;      // Payload bytes CTR-crypted, any path.
+  uint64_t ctr_blocks_batched = 0;   // Chunked CTR keystream blocks
+                                     // (of the active backend's size).
+  uint64_t keystream_bytes = 0;      // Payload bytes CTR-crypted.
   uint64_t keystore_dense_hits = 0;  // Seal/Open resolved via dense slots.
   uint64_t keystore_dynamic_hits = 0;  // Fell back to the overflow map.
 
   CryptoStats operator-(const CryptoStats& base) const {
-    return CryptoStats{ctr_blocks_scalar - base.ctr_blocks_scalar,
-                       ctr_blocks_batched - base.ctr_blocks_batched,
+    return CryptoStats{ctr_blocks_batched - base.ctr_blocks_batched,
                        keystream_bytes - base.keystream_bytes,
                        keystore_dense_hits - base.keystore_dense_hits,
                        keystore_dynamic_hits - base.keystore_dynamic_hits};

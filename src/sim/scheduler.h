@@ -109,22 +109,11 @@ class Scheduler {
   // Linear PruneStale() passes triggered by cancel-heavy churn.
   uint64_t prune_passes() const { return prune_passes_; }
 
-  // DEPRECATED shim: these numbers now live in the metrics registry
-  // (sim.sched_* gauges/counters filled by Simulator::CollectKernelMetrics,
-  // DESIGN.md §11). Kept so pre-registry callers keep compiling; both
-  // surfaces read the same fields, so they can never disagree.
-  struct AllocStats {
-    size_t heap_capacity = 0;       // Flat heap vector capacity.
-    size_t slot_capacity = 0;       // Closure slot array capacity.
-    size_t overflow_slabs = 0;      // Slabs backing oversized closures.
-    uint64_t callback_heap_fallbacks = 0;  // Pool-less spills (global).
-  };
-  AllocStats alloc_stats() const {
-    return AllocStats{heap_.capacity(), slots_.capacity(),
-                      overflow_.slab_count(), Callback::heap_fallback_count()};
-  }
-
  private:
+  // Publishes the heap/slot/overflow capacities (the zero-alloc referee)
+  // into the run's metrics registry (DESIGN.md §11).
+  friend class Simulator;
+
   // POD heap entry; ordering compares (at, seq) only, so the flat layout
   // cannot perturb determinism relative to the old pointer heap.
   struct HeapEntry {

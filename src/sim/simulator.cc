@@ -19,16 +19,15 @@ void Simulator::CollectKernelMetrics() {
   metrics_.GetGauge("sim.sched_cancelled_pending")
       ->Set(static_cast<double>(scheduler_.cancelled_pending()));
 
-  const Scheduler::AllocStats alloc = scheduler_.alloc_stats();
   metrics_.GetGauge("sim.sched_heap_capacity")
-      ->Set(static_cast<double>(alloc.heap_capacity));
+      ->Set(static_cast<double>(scheduler_.heap_.capacity()));
   metrics_.GetGauge("sim.sched_slot_capacity")
-      ->Set(static_cast<double>(alloc.slot_capacity));
+      ->Set(static_cast<double>(scheduler_.slots_.capacity()));
   metrics_.GetGauge("sim.sched_overflow_slabs")
-      ->Set(static_cast<double>(alloc.overflow_slabs));
+      ->Set(static_cast<double>(scheduler_.overflow_.slab_count()));
   // Process-global (thread-local in practice: one run per worker thread).
   metrics_.GetCounter("sim.callback_heap_fallbacks")
-      ->Set(alloc.callback_heap_fallbacks);
+      ->Set(Callback::heap_fallback_count());
 
   metrics_.GetCounter("pool.arena_allocs")->Set(arena_.alloc_count());
   metrics_.GetGauge("pool.arena_high_water")

@@ -51,9 +51,8 @@ class Simulator {
   const obs::Trace& trace() const { return trace_; }
 
   // Pulls kernel-level health into the registry: scheduler dispatch and
-  // cancellation counters, heap/slot capacities (the PR-3 zero-alloc
-  // referee, ex Scheduler::alloc_stats), and arena pool stats. Idempotent;
-  // call before taking a snapshot.
+  // cancellation counters, heap/slot capacities (the zero-alloc referee),
+  // and arena pool stats. Idempotent; call before taking a snapshot.
   void CollectKernelMetrics();
 
   // Convenience passthroughs. Templated so lambdas reach the scheduler's

@@ -8,19 +8,15 @@
 // Prints one row per run plus a summary; --csv switches to
 // machine-readable output.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/export.h"
-#include "agg/kipda/kipda_protocol.h"
 #include "agg/reading.h"
-#include "agg/run_metrics.h"
 #include "agg/runner.h"
 #include "agg/shard/sharded.h"
-#include "crypto/stats.h"
 #include "exp/engine.h"
 #include "exp/resilient.h"
 #include "fault/churn_plan.h"
@@ -225,6 +221,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--sinks=%zu requires --protocol=ipda\n", sinks);
     return 2;
   }
+  if (!config.churn.empty() && protocol != "ipda") {
+    std::fprintf(stderr, "--churn requires --protocol=ipda\n");
+    return 2;
+  }
   if (sinks > 1 && (!config.faults.empty() || !config.churn.empty())) {
     std::fprintf(stderr,
                  "--faults/--churn are not supported with --sinks > 1\n");
@@ -322,38 +322,17 @@ int Main(int argc, char** argv) {
       out.bytes = run->traffic.bytes_sent;
       stash_metrics(run->metrics);
     } else if (protocol == "kipda") {
-      auto topology = agg::BuildRunTopology(run_config);
-      if (!topology.ok()) return topology.status();
-      sim::Simulator simulator(run_config.seed);
-      simulator.scheduler().SetCancelToken(run_config.control.cancel);
-      simulator.scheduler().SetEventBudget(run_config.control.event_budget);
-      const crypto::CryptoStats crypto_base = crypto::ThreadCryptoStats();
-      net::Network network(&simulator, std::move(*topology));
       agg::KipdaConfig kipda;
       kipda.maximize = flags.GetString("function") == "max";
       kipda.value_floor = flags.GetDouble("reading-lo") - 1.0;
       kipda.value_ceiling = flags.GetDouble("reading-hi") + 1.0;
-      const auto readings = field->Sample(network.topology());
-      agg::KipdaProtocol live(&network, kipda);
-      live.SetReadings(readings);
-      live.Start();
-      simulator.RunUntil(live.Duration());
-      if (simulator.scheduler().interrupted()) {
-        return util::UnavailableError("kipda run interrupted");
-      }
-      out.result = live.FinalizedResult();
-      out.truth = kipda.maximize ? kipda.value_floor : kipda.value_ceiling;
-      for (size_t i = 1; i < readings.size(); ++i) {
-        out.truth = kipda.maximize ? std::max(out.truth, readings[i])
-                                   : std::min(out.truth, readings[i]);
-      }
-      out.accuracy = out.truth != 0.0 ? out.result / out.truth : 0.0;
-      out.bytes = network.counters().Totals().bytes_sent;
-      if (!metrics_path.empty()) {
-        agg::CollectRunMetrics(simulator, network, crypto_base);
-        stash_metrics(
-            obs::TakeSnapshot(simulator.metrics(), &simulator.trace()));
-      }
+      auto run = agg::RunKipda(run_config, *field, kipda);
+      if (!run.ok()) return run.status();
+      out.result = run->result;
+      out.truth = run->true_acc[0];  // The true extreme.
+      out.accuracy = run->accuracy;
+      out.bytes = run->traffic.bytes_sent;
+      stash_metrics(run->metrics);
     } else if (sinks > 1) {  // sharded ipda
       agg::ShardedConfig sharded;
       sharded.sinks = sinks;

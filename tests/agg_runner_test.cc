@@ -4,6 +4,9 @@
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
+#include "agg/shard/sharded.h"
+#include "fault/churn_plan.h"
+#include "fault/fault_plan.h"
 
 namespace ipda::agg {
 namespace {
@@ -118,6 +121,47 @@ TEST(Runner, IpdaSeedChangesOutcome) {
   EXPECT_NE(a->traffic.bytes_sent, b->traffic.bytes_sent);
 }
 
+// Every protocol round goes through one lifecycle, so the guard tests
+// below run each Run* helper (and the per-shard rounds of the sharded
+// one) on the same inputs.
+enum class Protocol { kTag, kSmart, kCpda, kKipda, kIpda, kShardedIpda };
+constexpr Protocol kAllProtocols[] = {Protocol::kTag, Protocol::kSmart,
+                                      Protocol::kCpda, Protocol::kKipda,
+                                      Protocol::kIpda, Protocol::kShardedIpda};
+
+const char* ProtocolName(Protocol protocol) {
+  switch (protocol) {
+    case Protocol::kTag: return "tag";
+    case Protocol::kSmart: return "smart";
+    case Protocol::kCpda: return "cpda";
+    case Protocol::kKipda: return "kipda";
+    case Protocol::kIpda: return "ipda";
+    case Protocol::kShardedIpda: return "sharded ipda";
+  }
+  return "?";
+}
+
+// A COUNT round (MAX for KIPDA, over the same unit readings).
+util::Status RunStatus(Protocol protocol, const RunConfig& config) {
+  auto function = MakeCount();
+  auto field = MakeConstantField(1.0);
+  switch (protocol) {
+    case Protocol::kTag:
+      return RunTag(config, *function, *field).status();
+    case Protocol::kSmart:
+      return RunSmart(config, *function, *field).status();
+    case Protocol::kCpda:
+      return RunCpda(config, *function, *field).status();
+    case Protocol::kKipda:
+      return RunKipda(config, *field).status();
+    case Protocol::kIpda:
+      return RunIpda(config, *function, *field).status();
+    case Protocol::kShardedIpda:
+      return RunShardedIpda(config, *function, *field).status();
+  }
+  return util::InternalError("unknown protocol");
+}
+
 TEST(Runner, EventBudgetTripsIntoUnavailable) {
   // A budget far below what a round needs must surface as a clean
   // Unavailable failure, never a half-aggregated result. The same
@@ -127,17 +171,17 @@ TEST(Runner, EventBudgetTripsIntoUnavailable) {
   config.deployment.node_count = 100;
   config.seed = 21;
   config.control.event_budget = 50;
-  auto function = MakeCount();
-  auto field = MakeConstantField(1.0);
-  auto result = RunIpda(config, *function, *field);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_NE(result.status().message().find("event budget"),
-            std::string::npos);
-  // Tag takes the same guard path through ApplyControl.
-  auto tag = RunTag(config, *function, *field);
-  ASSERT_FALSE(tag.ok());
-  EXPECT_EQ(tag.status().code(), util::StatusCode::kUnavailable);
+  for (Protocol protocol : kAllProtocols) {
+    SCOPED_TRACE(ProtocolName(protocol));
+    const util::Status status = RunStatus(protocol, config);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
+    EXPECT_NE(status.message().find("event budget"), std::string::npos);
+    if (protocol == Protocol::kShardedIpda) {
+      // The interrupted shard is named.
+      EXPECT_EQ(status.message().rfind("shard 0: ", 0), 0u);
+    }
+  }
 }
 
 TEST(Runner, PreCancelledTokenAbortsBeforeAnyEvent) {
@@ -147,16 +191,71 @@ TEST(Runner, PreCancelledTokenAbortsBeforeAnyEvent) {
   sim::CancelToken token;
   token.RequestCancel(sim::CancelReason::kDeadline);
   config.control.cancel = &token;
+  for (Protocol protocol : kAllProtocols) {
+    SCOPED_TRACE(ProtocolName(protocol));
+    const util::Status status = RunStatus(protocol, config);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
+    EXPECT_NE(status.message().find("cancelled"), std::string::npos);
+    // The reason travels into the message for watchdog diagnostics.
+    EXPECT_NE(status.message().find("deadline"), std::string::npos);
+  }
+}
+
+TEST(Runner, ChurnPlanNeedsChurnHooks) {
+  // Only iPDA reacts to churn; any other protocol must refuse the plan
+  // rather than run a churn-free round under a churn label.
+  RunConfig config;
+  config.deployment.node_count = 100;
+  config.seed = 24;
+  auto churn = fault::ParseChurnSpec("churn=0.5:1");
+  ASSERT_TRUE(churn.ok());
+  config.churn = *churn;
   auto function = MakeCount();
   auto field = MakeConstantField(1.0);
-  auto result = RunIpda(config, *function, *field);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_NE(result.status().message().find("cancelled"),
-            std::string::npos);
-  // The reason travels into the message for watchdog diagnostics.
-  EXPECT_NE(result.status().message().find("deadline"),
-            std::string::npos);
+  auto tag = RunTag(config, *function, *field);
+  ASSERT_FALSE(tag.ok());
+  EXPECT_EQ(tag.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+// KIPDA round of the tests below: MAX over uniform readings in [15, 30].
+KipdaConfig KipdaMax() {
+  KipdaConfig kipda;
+  kipda.value_floor = 14.0;
+  kipda.value_ceiling = 31.0;
+  return kipda;
+}
+
+TEST(Runner, KipdaMatchesHandDrivenRound) {
+  // Constants measured from the hand-driven loop (own Simulator and
+  // default-config Network, no faults) that RunKipda replaced: a
+  // fault-free round must reproduce it exactly.
+  RunConfig config;
+  config.deployment.node_count = 250;
+  config.seed = 42;
+  auto field = MakeUniformField(15.0, 30.0, 7);
+  auto run = RunKipda(config, *field, KipdaMax());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->result, 29.965267015562013);
+  EXPECT_EQ(run->traffic.bytes_sent, 40464u);
+  EXPECT_EQ(run->true_acc.size(), 1u);
+  EXPECT_EQ(run->accuracy, run->result / run->true_acc[0]);
+}
+
+TEST(Runner, KipdaHonoursFaultPlan) {
+  RunConfig config;
+  config.deployment.node_count = 250;
+  config.seed = 42;
+  auto field = MakeUniformField(15.0, 30.0, 7);
+  auto clean = RunKipda(config, *field, KipdaMax());
+  auto faults = fault::ParseFaultSpec("crash-frac=0.3@0.5");
+  ASSERT_TRUE(faults.ok());
+  config.faults = *faults;
+  auto crashed = RunKipda(config, *field, KipdaMax());
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(crashed.ok()) << crashed.status().ToString();
+  EXPECT_GT(crashed->metrics.CounterOr("fault.crashes", 0.0), 0.0);
+  EXPECT_NE(crashed->traffic.bytes_sent, clean->traffic.bytes_sent);
 }
 
 TEST(Runner, DefaultControlRunsToCompletion) {

@@ -242,25 +242,32 @@ TEST(CipherBackend, KeystreamChunkingIsIndependent) {
 }
 
 TEST(CipherBackend, XteaBackendMatchesLegacyPaths) {
-  // The kXtea backend, the XteaSchedule batched path, and the scalar
-  // Key128 reference must stay byte-identical — this is the equivalence
-  // the committed golden traces rest on.
+  // The kXtea backend's CTR bytes must equal XTEA over the counter blocks
+  // nonce + i, through both the batched XteaSchedule primitive and the
+  // scalar block function — the equivalence the committed golden traces
+  // rest on.
   const Key128 key = Key128::FromSeed(1234);
   const CipherBackend& backend = GetCipherBackend(CipherKind::kXtea);
   CipherSchedule generic;
   backend.build(key, generic);
   const XteaSchedule legacy(key);
+  constexpr uint64_t kNonce = 7;
   for (size_t len : {size_t{0}, size_t{1}, size_t{8}, size_t{26},
                      size_t{255}}) {
-    util::Bytes a(len), b(len), c(len);
+    util::Bytes plain(len);
+    for (size_t i = 0; i < len; ++i) plain[i] = static_cast<uint8_t>(0x40 + i);
+    util::Bytes sealed = plain;
+    CtrCrypt(backend, generic, kNonce, sealed);
+    const size_t blocks = (len + 7) / 8;
+    std::vector<uint64_t> counters(blocks), keystream(blocks);
+    for (size_t i = 0; i < blocks; ++i) counters[i] = kNonce + i;
+    XteaEncryptBlocks(legacy, counters.data(), keystream.data(), blocks);
     for (size_t i = 0; i < len; ++i) {
-      a[i] = b[i] = c[i] = static_cast<uint8_t>(0x40 + i);
+      ASSERT_EQ(keystream[i / 8], XteaEncryptBlock(key, counters[i / 8]));
+      const auto ks_byte =
+          static_cast<uint8_t>(keystream[i / 8] >> (8 * (i % 8)));
+      EXPECT_EQ(sealed[i], plain[i] ^ ks_byte) << "len=" << len << " i=" << i;
     }
-    CtrCrypt(backend, generic, /*nonce=*/7, a);
-    CtrCrypt(legacy, /*nonce=*/7, b);
-    CtrCrypt(key, /*nonce=*/7, c);
-    EXPECT_EQ(a, b) << "len=" << len;
-    EXPECT_EQ(a, c) << "len=" << len;
   }
 }
 

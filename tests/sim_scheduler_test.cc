@@ -278,24 +278,45 @@ TEST(Scheduler, CancelHeavyRandomChurn) {
   EXPECT_EQ(sched.cancelled_pending(), 0u);
 }
 
+// The scheduler's allocation footprint as the metrics registry reports
+// it (DESIGN.md §11).
+struct AllocFootprint {
+  double heap_capacity;
+  double slot_capacity;
+  double overflow_slabs;
+  double callback_heap_fallbacks;
+  bool operator==(const AllocFootprint&) const = default;
+};
+
+AllocFootprint CollectFootprint(Simulator& simulator) {
+  simulator.CollectKernelMetrics();
+  const obs::Snapshot snapshot = obs::TakeSnapshot(simulator.metrics());
+  return AllocFootprint{snapshot.GaugeOr("sim.sched_heap_capacity", -1),
+                        snapshot.GaugeOr("sim.sched_slot_capacity", -1),
+                        snapshot.GaugeOr("sim.sched_overflow_slabs", -1),
+                        snapshot.CounterOr("sim.callback_heap_fallbacks", -1)};
+}
+
 TEST(Scheduler, SteadyStateDispatchDoesNotAllocate) {
   // After warm-up, a schedule/dispatch cycle must reuse the heap array,
   // the slot free list, and the callback pool: no capacity growth, no
   // pool slabs, no operator-new fallbacks.
-  Scheduler sched;
+  Simulator simulator(/*seed=*/3);
+  Scheduler& sched = simulator.scheduler();
   int hits = 0;
   for (int i = 0; i < 256; ++i) {
     sched.ScheduleAfter(Milliseconds(1 + i % 7), [&hits] { ++hits; });
   }
   sched.RunAll();
-  const Scheduler::AllocStats before = sched.alloc_stats();
+  const AllocFootprint before = CollectFootprint(simulator);
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 256; ++i) {
       sched.ScheduleAfter(Milliseconds(1 + i % 7), [&hits] { ++hits; });
     }
     sched.RunAll();
   }
-  const Scheduler::AllocStats after = sched.alloc_stats();
+  const AllocFootprint after = CollectFootprint(simulator);
+  EXPECT_GT(before.heap_capacity, 0.0);
   EXPECT_EQ(after.heap_capacity, before.heap_capacity);
   EXPECT_EQ(after.slot_capacity, before.slot_capacity);
   EXPECT_EQ(after.overflow_slabs, before.overflow_slabs);
@@ -304,10 +325,9 @@ TEST(Scheduler, SteadyStateDispatchDoesNotAllocate) {
 }
 
 TEST(Scheduler, RegistryMirrorsAllocStatsShim) {
-  // The metrics registry is the supported surface for the zero-alloc
-  // referee (DESIGN.md §11); Scheduler::alloc_stats() survives as a
-  // deprecated shim. Both must report the same numbers, and collection
-  // must be idempotent.
+  // The metrics registry is the surface for the zero-alloc referee
+  // (DESIGN.md §11): it must mirror the scheduler's own counters, and
+  // collection must be idempotent.
   Simulator simulator(/*seed=*/7);
   Scheduler& sched = simulator.scheduler();
   std::vector<EventId> live;
@@ -319,18 +339,10 @@ TEST(Scheduler, RegistryMirrorsAllocStatsShim) {
   }
   sched.RunAll();
 
-  simulator.CollectKernelMetrics();
-  simulator.CollectKernelMetrics();  // Idempotent: Set, not Add.
+  const AllocFootprint first = CollectFootprint(simulator);
+  const AllocFootprint second = CollectFootprint(simulator);
+  EXPECT_EQ(first, second);  // Idempotent: Set, not Add.
   const obs::Snapshot snapshot = obs::TakeSnapshot(simulator.metrics());
-  const Scheduler::AllocStats shim = sched.alloc_stats();
-  EXPECT_EQ(snapshot.GaugeOr("sim.sched_heap_capacity", -1),
-            static_cast<double>(shim.heap_capacity));
-  EXPECT_EQ(snapshot.GaugeOr("sim.sched_slot_capacity", -1),
-            static_cast<double>(shim.slot_capacity));
-  EXPECT_EQ(snapshot.GaugeOr("sim.sched_overflow_slabs", -1),
-            static_cast<double>(shim.overflow_slabs));
-  EXPECT_EQ(snapshot.CounterOr("sim.callback_heap_fallbacks", -1),
-            static_cast<double>(shim.callback_heap_fallbacks));
   EXPECT_EQ(snapshot.CounterOr("sim.sched_stale_skips", -1),
             static_cast<double>(sched.stale_skips()));
   EXPECT_EQ(snapshot.CounterOr("sim.sched_prunes", -1),
