@@ -4,124 +4,56 @@
 //   2. k sweep under adaptive roles.
 //   3. HELLO re-broadcast extension: coverage vs overhead at low density.
 //   4. l sweep: privacy (analytic) vs participation vs bytes.
+// Every row is one cell of a single bench sweep (bench_common.h).
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "analysis/multi_tree.h"
 #include "analysis/privacy.h"
 #include "bench_common.h"
-#include "stats/summary.h"
 #include "stats/table.h"
 
 namespace ipda::bench {
 namespace {
 
-struct PointStats {
-  stats::Summary coverage;
-  stats::Summary participation;
-  stats::Summary accuracy;
-  stats::Summary aggregator_share;
-  stats::Summary bytes;
-};
-
-struct RunOutcome {
-  bool ok = false;
-  double coverage = 0.0;
-  double participation = 0.0;
-  double accuracy = 0.0;
-  double aggregator_share = 0.0;
-  double bytes = 0.0;
-};
-
-int SweepPoint(exp::Engine& engine, size_t n, const agg::IpdaConfig& ipda,
-               uint64_t salt, size_t runs, PointStats& out) {
-  const double sensors = static_cast<double>(n - 1);
-  const auto outcomes = engine.Map<RunOutcome>(runs, [&](size_t r) {
-    auto function = agg::MakeCount();
-    auto field = agg::MakeConstantField(1.0);
-    const auto config = PaperRunConfig(n, salt + r * 6151);
-    RunOutcome outcome;
-    auto result = agg::RunIpda(config, *function, *field, ipda);
-    if (!result.ok()) return outcome;
-    outcome.coverage =
-        static_cast<double>(result->stats.covered_both) / sensors;
-    outcome.participation =
-        static_cast<double>(result->stats.participants) / sensors;
-    outcome.accuracy = result->accuracy;
-    outcome.aggregator_share =
-        static_cast<double>(result->stats.red_aggregators +
-                            result->stats.blue_aggregators) /
-        sensors;
-    outcome.bytes = static_cast<double>(result->traffic.bytes_sent);
-    outcome.ok = true;
-    return outcome;
-  });
-  for (const RunOutcome& outcome : outcomes) {
-    if (!outcome.ok) return 1;
-    out.coverage.Add(outcome.coverage);
-    out.participation.Add(outcome.participation);
-    out.accuracy.Add(outcome.accuracy);
-    out.aggregator_share.Add(outcome.aggregator_share);
-    out.bytes.Add(outcome.bytes);
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
-  PrintHeader("Ablations — role policy, k, HELLO repeats, slice count",
-              "design-choice sweeps behind §III's parameter choices");
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
 
-  // 1 + 2: role policy and k.
-  std::printf("Role policy at N=500 (dense; adaptive k-budget should cut "
-              "aggregators and bytes):\n");
-  stats::Table roles({"policy", "aggregators", "coverage", "participate",
-                      "accuracy", "bytes"});
-  {
-    agg::IpdaConfig fixed = PaperIpdaConfig(2);
-    PointStats fixed_stats;
-    if (SweepPoint(engine, 500, fixed, 0xAB1A, runs, fixed_stats) != 0) {
-      return 1;
-    }
-    roles.AddRow({"fixed 0.5/0.5",
-                  stats::FormatDouble(fixed_stats.aggregator_share.mean(), 2),
-                  stats::FormatDouble(fixed_stats.coverage.mean(), 3),
-                  stats::FormatDouble(fixed_stats.participation.mean(), 3),
-                  stats::FormatDouble(fixed_stats.accuracy.mean(), 3),
-                  stats::FormatDouble(fixed_stats.bytes.mean(), 0)});
-    for (uint32_t k : {4u, 8u, 16u}) {
-      agg::IpdaConfig adaptive = PaperIpdaConfig(2);
-      adaptive.adaptive_roles = true;
-      adaptive.k = k;
-      PointStats s;
-      // Same salt as the fixed-policy row: identical deployments, so the
-      // comparison is paired.
-      if (SweepPoint(engine, 500, adaptive, 0xAB1A, runs, s) != 0) {
-        return 1;
-      }
-      char name[32];
-      std::snprintf(name, sizeof(name), "adaptive k=%u", k);
-      roles.AddRow({name,
-                    stats::FormatDouble(s.aggregator_share.mean(), 2),
-                    stats::FormatDouble(s.coverage.mean(), 3),
-                    stats::FormatDouble(s.participation.mean(), 3),
-                    stats::FormatDouble(s.accuracy.mean(), 3),
-                    stats::FormatDouble(s.bytes.mean(), 0)});
-    }
+  // Every row is one cell; rows sharing a salt run on identical
+  // deployments, so each table's comparison is paired.
+  SweepSpec spec{"ablation_parameters", 0, "", {}, false};
+  struct Row {
+    size_t n;
+    agg::IpdaConfig ipda;
+  };
+  std::vector<Row> rows;
+  const auto add_row = [&](const std::string& label, size_t n,
+                           const agg::IpdaConfig& ipda, uint64_t salt,
+                           size_t row_runs) {
+    spec.cells.push_back({label, row_runs, [salt](size_t r) {
+                            return salt + r * 6151;
+                          }, ""});
+    rows.push_back({n, ipda});
+  };
+  // 1 + 2: role policy and k at N=500.
+  add_row("fixed 0.5/0.5", 500, PaperIpdaConfig(2, options.cipher), 0xAB1A,
+          runs);
+  for (uint32_t k : {4u, 8u, 16u}) {
+    agg::IpdaConfig adaptive = PaperIpdaConfig(2, options.cipher);
+    adaptive.adaptive_roles = true;
+    adaptive.k = k;
+    add_row("adaptive k=" + std::to_string(k), 500, adaptive, 0xAB1A, runs);
   }
-  roles.PrintTo(stdout);
-
   // 3: Phase-I robustness extensions at low density. Finding: repeats
   // (loss recovery) barely move coverage because the dominant stall is a
   // color-starvation deadlock; impatient join breaks the deadlock and
   // recovers most of it.
-  std::printf("\nPhase-I robustness at N=250 (sparse, paired "
-              "deployments):\n");
-  stats::Table hello({"variant", "coverage", "participate", "accuracy",
-                      "bytes"});
   struct Variant {
     const char* name;
     uint32_t repeats;
@@ -134,38 +66,84 @@ int Run(int argc, char** argv) {
       {"impatient + repeats=2", 2, true},
   };
   for (const Variant& variant : variants) {
-    agg::IpdaConfig ipda = PaperIpdaConfig(2);
+    agg::IpdaConfig ipda = PaperIpdaConfig(2, options.cipher);
     ipda.hello_repeats = variant.repeats;
     ipda.impatient_join = variant.impatient;
-    PointStats s;
-    // Paired deployments across variants.
-    if (SweepPoint(engine, 250, ipda, 0xAB1C, runs * 4, s) != 0) {
-      return 1;
-    }
-    hello.AddRow({variant.name,
-                  stats::FormatDouble(s.coverage.mean(), 3),
-                  stats::FormatDouble(s.participation.mean(), 3),
-                  stats::FormatDouble(s.accuracy.mean(), 3),
-                  stats::FormatDouble(s.bytes.mean(), 0)});
+    add_row(variant.name, 250, ipda, 0xAB1C, runs * 4);
+  }
+  // 4: slice count l at N=500.
+  const uint32_t slice_counts[] = {1u, 2u, 3u, 4u};
+  for (uint32_t l : slice_counts) {
+    add_row("l=" + std::to_string(l), 500, PaperIpdaConfig(l, options.cipher),
+            0xAB1D, runs);
+  }
+
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const Row& row = rows[ctx.cell];
+        const double sensors = static_cast<double>(row.n - 1);
+        auto function = agg::MakeCount();
+        auto field = agg::MakeConstantField(1.0);
+        auto config = PaperRunConfig(row.n, ctx.seed);
+        config.control = ctx.control;
+        IPDA_ASSIGN_OR_RETURN(
+            const agg::IpdaRunResult run,
+            agg::RunIpda(config, *function, *field, row.ipda));
+        const agg::IpdaStats& stats = run.stats;
+        return Record()
+            .Set("coverage", static_cast<double>(stats.covered_both) / sensors)
+            .Set("participation",
+                 static_cast<double>(stats.participants) / sensors)
+            .Set("accuracy", run.accuracy)
+            .Set("aggregator_share",
+                 static_cast<double>(stats.red_aggregators +
+                                     stats.blue_aggregators) /
+                     sensors)
+            .Set("bytes", static_cast<double>(run.traffic.bytes_sent));
+      });
+  const auto mean = [&result](size_t cell, const char* field, int digits) {
+    return stats::FormatDouble(result.Get(cell, field).summary.mean(),
+                               digits);
+  };
+
+  PrintHeader("Ablations — role policy, k, HELLO repeats, slice count",
+              "design-choice sweeps behind §III's parameter choices");
+  std::printf("Role policy at N=500 (dense; adaptive k-budget should cut "
+              "aggregators and bytes):\n");
+  stats::Table roles({"policy", "aggregators", "coverage", "participate",
+                      "accuracy", "bytes"});
+  size_t cell = 0;
+  for (; cell < 4; ++cell) {
+    roles.AddRow({spec.cells[cell].label, mean(cell, "aggregator_share", 2),
+                  mean(cell, "coverage", 3), mean(cell, "participation", 3),
+                  mean(cell, "accuracy", 3), mean(cell, "bytes", 0)});
+  }
+  roles.PrintTo(stdout);
+
+  std::printf("\nPhase-I robustness at N=250 (sparse, paired "
+              "deployments):\n");
+  stats::Table hello({"variant", "coverage", "participate", "accuracy",
+                      "bytes"});
+  for (; cell < 8; ++cell) {
+    hello.AddRow({spec.cells[cell].label, mean(cell, "coverage", 3),
+                  mean(cell, "participation", 3), mean(cell, "accuracy", 3),
+                  mean(cell, "bytes", 0)});
   }
   hello.PrintTo(stdout);
 
-  // 4: slice count l.
   std::printf("\nSlice count l at N=500 (privacy vs participation vs "
               "bytes; paper recommends l=2):\n");
   stats::Table slices({"l", "P_disclose@px=0.05 (Eq.11)", "participate",
                        "accuracy", "bytes"});
-  for (uint32_t l : {1u, 2u, 3u, 4u}) {
-    agg::IpdaConfig ipda = PaperIpdaConfig(l);
-    PointStats s;
-    if (SweepPoint(engine, 500, ipda, 0xAB1D, runs, s) != 0) return 1;
+  for (uint32_t l : slice_counts) {
     slices.AddRow(
         {stats::FormatInt(l),
          stats::FormatDouble(
              analysis::RegularDisclosureProbability(0.05, l), 5),
-         stats::FormatDouble(s.participation.mean(), 3),
-         stats::FormatDouble(s.accuracy.mean(), 3),
-         stats::FormatDouble(s.bytes.mean(), 0)});
+         mean(cell, "participation", 3), mean(cell, "accuracy", 3),
+         mean(cell, "bytes", 0)});
+    ++cell;
   }
   slices.PrintTo(stdout);
 

@@ -21,7 +21,7 @@ namespace {
 int Run(int argc, char** argv) {
   // Analytic bench: no Monte-Carlo fan-out, but accept the shared flags
   // so every bench binary has the same command line.
-  (void)BenchJobs(argc, argv);
+  (void)ParseBenchOptions(argc, argv, BenchKind::kAnalytic);
   PrintHeader("§IV-A — analytic spot claims", "paper's worked examples");
 
   // 1. Coverage (N=1000, d=10, pb=pr=0.5).

@@ -2,6 +2,8 @@
 // aggregate, ref. [11]) vs iPDA across the four design goals of §II-D —
 // accuracy, efficiency (bytes), privacy (empirical disclosure under
 // p_x = 0.1 link compromise), and integrity (is pollution detected?).
+// The arms run as one bench sweep (bench_common.h); SMART, CPDA and iPDA
+// seal their traffic with --cipher.
 
 #include <cstdio>
 
@@ -13,7 +15,6 @@
 #include "bench_common.h"
 #include "crypto/link_security.h"
 #include "sim/simulator.h"
-#include "stats/summary.h"
 #include "stats/table.h"
 
 namespace ipda::bench {
@@ -41,148 +42,135 @@ attack::Eavesdropper MakeEve(const net::Topology& topology,
   return attack::Eavesdropper(topology.node_count(), links, broken);
 }
 
-struct RunOutcome {
-  bool ok = false;
-  double tag_acc = 0.0, tag_bytes = 0.0;
-  double smart_acc = 0.0, smart_bytes = 0.0, smart_leak = 0.0;
-  double cpda_acc = 0.0, cpda_bytes = 0.0, cpda_masked = 0.0;
-  bool polluted_run = false;
-  bool pollution_fired = false;
-  bool pollution_caught = false;
-  double ipda_acc = 0.0, ipda_bytes = 0.0, ipda_leak = 0.0;
-};
-
-RunOutcome RunArms(size_t r) {
+// All four arms on one deployment; every other run is polluted to
+// measure detection, and only unpolluted runs feed iPDA's accuracy,
+// bytes and leak (the detection fields are absent on unpolluted runs).
+util::Result<Record> RunArms(size_t r, uint64_t seed,
+                             const agg::RunControl& control,
+                             crypto::CipherKind cipher) {
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
-  RunOutcome out;
-  const auto config = PaperRunConfig(400, 0xBA5E + r * 401);
-  auto topology = agg::BuildRunTopology(config);
-  if (!topology.ok()) return out;
-  const auto links = LinksOf(*topology);
+  auto config = PaperRunConfig(400, seed);
+  config.control = control;
+  IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
+                        agg::BuildRunTopology(config));
+  const auto links = LinksOf(topology);
+  Record record;
 
-  auto tag = agg::RunTag(config, *function, *field);
-  if (!tag.ok()) return out;
-  out.tag_acc = tag->accuracy;
-  out.tag_bytes = static_cast<double>(tag->traffic.bytes_sent);
+  IPDA_ASSIGN_OR_RETURN(const agg::TagRunResult tag,
+                        agg::RunTag(config, *function, *field));
+  record.Set("tag_acc", tag.accuracy)
+      .Set("tag_bytes", static_cast<double>(tag.traffic.bytes_sent));
 
   {
-    attack::Eavesdropper eve = MakeEve(*topology, links, r * 31 + 1);
+    attack::Eavesdropper eve = MakeEve(topology, links, r * 31 + 1);
     auto ipda_observer = eve.Observer();
     agg::SmartConfig smart_config;
     smart_config.slice_count = 3;
     smart_config.slice_range = 1.0;
-    auto smart = agg::RunSmart(
-        config, *function, *field, smart_config,
-        [&](net::NodeId from, net::NodeId to, const agg::Vector& s) {
-          ipda_observer(from, to, agg::TreeColor::kRed, s);
-        });
-    if (!smart.ok()) return out;
-    out.smart_acc = smart->accuracy;
-    out.smart_bytes = static_cast<double>(smart->traffic.bytes_sent);
-    out.smart_leak = eve.Evaluate().disclosure_rate;
+    smart_config.cipher = cipher;
+    IPDA_ASSIGN_OR_RETURN(
+        const agg::SmartRunResult smart,
+        agg::RunSmart(config, *function, *field, smart_config,
+                      [&](net::NodeId from, net::NodeId to,
+                          const agg::Vector& s) {
+                        ipda_observer(from, to, agg::TreeColor::kRed, s);
+                      }));
+    record.Set("smart_acc", smart.accuracy)
+        .Set("smart_bytes", static_cast<double>(smart.traffic.bytes_sent))
+        .Set("smart_leak", eve.Evaluate().disclosure_rate);
   }
 
   {
     agg::CpdaConfig cpda_config;
     cpda_config.coeff_range = 10.0;
-    auto cpda = agg::RunCpda(config, *function, *field, cpda_config);
-    if (!cpda.ok()) return out;
-    out.cpda_acc = cpda->accuracy;
-    out.cpda_bytes = static_cast<double>(cpda->traffic.bytes_sent);
-    out.cpda_masked = static_cast<double>(cpda->stats.clustered) /
-                      static_cast<double>(cpda->stats.clustered +
-                                          cpda->stats.unprotected);
+    cpda_config.cipher = cipher;
+    IPDA_ASSIGN_OR_RETURN(
+        const agg::CpdaRunResult cpda,
+        agg::RunCpda(config, *function, *field, cpda_config));
+    record.Set("cpda_acc", cpda.accuracy)
+        .Set("cpda_bytes", static_cast<double>(cpda.traffic.bytes_sent))
+        .Set("cpda_masked", static_cast<double>(cpda.stats.clustered) /
+                                static_cast<double>(cpda.stats.clustered +
+                                                    cpda.stats.unprotected));
   }
 
-  {
-    attack::Eavesdropper eve = MakeEve(*topology, links, r * 31 + 2);
-    agg::IpdaRunHooks hooks;
-    hooks.slice_observer = eve.Observer();
-    // Pollute every other run to measure detection.
-    size_t fired = 0;
-    attack::PollutionConfig attack_config;
-    attack_config.attackers = {static_cast<net::NodeId>(30 + r)};
-    attack_config.additive_delta = 50.0;
-    out.polluted_run = r % 2 == 1;
-    if (out.polluted_run) {
-      hooks.pollution = attack::MakePollutionHook(attack_config, &fired);
-    }
-    auto ipda = agg::RunIpda(config, *function, *field,
-                             PaperIpdaConfig(2), hooks);
-    if (!ipda.ok()) return out;
-    out.pollution_fired = fired > 0;
-    out.pollution_caught = !ipda->stats.decision.accepted;
-    out.ipda_acc = ipda->accuracy;
-    out.ipda_bytes = static_cast<double>(ipda->traffic.bytes_sent);
-    out.ipda_leak = eve.Evaluate().disclosure_rate;
+  attack::Eavesdropper eve = MakeEve(topology, links, r * 31 + 2);
+  agg::IpdaRunHooks hooks;
+  hooks.slice_observer = eve.Observer();
+  size_t fired = 0;
+  attack::PollutionConfig attack_config;
+  attack_config.attackers = {static_cast<net::NodeId>(30 + r)};
+  attack_config.additive_delta = 50.0;
+  const bool polluted_run = r % 2 == 1;
+  if (polluted_run) {
+    hooks.pollution = attack::MakePollutionHook(attack_config, &fired);
   }
-  out.ok = true;
-  return out;
+  IPDA_ASSIGN_OR_RETURN(
+      const agg::IpdaRunResult ipda,
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher),
+                   hooks));
+  if (!polluted_run) {
+    record.Set("ipda_acc", ipda.accuracy)
+        .Set("ipda_bytes", static_cast<double>(ipda.traffic.bytes_sent))
+        .Set("ipda_leak", eve.Evaluate().disclosure_rate);
+  } else if (fired > 0) {
+    record.Set("pollution_caught", !ipda.stats.decision.accepted);
+  }
+  return record;
 }
 
 int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
-  PrintHeader("Baseline comparison — TAG vs SMART vs iPDA",
-              "the §II-D design goals, head to head at N=400");
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
 
-  const auto outcomes =
-      engine.Map<RunOutcome>(runs * 2, [](size_t r) { return RunArms(r); });
+  const SweepSpec spec{
+      "baseline_comparison",
+      0,
+      "",
+      {{"N=400", runs * 2, [](size_t r) { return 0xBA5E + r * 401; }, ""}},
+      false};
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&options](const RunContext& ctx) {
+        return RunArms(ctx.run, ctx.seed, ctx.control, options.cipher);
+      });
+  const auto mean = [&result](const char* field) {
+    return result.Get(0, field).summary.mean();
+  };
+  const auto format = [&mean](const char* field, int digits) {
+    return stats::FormatDouble(mean(field), digits);
+  };
 
-  stats::Summary tag_acc, smart_acc, cpda_acc, ipda_acc;
-  stats::Summary tag_bytes, smart_bytes, cpda_bytes, ipda_bytes;
-  stats::Summary smart_leak, ipda_leak, cpda_masked;
-  size_t ipda_pollution_runs = 0, ipda_pollution_caught = 0;
-  for (const RunOutcome& out : outcomes) {
-    if (!out.ok) return 1;
-    tag_acc.Add(out.tag_acc);
-    tag_bytes.Add(out.tag_bytes);
-    smart_acc.Add(out.smart_acc);
-    smart_bytes.Add(out.smart_bytes);
-    smart_leak.Add(out.smart_leak);
-    cpda_acc.Add(out.cpda_acc);
-    cpda_bytes.Add(out.cpda_bytes);
-    cpda_masked.Add(out.cpda_masked);
-    if (!out.polluted_run) {
-      ipda_acc.Add(out.ipda_acc);
-      ipda_bytes.Add(out.ipda_bytes);
-      ipda_leak.Add(out.ipda_leak);
-    } else if (out.pollution_fired) {
-      ++ipda_pollution_runs;
-      if (out.pollution_caught) ++ipda_pollution_caught;
-    }
-  }
-
+  PrintHeader("Baseline comparison — TAG vs SMART vs iPDA",
+              "the §II-D design goals, head to head at N=400");
   stats::Table table({"scheme", "accuracy", "bytes/round",
                       "disclosure @ px=0.1", "pollution detected"});
-  table.AddRow({"TAG", stats::FormatDouble(tag_acc.mean(), 3),
-                stats::FormatDouble(tag_bytes.mean(), 0),
+  table.AddRow({"TAG", format("tag_acc", 3), format("tag_bytes", 0),
                 "~1.0 (plaintext partials)", "never (no check)"});
-  table.AddRow({"SMART J=3", stats::FormatDouble(smart_acc.mean(), 3),
-                stats::FormatDouble(smart_bytes.mean(), 0),
-                stats::FormatDouble(smart_leak.mean(), 4),
+  table.AddRow({"SMART J=3", format("smart_acc", 3),
+                format("smart_bytes", 0), format("smart_leak", 4),
                 "never (no check)"});
   char cpda_privacy[64];
   std::snprintf(cpda_privacy, sizeof(cpda_privacy),
                 "~px^3 per masked node (%.0f%% masked)",
-                100.0 * cpda_masked.mean());
-  table.AddRow({"CPDA deg=2", stats::FormatDouble(cpda_acc.mean(), 3),
-                stats::FormatDouble(cpda_bytes.mean(), 0), cpda_privacy,
-                "never (no check)"});
+                100.0 * mean("cpda_masked"));
+  table.AddRow({"CPDA deg=2", format("cpda_acc", 3), format("cpda_bytes", 0),
+                cpda_privacy, "never (no check)"});
+  const FieldFold& caught_runs = result.Get(0, "pollution_caught");
   char caught[48];
-  std::snprintf(caught, sizeof(caught), "%zu/%zu runs",
-                ipda_pollution_caught, ipda_pollution_runs);
-  table.AddRow({"iPDA l=2", stats::FormatDouble(ipda_acc.mean(), 3),
-                stats::FormatDouble(ipda_bytes.mean(), 0),
-                stats::FormatDouble(ipda_leak.mean(), 4), caught});
+  std::snprintf(caught, sizeof(caught), "%zu/%zu runs", caught_runs.total(),
+                caught_runs.count());
+  table.AddRow({"iPDA l=2", format("ipda_acc", 3), format("ipda_bytes", 0),
+                format("ipda_leak", 4), caught});
   table.PrintTo(stdout);
   std::printf(
       "\niPDA pays ~%.1fx SMART's bytes for the integrity check; both\n"
       "inherit the same slicing privacy. TAG is cheapest and blind.\n",
-      ipda_bytes.mean() / smart_bytes.mean());
+      mean("ipda_bytes") / mean("smart_bytes"));
 
   // CPDA's collusion threshold, measured: 30 insiders learn almost
   // nothing, 120 reconstruct a visible share of their co-members' values
@@ -196,6 +184,7 @@ int Run(int argc, char** argv) {
     net::Network network(&simulator, std::move(*topology));
     agg::CpdaConfig cpda_config;
     cpda_config.coeff_range = 10.0;
+    cpda_config.cipher = options.cipher;
     agg::CpdaProtocol protocol(&network, function.get(), cpda_config);
     util::Rng rng(colluders);
     std::vector<net::NodeId> coalition;

@@ -1,286 +1,41 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <tuple>
 
+#include "exp/agg_store.h"
+#include "exp/engine.h"
 #include "exp/fabric.h"
+#include "exp/resilient.h"
+#include "util/check.h"
 #include "util/flags.h"
 #include "util/io.h"
 #include "util/random.h"
 #include "util/signal.h"
 
 namespace ipda::bench {
+namespace {
 
-size_t RunsPerPoint(size_t default_runs) {
-  const char* env = std::getenv("IPDA_BENCH_RUNS");
-  if (env != nullptr) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return default_runs;
+[[noreturn]] void ExitUsage(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
 }
 
-size_t BenchJobs(int argc, const char* const* argv) {
-  int64_t default_jobs = 0;  // 0 = all hardware threads.
-  if (const char* env = std::getenv("IPDA_BENCH_JOBS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 0) default_jobs = parsed;
-  }
-  util::FlagSet flags;
-  flags.DefineInt("jobs", default_jobs,
-                  "worker threads for the experiment engine "
-                  "(0 = all hardware threads)");
-  flags.DefineBool("help", false, "show usage");
-  const util::Status status = flags.Parse(argc - 1, argv + 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage(argv[0]).c_str());
-    std::exit(2);
-  }
-  if (flags.GetBool("help")) {
-    std::fputs(flags.Usage(argv[0]).c_str(), stdout);
-    std::exit(0);
-  }
-  return exp::ResolveJobs(flags.GetInt("jobs"));
+bool ValidFieldName(std::string_view name) {
+  if (name.empty()) return false;
+  return std::all_of(name.begin(), name.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_' || c == '.';
+  });
 }
 
-BenchOptions ParseBenchOptions(int argc, const char* const* argv) {
-  int64_t default_jobs = 0;  // 0 = all hardware threads.
-  if (const char* env = std::getenv("IPDA_BENCH_JOBS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 0) default_jobs = parsed;
-  }
-  util::FlagSet flags;
-  flags.DefineInt("jobs", default_jobs,
-                  "worker threads for the experiment engine "
-                  "(0 = all hardware threads)");
-  flags.DefineString("journal", "",
-                     "append-only JSONL run journal; each completed run "
-                     "is fsynced so a killed sweep is resumable");
-  flags.DefineString("resume", "",
-                     "journal from an interrupted sweep; completed runs "
-                     "are replayed byte-identically, the rest executed");
-  flags.DefineDouble("run-deadline", 0.0,
-                     "wall-clock seconds per run attempt before the "
-                     "watchdog cancels it (0 = no watchdog)");
-  flags.DefineInt("event-budget", 0,
-                  "max simulator events per run attempt (0 = unlimited; "
-                  "deterministic, unlike --run-deadline)");
-  flags.DefineInt("max-retries", 0,
-                  "failed-run retries with a forked seed before the "
-                  "point degrades");
-  flags.DefineString("cipher", "xtea",
-                     "link cipher backend for encrypted arms: "
-                     "xtea | aesni | chacha20");
-  flags.DefineInt("fabric", 0,
-                  "worker processes for the multi-process sweep fabric "
-                  "(0 = run in-process); requires --fabric-dir");
-  flags.DefineString("fabric-dir", "",
-                     "fabric state directory: shard leases, heartbeats, "
-                     "per-attempt shard journals, worker logs");
-  flags.DefineDouble("worker-timeout", 30.0,
-                     "seconds of heartbeat staleness before a fabric "
-                     "worker is declared hung and its lease revoked");
-  flags.DefineDouble("shard-deadline", 0.0,
-                     "wall-clock seconds per shard attempt before a "
-                     "straggler is revoked (0 = no deadline)");
-  flags.DefineInt("shard-retries", 3,
-                  "shard re-dispatches after a worker death before its "
-                  "runs degrade to ok:false records");
-  flags.DefineDouble("chaos-kill-rate", 0.0,
-                     "chaos self-test: expected SIGKILLs injected per "
-                     "shard (capped at --shard-retries)");
-  flags.DefineString("agg-memory-budget", "unlimited",
-                     "byte budget for the streaming result fold (e.g. "
-                     "64k, 256M; 0/unlimited = never spill); output is "
-                     "byte-identical at every budget");
-  flags.DefineInt("worker-shard", -1,
-                  "internal (fabric worker mode): shard id this process "
-                  "executes");
-  flags.DefineString("worker-range", "",
-                     "internal (fabric worker mode): lo:hi flat run "
-                     "index range of the leased shard");
-  flags.DefineString("worker-heartbeat", "",
-                     "internal (fabric worker mode): heartbeat file to "
-                     "touch while running");
-  flags.DefineBool("help", false, "show usage");
-  const util::Status status = flags.Parse(argc - 1, argv + 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
-                 flags.Usage(argv[0]).c_str());
-    std::exit(2);
-  }
-  if (flags.GetBool("help")) {
-    std::fputs(flags.Usage(argv[0]).c_str(), stdout);
-    std::exit(0);
-  }
-  BenchOptions options;
-  options.jobs = exp::ResolveJobs(flags.GetInt("jobs"));
-  const auto cipher = crypto::ParseCipherKind(flags.GetString("cipher"));
-  if (!cipher.ok()) {
-    std::fprintf(stderr, "bad --cipher: %s\n",
-                 cipher.status().ToString().c_str());
-    std::exit(2);
-  }
-  options.cipher = *cipher;
-  options.journal = flags.GetString("journal");
-  options.resume = flags.GetString("resume");
-  options.run_deadline_s = flags.GetDouble("run-deadline");
-  options.event_budget = static_cast<uint64_t>(flags.GetInt("event-budget"));
-  options.max_retries = static_cast<uint32_t>(flags.GetInt("max-retries"));
-  const int64_t fabric = flags.GetInt("fabric");
-  options.fabric = fabric > 0 ? static_cast<size_t>(fabric) : 0;
-  options.fabric_dir = flags.GetString("fabric-dir");
-  options.worker_timeout_s = flags.GetDouble("worker-timeout");
-  options.shard_deadline_s = flags.GetDouble("shard-deadline");
-  options.shard_retries =
-      static_cast<uint32_t>(flags.GetInt("shard-retries"));
-  options.chaos_kill_rate = flags.GetDouble("chaos-kill-rate");
-  const auto budget =
-      util::ParseByteSize(flags.GetString("agg-memory-budget"));
-  if (!budget.ok()) {
-    std::fprintf(stderr, "bad --agg-memory-budget: %s\n",
-                 budget.status().ToString().c_str());
-    std::exit(2);
-  }
-  options.agg_memory_budget = budget.value();
-  options.worker_shard = flags.GetInt("worker-shard");
-  options.worker_range = flags.GetString("worker-range");
-  options.worker_heartbeat = flags.GetString("worker-heartbeat");
-  // Result-affecting flags the dispatcher must forward to workers.
-  if (flags.WasSet("cipher")) {
-    options.worker_args.push_back("--cipher=" + flags.GetString("cipher"));
-  }
-  if (flags.WasSet("event-budget")) {
-    options.worker_args.push_back(
-        "--event-budget=" + std::to_string(flags.GetInt("event-budget")));
-  }
-  if (flags.WasSet("max-retries")) {
-    options.worker_args.push_back(
-        "--max-retries=" + std::to_string(flags.GetInt("max-retries")));
-  }
-  if (flags.WasSet("run-deadline")) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "--run-deadline=%g",
-                  flags.GetDouble("run-deadline"));
-    options.worker_args.push_back(buf);
-  }
-  // Scheduling, IO, and fabric plumbing never enters the config digest:
-  // a fabric sweep, its workers, and a single-process run of the same
-  // grid must agree on the journal identity byte-for-byte.
-  options.canonical = flags.Canonical(
-      {"jobs", "journal", "resume", "run-deadline", "help", "fabric",
-       "fabric-dir", "worker-timeout", "shard-deadline", "shard-retries",
-       "chaos-kill-rate", "agg-memory-budget", "worker-shard",
-       "worker-range", "worker-heartbeat"});
-  return options;
-}
-
-util::Result<exp::ResilientReport> RunBenchSweep(
-    exp::Engine& engine, const BenchOptions& options, const char* argv0,
-    const std::vector<std::string>& point_labels, size_t runs_per_point,
-    const exp::ResilientOptions& resilience, const exp::AttemptBody& body) {
-  // Fabric worker mode: execute only the leased shard, heartbeat while
-  // running, and exit without returning — the bench's document printer
-  // must run in the dispatcher (or single-process) invocation only.
-  if (options.worker_shard >= 0) {
-    auto range = exp::ParseShardRange(options.worker_range);
-    if (!range.ok()) {
-      std::fprintf(stderr, "fabric worker: bad --worker-range: %s\n",
-                   range.status().ToString().c_str());
-      std::exit(2);
-    }
-    exp::ResilientOptions sharded = resilience;
-    sharded.shard_lo = range->lo;
-    sharded.shard_hi = range->hi;
-    exp::HeartbeatThread heartbeat;
-    if (!options.worker_heartbeat.empty()) {
-      double interval_s = options.worker_timeout_s > 0.0
-                              ? options.worker_timeout_s / 4.0
-                              : 1.0;
-      if (interval_s < 0.05) interval_s = 0.05;
-      heartbeat = exp::HeartbeatThread(options.worker_heartbeat, interval_s);
-    }
-    auto swept =
-        exp::RunResilientSweep(engine, point_labels, runs_per_point,
-                               sharded, body);
-    heartbeat.Stop();
-    if (!swept.ok()) {
-      std::fprintf(stderr, "fabric worker (shard %lld): %s\n",
-                   static_cast<long long>(options.worker_shard),
-                   swept.status().ToString().c_str());
-      std::exit(1);
-    }
-    std::exit(swept->drained ? util::kDrainExitCode : 0);
-  }
-
-  // Dispatcher mode: lease shards to re-execs of this binary.
-  if (options.fabric > 0) {
-    if (options.fabric_dir.empty()) {
-      std::fprintf(stderr, "--fabric requires --fabric-dir\n");
-      std::exit(2);
-    }
-    exp::FabricOptions fabric;
-    fabric.workers = options.fabric;
-    fabric.dir = options.fabric_dir;
-    fabric.worker_timeout_s = options.worker_timeout_s;
-    fabric.shard_deadline_s = options.shard_deadline_s;
-    fabric.shard_retries = options.shard_retries;
-    fabric.chaos_kill_rate = options.chaos_kill_rate;
-    fabric.merged_journal_path = options.journal;
-
-    exp::JournalHeader header;
-    header.experiment = resilience.experiment;
-    header.config_hash = util::HashLabel(resilience.config_digest);
-    header.sweep_seed = resilience.sweep_seed;
-    header.total_runs = point_labels.size() * runs_per_point;
-
-    char timeout_flag[48];
-    std::snprintf(timeout_flag, sizeof(timeout_flag),
-                  "--worker-timeout=%g", options.worker_timeout_s);
-    const std::string binary = argv0;
-    const std::vector<std::string> forwarded = options.worker_args;
-    const std::string timeout_arg = timeout_flag;
-    const exp::WorkerCommand command =
-        [binary, forwarded, timeout_arg](const exp::WorkerSpec& spec) {
-          std::vector<std::string> argv;
-          argv.push_back(binary);
-          argv.insert(argv.end(), forwarded.begin(), forwarded.end());
-          // Processes are the parallelism; each worker sweeps serially.
-          argv.push_back("--jobs=1");
-          argv.push_back("--worker-shard=" + std::to_string(spec.shard));
-          argv.push_back("--worker-range=" + std::to_string(spec.lo) + ":" +
-                         std::to_string(spec.hi));
-          argv.push_back("--worker-heartbeat=" + spec.heartbeat);
-          argv.push_back(timeout_arg);
-          argv.push_back("--journal=" + spec.journal);
-          if (!spec.resume.empty()) {
-            argv.push_back("--resume=" + spec.resume);
-          }
-          return argv;
-        };
-
-    exp::FabricStats stats;
-    auto report = exp::RunFabricSweep(fabric, header, command, &stats);
-    if (report.ok()) {
-      std::fprintf(stderr,
-                   "fabric: %zu shards, %zu workers spawned, %zu deaths, "
-                   "%zu hung, %zu stragglers, %zu chaos kills, %zu shards "
-                   "failed; merge: %zu journals (%zu empty), %zu records, "
-                   "%zu duplicates, %zu corrupt lines\n",
-                   stats.shards, stats.spawned, stats.worker_deaths,
-                   stats.hung_revocations, stats.straggler_revocations,
-                   stats.chaos_kills, stats.failed_shards,
-                   stats.merge.journals, stats.merge.empty_journals,
-                   stats.merge.records, stats.merge.duplicates,
-                   stats.merge.corrupt_lines);
-    }
-    return report;
-  }
-
-  return exp::RunResilientSweep(engine, point_labels, runs_per_point,
-                                resilience, body);
-}
+// Store keys: "c<cell>\x1f<field>" and "p<pool>\x1f<field>". The unit
+// separator never appears in field or pool names, and the empty field
+// of a cell marks one successful run.
+constexpr char kKeySeparator = '\x1f';
 
 void PrintDrainHint(const char* tool, const BenchOptions& options,
                     const exp::ResilientReport& report, const char* argv0) {
@@ -301,73 +56,579 @@ void PrintDrainHint(const char* tool, const BenchOptions& options,
                                            : report.journal_path.c_str());
 }
 
-namespace {
+// Every sweep is flat for the executor: one run per "point", with
+// base_seed_fn mapping the flat index back to its cell's seed, so cells
+// of uneven run counts need no padding. The engine is gone on return.
+util::Result<exp::ResilientReport> RunInProcess(
+    size_t jobs, size_t total, const exp::ResilientOptions& resilience,
+    const exp::AttemptBody& attempt) {
+  exp::Engine engine(jobs);
+  return exp::RunResilientSweep(engine, std::vector<std::string>(total), 1,
+                                resilience, attempt);
+}
 
-exp::AggStoreOptions FoldStoreOptions(const BenchOptions& options) {
-  exp::AggStoreOptions store;
-  store.memory_budget_bytes = options.agg_memory_budget;
-  return store;
+// Fabric worker mode: executes only the leased shard, heartbeats while
+// running, journals to the private shard journal, and exits — the
+// bench's document is printed by the dispatcher, never by a worker.
+[[noreturn]] void RunWorker(const BenchOptions& options, size_t total,
+                            exp::ResilientOptions resilience,
+                            const exp::AttemptBody& attempt) {
+  auto range = exp::ParseShardRange(options.worker_range);
+  if (!range.ok()) {
+    ExitUsage("fabric worker: bad --worker-range: " +
+              range.status().ToString());
+  }
+  resilience.shard_lo = range->lo;
+  resilience.shard_hi = range->hi;
+  resilience.keep_payloads = false;  // They live in the shard journal.
+  int code = 0;
+  {
+    exp::HeartbeatThread heartbeat;
+    if (!options.worker_heartbeat.empty()) {
+      const double interval_s = options.worker_timeout_s > 0.0
+                                    ? options.worker_timeout_s / 4.0
+                                    : 1.0;
+      heartbeat = exp::HeartbeatThread(options.worker_heartbeat,
+                                       std::max(interval_s, 0.05));
+    }
+    const auto swept = RunInProcess(options.jobs, total, resilience, attempt);
+    if (!swept.ok()) {
+      std::fprintf(stderr, "fabric worker (shard %lld): %s\n",
+                   static_cast<long long>(options.worker_shard),
+                   swept.status().ToString().c_str());
+      code = 1;
+    } else if (swept->drained) {
+      code = util::kDrainExitCode;
+    }
+  }
+  std::exit(code);
+}
+
+// Dispatcher mode: leases shards to re-execs of argv0 and returns the
+// merged report, shaped exactly like an in-process one.
+util::Result<exp::ResilientReport> RunDispatcher(
+    const BenchOptions& options, const char* argv0, size_t total,
+    const exp::ResilientOptions& resilience) {
+  if (options.fabric_dir.empty()) ExitUsage("--fabric requires --fabric-dir");
+  exp::FabricOptions fabric;
+  fabric.workers = options.fabric;
+  fabric.dir = options.fabric_dir;
+  fabric.worker_timeout_s = options.worker_timeout_s;
+  fabric.shard_deadline_s = options.shard_deadline_s;
+  fabric.shard_retries = options.shard_retries;
+  fabric.chaos_kill_rate = options.chaos_kill_rate;
+  fabric.merged_journal_path = options.journal;
+
+  exp::JournalHeader header;
+  header.experiment = resilience.experiment;
+  header.config_hash = util::HashLabel(resilience.config_digest);
+  header.sweep_seed = resilience.sweep_seed;
+  header.total_runs = total;
+
+  char timeout_flag[48];
+  std::snprintf(timeout_flag, sizeof(timeout_flag), "--worker-timeout=%g",
+                options.worker_timeout_s);
+  const std::string binary = argv0;
+  const std::vector<std::string> forwarded = options.worker_args;
+  const std::string timeout_arg = timeout_flag;
+  const exp::WorkerCommand command =
+      [binary, forwarded, timeout_arg](const exp::WorkerSpec& spec) {
+        std::vector<std::string> argv;
+        argv.push_back(binary);
+        argv.insert(argv.end(), forwarded.begin(), forwarded.end());
+        // Processes are the parallelism; each worker sweeps serially.
+        argv.push_back("--jobs=1");
+        argv.push_back("--worker-shard=" + std::to_string(spec.shard));
+        argv.push_back("--worker-range=" + std::to_string(spec.lo) + ":" +
+                       std::to_string(spec.hi));
+        argv.push_back("--worker-heartbeat=" + spec.heartbeat);
+        argv.push_back(timeout_arg);
+        argv.push_back("--journal=" + spec.journal);
+        if (!spec.resume.empty()) argv.push_back("--resume=" + spec.resume);
+        return argv;
+      };
+
+  exp::FabricStats stats;
+  auto report = exp::RunFabricSweep(fabric, header, command, &stats);
+  if (report.ok()) {
+    std::fprintf(stderr,
+                 "fabric: %zu shards, %zu workers spawned, %zu deaths, "
+                 "%zu hung, %zu stragglers, %zu chaos kills, %zu shards "
+                 "failed; merge: %zu journals (%zu empty), %zu records, "
+                 "%zu duplicates, %zu corrupt lines\n",
+                 stats.shards, stats.spawned, stats.worker_deaths,
+                 stats.hung_revocations, stats.straggler_revocations,
+                 stats.chaos_kills, stats.failed_shards,
+                 stats.merge.journals, stats.merge.empty_journals,
+                 stats.merge.records, stats.merge.duplicates,
+                 stats.merge.corrupt_lines);
+  }
+  return report;
 }
 
 }  // namespace
 
-BenchFold::BenchFold(const BenchOptions& options, size_t runs_per_point,
-                     Decoder decoder)
-    : runs_per_point_(runs_per_point),
-      streamed_(options.fabric == 0),
-      decoder_(std::move(decoder)),
-      store_(FoldStoreOptions(options)) {}
+// Streaming fold of a sweep's records through the PAO spill store
+// (DESIGN.md §16). Records arrive from pool threads (in-process) or
+// from the dispatcher's merged report (fabric); either way the store
+// ends up holding the same observation multiset, and its canonical
+// (key, seq) order replays every field in flat-index order — so the
+// folds are byte-identical at any --jobs, --fabric, or budget.
+class SweepFold {
+ public:
+  SweepFold(const SweepSpec& spec, const CellGrid& grid, uint64_t budget)
+      : spec_(spec), grid_(grid), store_(exp::AggStoreOptions{budget, ""}) {}
 
-std::string BenchFold::Key(std::string_view cell, std::string_view metric) {
-  std::string key;
-  key.reserve(cell.size() + metric.size() + 1);
-  key.append(cell);
-  key.push_back('\x1f');
-  key.append(metric);
-  return key;
-}
-
-std::pair<std::string_view, std::string_view> BenchFold::SplitKey(
-    std::string_view key) {
-  const size_t sep = key.find('\x1f');
-  if (sep == std::string_view::npos) return {key, std::string_view()};
-  return {key.substr(0, sep), key.substr(sep + 1)};
-}
-
-void BenchFold::Attach(exp::ResilientOptions& resilience) {
-  resilience.record_sink = [this](size_t flat_index,
-                                  const exp::RunStatus& slot) {
-    Consume(flat_index, slot);
-  };
-  // In-process mode never needs the payloads after the sink has decoded
-  // them; a fabric dispatcher fills report.runs from the merged journal
-  // instead, and Finish() reads the payloads from there.
-  resilience.keep_payloads = !streamed_;
-}
-
-void BenchFold::Consume(size_t flat_index, const exp::RunStatus& slot) {
-  if (!slot.ok || slot.skipped) return;
-  const size_t point = flat_index / runs_per_point_;
-  const size_t run = flat_index % runs_per_point_;
-  const Emit emit = [this, flat_index](std::string_view key, double value) {
-    const util::Status status =
-        store_.Add(key, static_cast<uint64_t>(flat_index), value);
-    if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (error_.ok()) error_ = status;
+  // Thread-safe. Failed records only feed the diagnostic; a payload that
+  // does not decode counts as a failed run.
+  void Consume(size_t flat, const exp::RunStatus& slot) {
+    if (!slot.ok) {
+      if (!slot.skipped) NoteFailure(flat, slot.payload, false);
+      return;
     }
-  };
-  decoder_(point, run, slot.payload, emit);
-}
-
-util::Status BenchFold::Finish(const exp::ResilientReport& report) {
-  if (!streamed_) {
-    for (size_t i = 0; i < report.runs.size(); ++i) {
-      Consume(i, report.runs[i]);
+    const auto record = Record::Decode(slot.payload);
+    if (!record.ok()) {
+      NoteFailure(flat, "undecodable payload: " + record.status().ToString(),
+                  true);
+      return;
+    }
+    const size_t cell = grid_.Locate(flat).first;
+    const std::string scope = "c" + std::to_string(cell) + kKeySeparator;
+    const std::string& pool = spec_.cells[cell].pool;
+    Add(scope, flat, 1.0);
+    for (const auto& [name, value] : record->fields()) {
+      Add(scope + name, flat, value);
+      if (!pool.empty()) Add("p" + pool + kKeySeparator + name, flat, value);
     }
   }
-  std::lock_guard<std::mutex> lock(error_mutex_);
-  return error_;
+
+  // Call once, after the producing side is done.
+  util::Result<SweepResult> Reduce(size_t failed_runs) {
+    SweepResult result;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      IPDA_RETURN_IF_ERROR(error_);
+      result.failed_runs_ = failed_runs + undecodable_;
+    }
+    result.cells_.resize(spec_.cells.size());
+    std::string current;
+    FieldFold* target = nullptr;
+    IPDA_RETURN_IF_ERROR(store_.ForEachSorted(
+        [&](std::string_view key, uint64_t /*seq*/, double value) {
+          if (target == nullptr || key != current) {
+            current.assign(key);
+            const size_t sep = key.find(kKeySeparator);
+            const std::string scope(key.substr(1, sep - 1));
+            SweepResult::Fields& fields =
+                key[0] == 'c' ? result.cells_[std::stoul(scope)]
+                              : result.pools_[scope];
+            target = &fields[std::string(key.substr(sep + 1))];
+          }
+          target->summary.Add(value);
+          target->sum += value;
+        }));
+    return result;
+  }
+
+  // "cell '<label>' run <r>: <reason>" of the lowest failed flat index.
+  std::string FirstFailure() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (first_failed_ == SIZE_MAX) return "";
+    const auto [cell, run] = grid_.Locate(first_failed_);
+    return "cell '" + spec_.cells[cell].label + "' run " +
+           std::to_string(run) + ": " + first_failure_;
+  }
+
+ private:
+  void Add(const std::string& key, uint64_t seq, double value) {
+    const util::Status status = store_.Add(key, seq, value);
+    if (status.ok()) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error_.ok()) error_ = status;
+  }
+
+  void NoteFailure(size_t flat, const std::string& reason, bool undecodable) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (undecodable) ++undecodable_;
+    if (flat < first_failed_) {
+      first_failed_ = flat;
+      first_failure_ = reason;
+    }
+  }
+
+  const SweepSpec& spec_;
+  const CellGrid& grid_;
+  exp::PartialAggStore store_;
+  std::mutex mutex_;
+  util::Status error_;
+  size_t undecodable_ = 0;
+  size_t first_failed_ = SIZE_MAX;
+  std::string first_failure_;
+};
+
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  const auto count = util::ParseCount(name, env);
+  if (!count.ok()) ExitUsage(count.status().ToString());
+  if (*count < min) {
+    ExitUsage(std::string(name) + " must be at least " +
+              std::to_string(min) + ", got '" + env + "'");
+  }
+  return *count;
+}
+
+size_t RunsPerPoint(size_t default_runs) {
+  return EnvCount("IPDA_BENCH_RUNS", default_runs, 1);
+}
+
+BenchOptions ParseBenchOptions(int argc, const char* const* argv,
+                               BenchKind kind) {
+  const bool sweep = kind != BenchKind::kAnalytic;
+  const bool encrypted = kind == BenchKind::kEncryptedSweep;
+  // 0 = all hardware threads.
+  const uint64_t default_jobs = EnvCount("IPDA_BENCH_JOBS", 0, 0);
+  util::FlagSet flags;
+  flags.DefineInt("jobs", static_cast<int64_t>(default_jobs),
+                  "worker threads for the experiment engine "
+                  "(0 = all hardware threads)");
+  if (sweep) {
+    flags.DefineString("journal", "",
+                       "append-only JSONL run journal; each completed run "
+                       "is fsynced so a killed sweep is resumable");
+    flags.DefineString("resume", "",
+                       "journal from an interrupted sweep; completed runs "
+                       "are replayed byte-identically, the rest executed");
+    flags.DefineDouble("run-deadline", 0.0,
+                       "wall-clock seconds per run attempt before the "
+                       "watchdog cancels it (0 = no watchdog)");
+    flags.DefineInt("event-budget", 0,
+                    "max simulator events per run attempt (0 = unlimited; "
+                    "deterministic, unlike --run-deadline)");
+    flags.DefineInt("max-retries", 0,
+                    "failed-run retries with a forked seed before the "
+                    "point degrades");
+  }
+  if (encrypted) {
+    flags.DefineString("cipher", "xtea",
+                       "link cipher backend for encrypted arms: "
+                       "xtea | aesni | chacha20");
+  }
+  if (sweep) {
+    flags.DefineInt("fabric", 0,
+                    "worker processes for the multi-process sweep fabric "
+                    "(0 = run in-process); requires --fabric-dir");
+    flags.DefineString("fabric-dir", "",
+                       "fabric state directory: shard leases, heartbeats, "
+                       "per-attempt shard journals, worker logs");
+    flags.DefineDouble("worker-timeout", 30.0,
+                       "seconds of heartbeat staleness before a fabric "
+                       "worker is declared hung and its lease revoked");
+    flags.DefineDouble("shard-deadline", 0.0,
+                       "wall-clock seconds per shard attempt before a "
+                       "straggler is revoked (0 = no deadline)");
+    flags.DefineInt("shard-retries", 3,
+                    "shard re-dispatches after a worker death before its "
+                    "runs degrade to ok:false records");
+    flags.DefineDouble("chaos-kill-rate", 0.0,
+                       "chaos self-test: expected SIGKILLs injected per "
+                       "shard (capped at --shard-retries)");
+    flags.DefineString("agg-memory-budget", "unlimited",
+                       "byte budget for the streaming result fold (e.g. "
+                       "64k, 256M; 0/unlimited = never spill); output is "
+                       "byte-identical at every budget");
+    flags.DefineInt("worker-shard", -1,
+                    "internal (fabric worker mode): shard id this process "
+                    "executes");
+    flags.DefineString("worker-range", "",
+                       "internal (fabric worker mode): lo:hi flat run "
+                       "index range of the leased shard");
+    flags.DefineString("worker-heartbeat", "",
+                       "internal (fabric worker mode): heartbeat file to "
+                       "touch while running");
+  }
+  flags.DefineBool("help", false, "show usage");
+  const util::Status status = flags.Parse(argc - 1, argv + 1);
+  if (!status.ok()) {
+    ExitUsage(status.ToString() + "\n" + flags.Usage(argv[0]));
+  }
+  if (flags.GetBool("help")) {
+    std::fputs(flags.Usage(argv[0]).c_str(), stdout);
+    std::exit(0);
+  }
+  const auto count = [&flags](const char* name, uint64_t max) {
+    const auto value = flags.GetCount(name, max);
+    if (!value.ok()) ExitUsage(value.status().ToString());
+    return *value;
+  };
+  BenchOptions options;
+  options.jobs = exp::ResolveJobs(
+      static_cast<int64_t>(count("jobs", UINT32_MAX)));
+  if (!sweep) return options;
+
+  util::InstallDrainHandler();
+  if (encrypted) {
+    const auto cipher = crypto::ParseCipherKind(flags.GetString("cipher"));
+    if (!cipher.ok()) {
+      ExitUsage("bad --cipher: " + cipher.status().ToString());
+    }
+    options.cipher = *cipher;
+  }
+  options.journal = flags.GetString("journal");
+  options.resume = flags.GetString("resume");
+  options.run_deadline_s = flags.GetDouble("run-deadline");
+  options.event_budget = count("event-budget", INT64_MAX);
+  options.max_retries =
+      static_cast<uint32_t>(count("max-retries", UINT32_MAX));
+  options.fabric = count("fabric", UINT32_MAX);
+  options.fabric_dir = flags.GetString("fabric-dir");
+  options.worker_timeout_s = flags.GetDouble("worker-timeout");
+  options.shard_deadline_s = flags.GetDouble("shard-deadline");
+  options.shard_retries =
+      static_cast<uint32_t>(count("shard-retries", UINT32_MAX));
+  options.chaos_kill_rate = flags.GetDouble("chaos-kill-rate");
+  const auto budget =
+      util::ParseByteSize(flags.GetString("agg-memory-budget"));
+  if (!budget.ok()) {
+    ExitUsage("bad --agg-memory-budget: " + budget.status().ToString());
+  }
+  options.agg_memory_budget = budget.value();
+  options.worker_shard = flags.GetInt("worker-shard");
+  options.worker_range = flags.GetString("worker-range");
+  options.worker_heartbeat = flags.GetString("worker-heartbeat");
+  // Result-affecting flags the dispatcher must forward to workers.
+  if (encrypted && flags.WasSet("cipher")) {
+    options.worker_args.push_back("--cipher=" + flags.GetString("cipher"));
+  }
+  if (flags.WasSet("event-budget")) {
+    options.worker_args.push_back(
+        "--event-budget=" + std::to_string(options.event_budget));
+  }
+  if (flags.WasSet("max-retries")) {
+    options.worker_args.push_back(
+        "--max-retries=" + std::to_string(options.max_retries));
+  }
+  if (flags.WasSet("run-deadline")) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "--run-deadline=%g",
+                  options.run_deadline_s);
+    options.worker_args.push_back(buf);
+  }
+  // Scheduling, IO, and fabric plumbing never enters the config digest:
+  // a fabric sweep, its workers, and a single-process run of the same
+  // grid must agree on the journal identity byte-for-byte.
+  options.canonical = flags.Canonical(
+      {"jobs", "journal", "resume", "run-deadline", "help", "fabric",
+       "fabric-dir", "worker-timeout", "shard-deadline", "shard-retries",
+       "chaos-kill-rate", "agg-memory-budget", "worker-shard",
+       "worker-range", "worker-heartbeat"});
+  return options;
+}
+
+Record& Record::Set(std::string_view name, double value) {
+  IPDA_CHECK(ValidFieldName(name));
+  for (auto& field : fields_) {
+    if (field.first == name) {
+      field.second = value;
+      return *this;
+    }
+  }
+  fields_.emplace_back(std::string(name), value);
+  return *this;
+}
+
+const double* Record::Find(std::string_view name) const {
+  for (const auto& field : fields_) {
+    if (field.first == name) return &field.second;
+  }
+  return nullptr;
+}
+
+std::string Record::Encode() const {
+  std::string payload;
+  for (const auto& [name, value] : fields_) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    if (!payload.empty()) payload += ';';
+    payload += name;
+    payload += '=';
+    payload += buf;
+  }
+  return payload;
+}
+
+util::Result<Record> Record::Decode(std::string_view payload) {
+  Record record;
+  if (payload.empty()) return record;
+  size_t begin = 0;
+  for (;;) {
+    const size_t end = payload.find(';', begin);
+    const std::string_view item = payload.substr(
+        begin, end == std::string_view::npos ? end : end - begin);
+    const size_t eq = item.find('=');
+    const std::string_view name = item.substr(0, eq);
+    if (eq == std::string_view::npos || !ValidFieldName(name) ||
+        record.Find(name) != nullptr) {
+      return util::InvalidArgumentError("bad record field '" +
+                                        std::string(item) + "'");
+    }
+    const std::string text(item.substr(eq + 1));
+    char* parsed_end = nullptr;
+    const double value = std::strtod(text.c_str(), &parsed_end);
+    if (text.empty() || *parsed_end != '\0') {
+      return util::InvalidArgumentError("bad record value '" +
+                                        std::string(item) + "'");
+    }
+    record.fields_.emplace_back(std::string(name), value);
+    if (end == std::string_view::npos) return record;
+    begin = end + 1;
+  }
+}
+
+CellGrid::CellGrid(const SweepSpec& spec) : spec_(spec) {
+  offsets_.reserve(spec.cells.size() + 1);
+  offsets_.push_back(0);
+  for (const Cell& cell : spec.cells) {
+    offsets_.push_back(offsets_.back() + cell.runs);
+  }
+}
+
+std::pair<size_t, size_t> CellGrid::Locate(size_t flat) const {
+  // The last cell starting at or before `flat` (empty cells share their
+  // successor's offset and are skipped).
+  const size_t cell = static_cast<size_t>(
+      std::upper_bound(offsets_.begin(), offsets_.end(), flat) -
+      offsets_.begin() - 1);
+  return {cell, flat - offsets_[cell]};
+}
+
+uint64_t CellGrid::BaseSeed(size_t flat) const {
+  const auto [cell, run] = Locate(flat);
+  const Cell& spec_cell = spec_.cells[cell];
+  return spec_cell.seed
+             ? spec_cell.seed(run)
+             : exp::DeriveRunSeed(spec_.sweep_seed, spec_cell.label, run);
+}
+
+const FieldFold& SweepResult::Get(size_t cell,
+                                  std::string_view field) const {
+  static const FieldFold kEmpty;
+  if (cell >= cells_.size()) return kEmpty;
+  const auto it = cells_[cell].find(field);
+  return it == cells_[cell].end() ? kEmpty : it->second;
+}
+
+const FieldFold& SweepResult::Pool(std::string_view pool,
+                                   std::string_view field) const {
+  static const FieldFold kEmpty;
+  const auto fields = pools_.find(pool);
+  if (fields == pools_.end()) return kEmpty;
+  const auto it = fields->second.find(field);
+  return it == fields->second.end() ? kEmpty : it->second;
+}
+
+size_t SweepResult::ok_runs(size_t cell) const {
+  return Get(cell, "").count();
+}
+
+namespace {
+
+// RunSweep's body: returns the process exit code (0 with `out` filled),
+// having printed any diagnostic. Returning instead of exiting here lets
+// the engine and the spill store (which owns a temporary directory) be
+// destroyed before the process ends.
+int Sweep(const BenchOptions& options, const char* argv0,
+          const SweepSpec& spec, const RunBody& body, SweepResult& out) {
+  const char* tool = spec.experiment.c_str();
+  const CellGrid grid(spec);
+  std::string shape;
+  for (const Cell& cell : spec.cells) {
+    shape += cell.label + "x" + std::to_string(cell.runs) + ";";
+  }
+
+  exp::ResilientOptions resilience;
+  resilience.sweep_seed = spec.sweep_seed;
+  resilience.event_budget = options.event_budget;
+  resilience.run_deadline_s = options.run_deadline_s;
+  resilience.max_retries = options.max_retries;
+  resilience.journal_path = options.journal;
+  resilience.resume_path = options.resume;
+  resilience.experiment = spec.experiment;
+  resilience.config_digest = spec.experiment + "|" + spec.digest + "|" +
+                             shape + "|" + options.canonical;
+  resilience.base_seed_fn = [&grid](size_t point, size_t /*run*/) {
+    return grid.BaseSeed(point);
+  };
+  const exp::AttemptBody attempt =
+      [&grid, &body](
+          const exp::AttemptContext& ctx) -> util::Result<std::string> {
+    RunContext run;
+    std::tie(run.cell, run.run) = grid.Locate(ctx.point);
+    run.seed = ctx.seed;
+    run.control.cancel = ctx.cancel;
+    run.control.event_budget = ctx.event_budget;
+    IPDA_ASSIGN_OR_RETURN(const Record record, body(run));
+    return record.Encode();
+  };
+
+  if (options.worker_shard >= 0) {
+    RunWorker(options, grid.total(), resilience, attempt);
+  }
+
+  SweepFold fold(spec, grid, options.agg_memory_budget);
+  const bool fabric = options.fabric > 0;
+  if (!fabric) {
+    // Records stream into the fold the moment they land and their
+    // payloads are dropped, so the sweep reports in O(budget) RSS.
+    resilience.record_sink = [&fold](size_t flat,
+                                     const exp::RunStatus& slot) {
+      fold.Consume(flat, slot);
+    };
+    resilience.keep_payloads = false;
+  }
+  const auto report =
+      fabric ? RunDispatcher(options, argv0, grid.total(), resilience)
+             : RunInProcess(options.jobs, grid.total(), resilience, attempt);
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s: %s\n", tool, report.status().ToString().c_str());
+    return 1;
+  }
+  if (report->drained) {
+    // No partial document on stdout: the resumed invocation prints it
+    // whole, byte-identical to an uninterrupted sweep.
+    PrintDrainHint(tool, options, *report, argv0);
+    return util::kDrainExitCode;
+  }
+  if (fabric) {
+    // The dispatcher's merged report never saw the sink: replay it.
+    for (size_t i = 0; i < report->runs.size(); ++i) {
+      fold.Consume(i, report->runs[i]);
+    }
+  }
+  auto result = fold.Reduce(report->failed);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s: %s\n", tool, result.status().ToString().c_str());
+    return 1;
+  }
+  if (!spec.tolerate_failures && result->failed_runs() > 0) {
+    std::fprintf(stderr, "%s: %zu of %zu runs failed; first: %s\n", tool,
+                 result->failed_runs(), grid.total(),
+                 fold.FirstFailure().c_str());
+    return 1;
+  }
+  out = *std::move(result);
+  return 0;
+}
+
+}  // namespace
+
+SweepResult RunSweep(const BenchOptions& options, const char* argv0,
+                     const SweepSpec& spec, const RunBody& body) {
+  SweepResult result;
+  if (const int code = Sweep(options, argv0, spec, body, result); code != 0) {
+    std::exit(code);
+  }
+  return result;
 }
 
 std::vector<size_t> NetworkSizes() { return {200, 300, 400, 500, 600}; }
@@ -382,10 +643,12 @@ agg::RunConfig PaperRunConfig(size_t node_count, uint64_t seed) {
   return config;
 }
 
-agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count) {
+agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count,
+                                crypto::CipherKind cipher) {
   agg::IpdaConfig config;
   config.slice_count = slice_count;
   config.slice_range = 1.0;  // COUNT contributions are 1.
+  config.cipher = cipher;
   return config;
 }
 

@@ -9,11 +9,10 @@
 // overhead). All arms run with slice retargeting and parent failover on,
 // so the comparison isolates the tree-maintenance policy.
 //
-// The grid fans out across the crash-tolerant sweep executor
-// (exp::RunResilientSweep): completed runs append to the --journal as
-// they finish, SIGINT/SIGTERM drains gracefully, and a resumed sweep
-// replays journaled runs to byte-identical output for any --jobs value.
+// One bench sweep (bench_common.h): byte-identical for any --jobs value
+// or kill/resume split.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -22,11 +21,8 @@
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "bench_common.h"
-#include "exp/resilient.h"
 #include "fault/churn_plan.h"
 #include "sim/time.h"
-#include "stats/summary.h"
-#include "util/signal.h"
 
 namespace ipda::bench {
 namespace {
@@ -34,332 +30,112 @@ namespace {
 constexpr size_t kNodes = 300;
 constexpr uint64_t kSweepSeed = 0xC4172;
 
-struct ArmOutcome {
-  double accuracy = 0.0;
-  double completeness = 0.0;  // min(red, blue).
-  double repair_latency_ms = 0.0;  // Mean over the run's grafts.
-  bool accepted = false;
-  bool degraded = false;
-  size_t grafts = 0;
-  size_t violations = 0;
-  size_t joins = 0;
-  size_t control_msgs = 0;
-  size_t retries = 0;
-};
-
-// One grid point x one seed, all three arms (they share the deployment
-// and the churn schedule).
-struct RunOutcome {
-  ArmOutcome none;
-  ArmOutcome repair;
-  ArmOutcome rebuild;
-};
-
-// Journal payload codec: "%.17g" round-trips doubles exactly, so a
-// replayed run folds into the same statistics bit-for-bit.
-void EncodeArm(const ArmOutcome& arm, std::string* out) {
-  char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "%.17g,%.17g,%.17g,%d,%d,%zu,%zu,%zu,%zu,%zu",
-                arm.accuracy, arm.completeness, arm.repair_latency_ms,
-                arm.accepted ? 1 : 0, arm.degraded ? 1 : 0, arm.grafts,
-                arm.violations, arm.joins, arm.control_msgs, arm.retries);
-  *out += buf;
-}
-
-std::string EncodeOutcome(const RunOutcome& outcome) {
-  std::string payload;
-  EncodeArm(outcome.none, &payload);
-  payload += ';';
-  EncodeArm(outcome.repair, &payload);
-  payload += ';';
-  EncodeArm(outcome.rebuild, &payload);
-  return payload;
-}
-
-bool DecodeArm(const std::string& text, ArmOutcome* arm) {
-  int accepted = 0;
-  int degraded = 0;
-  if (std::sscanf(text.c_str(), "%lg,%lg,%lg,%d,%d,%zu,%zu,%zu,%zu,%zu",
-                  &arm->accuracy, &arm->completeness, &arm->repair_latency_ms,
-                  &accepted, &degraded, &arm->grafts, &arm->violations,
-                  &arm->joins, &arm->control_msgs, &arm->retries) != 10) {
-    return false;
-  }
-  arm->accepted = accepted != 0;
-  arm->degraded = degraded != 0;
-  return true;
-}
-
-bool DecodeOutcome(const std::string& payload, RunOutcome* outcome) {
-  const size_t first = payload.find(';');
-  if (first == std::string::npos) return false;
-  const size_t second = payload.find(';', first + 1);
-  if (second == std::string::npos) return false;
-  return DecodeArm(payload.substr(0, first), &outcome->none) &&
-         DecodeArm(payload.substr(first + 1, second - first - 1),
-                   &outcome->repair) &&
-         DecodeArm(payload.substr(second + 1), &outcome->rebuild);
-}
-
-struct ArmResult {
-  stats::Summary accuracy;
-  stats::Summary completeness;
-  stats::Summary repair_latency_ms;
-  size_t accepted = 0;
-  size_t degraded = 0;
-  size_t grafts = 0;
-  size_t violations = 0;
-  size_t joins = 0;
-  size_t control_msgs = 0;
-  size_t retries = 0;
-
-  // Folds one observation from the streaming store. Counts were emitted
-  // as exact small integers, so the double round-trip is lossless.
-  void Apply(std::string_view field, double v) {
-    if (field == "accuracy") {
-      accuracy.Add(v);
-    } else if (field == "completeness") {
-      completeness.Add(v);
-    } else if (field == "repair_latency_ms") {
-      repair_latency_ms.Add(v);
-    } else if (field == "accepted") {
-      accepted += v != 0.0 ? 1 : 0;
-    } else if (field == "degraded") {
-      degraded += v != 0.0 ? 1 : 0;
-    } else if (field == "grafts") {
-      grafts += static_cast<size_t>(v);
-    } else if (field == "violations") {
-      violations += static_cast<size_t>(v);
-    } else if (field == "joins") {
-      joins += static_cast<size_t>(v);
-    } else if (field == "control_msgs") {
-      control_msgs += static_cast<size_t>(v);
-    } else if (field == "retries") {
-      retries += static_cast<size_t>(v);
-    }
-  }
-};
-
-// Per-point fold target; "effective" counts runs that decoded.
-struct PointResult {
-  ArmResult none;
-  ArmResult repair;
-  ArmResult rebuild;
-  size_t effective = 0;
-};
-
-void EmitArm(const std::string& cell, const char* arm, const ArmOutcome& a,
-             const BenchFold::Emit& emit) {
-  const auto key = [&cell, arm](const char* field) {
-    return BenchFold::Key(cell, std::string(arm) + "." + field);
-  };
-  emit(key("accuracy"), a.accuracy);
-  emit(key("completeness"), a.completeness);
-  // The latency mean only exists when the run grafted at all; the
-  // conditional emit reproduces the old conditional Add.
-  if (a.grafts > 0) emit(key("repair_latency_ms"), a.repair_latency_ms);
-  emit(key("accepted"), a.accepted ? 1.0 : 0.0);
-  emit(key("degraded"), a.degraded ? 1.0 : 0.0);
-  emit(key("grafts"), static_cast<double>(a.grafts));
-  emit(key("violations"), static_cast<double>(a.violations));
-  emit(key("joins"), static_cast<double>(a.joins));
-  emit(key("control_msgs"), static_cast<double>(a.control_msgs));
-  emit(key("retries"), static_cast<double>(a.retries));
-}
-
+// Random leave/rejoin pairs at `churn_rate_hz` (1 s down) plus a
+// quarter of the nodes walking at `speed_mps`; zero switches either off.
 fault::ChurnPlan MakePlan(double churn_rate_hz, double speed_mps) {
   fault::ChurnPlan plan;
-  if (churn_rate_hz > 0.0) {
-    fault::RandomChurn churn;
-    churn.rate_hz = churn_rate_hz;
-    churn.downtime = sim::SecondsF(1.0);
-    plan.churn = churn;
-  }
-  if (speed_mps > 0.0) {
-    fault::RandomMobility mobility;
-    mobility.fraction = 0.25;
-    mobility.speed_mps = speed_mps;
-    plan.mobility = mobility;
-  }
+  if (churn_rate_hz > 0.0) plan.churn = {churn_rate_hz, sim::SecondsF(1.0)};
+  if (speed_mps > 0.0) plan.mobility = {0.25, speed_mps};
   return plan;
 }
 
-void PrintArm(const char* key, const ArmResult& arm, size_t effective,
+void PrintArm(const SweepResult& result, size_t cell, const char* arm,
               bool last) {
+  const auto field = [&](const char* name) -> const FieldFold& {
+    return result.Get(cell, std::string(arm) + "." + name);
+  };
+  const stats::Summary& latency = field("repair_latency_ms").summary;
   std::printf(
-      "      \"%s\": {\"accuracy_mean\": %.6f, \"completeness_mean\": "
+      "      \"ipda_%s\": {\"accuracy_mean\": %.6f, \"completeness_mean\": "
       "%.6f, \"accepted\": %zu, \"degraded\": %zu, \"grafts\": %zu, "
       "\"disjoint_violations\": %zu, \"joins_absorbed\": %zu, "
       "\"control_msgs\": %zu, \"backoff_retries\": %zu, "
       "\"repair_latency_ms_mean\": %.6f, \"runs\": %zu}%s\n",
-      key, arm.accuracy.mean(), arm.completeness.mean(), arm.accepted,
-      arm.degraded, arm.grafts, arm.violations, arm.joins, arm.control_msgs,
-      arm.retries,
-      arm.repair_latency_ms.count() > 0 ? arm.repair_latency_ms.mean() : 0.0,
-      effective, last ? "" : ",");
+      arm, field("accuracy").summary.mean(),
+      field("completeness").summary.mean(), field("accepted").total(),
+      field("degraded").total(), field("grafts").total(),
+      field("violations").total(), field("joins").total(),
+      field("control_msgs").total(), field("retries").total(),
+      latency.count() > 0 ? latency.mean() : 0.0, result.ok_runs(cell),
+      last ? "" : ",");
 }
 
 int Run(int argc, char** argv) {
-  util::InstallDrainHandler();
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  exp::Engine engine(options.jobs);
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
 
-  const double churn_rates[] = {0.0, 0.5, 1.0};  // Leave/rejoin events/s.
-  const double speeds[] = {0.0, 10.0};           // Walker speed, m/s.
-
-  std::vector<std::string> labels;
+  SweepSpec spec{"churn_sweep", kSweepSeed,
+                 "nodes=" + std::to_string(kNodes), {}, true};
   std::vector<std::pair<double, double>> grid;
-  for (double rate : churn_rates) {
-    for (double speed : speeds) {
+  for (double rate : {0.0, 0.5, 1.0}) {     // Leave/rejoin events/s.
+    for (double speed : {0.0, 10.0}) {      // Walker speed, m/s.
       char label[64];
       std::snprintf(label, sizeof(label), "churn=%.2f,speed=%.1f", rate,
                     speed);
-      labels.push_back(label);
+      spec.cells.push_back({label, runs, nullptr, ""});
       grid.emplace_back(rate, speed);
     }
   }
 
-  exp::ResilientOptions resilience;
-  resilience.sweep_seed = kSweepSeed;
-  resilience.event_budget = options.event_budget;
-  resilience.run_deadline_s = options.run_deadline_s;
-  resilience.max_retries = options.max_retries;
-  resilience.journal_path = options.journal;
-  resilience.resume_path = options.resume;
-  resilience.experiment = "churn_sweep";
-  resilience.config_digest = "churn_sweep|nodes=" + std::to_string(kNodes) +
-                             "|runs=" + std::to_string(runs) + "|" +
-                             options.canonical;
-
-  // Stream results through the spill store instead of retaining every
-  // payload (O(--agg-memory-budget) RSS however large the grid gets).
-  BenchFold fold(options, runs,
-                 [&labels](size_t point, size_t /*run*/,
-                           const std::string& payload,
-                           const BenchFold::Emit& emit) {
-                   RunOutcome outcome;
-                   if (!DecodeOutcome(payload, &outcome)) return;
-                   const std::string& cell = labels[point];
-                   EmitArm(cell, "none", outcome.none, emit);
-                   EmitArm(cell, "repair", outcome.repair, emit);
-                   EmitArm(cell, "rebuild", outcome.rebuild, emit);
-                   emit(BenchFold::Key(cell, "effective"), 1.0);
-                 });
-  fold.Attach(resilience);
-
-  const auto body =
-      [&](const exp::AttemptContext& ctx) -> util::Result<std::string> {
-    const auto [rate, speed] = grid[ctx.point];
-    RunOutcome out;
-
-    agg::RunConfig config = PaperRunConfig(kNodes, ctx.seed);
-    config.control.cancel = ctx.cancel;
-    config.control.event_budget = ctx.event_budget;
-    config.churn = MakePlan(rate, speed);
-
-    const std::pair<agg::ChurnResponse, ArmOutcome*> arms[] = {
-        {agg::ChurnResponse::kNone, &out.none},
-        {agg::ChurnResponse::kRepair, &out.repair},
-        {agg::ChurnResponse::kRebuild, &out.rebuild},
-    };
-    for (const auto& [response, arm] : arms) {
-      agg::IpdaConfig proto = PaperIpdaConfig(2);
-      proto.cipher = options.cipher;
-      proto.retarget_slices = true;
-      proto.parent_failover = true;
-      proto.churn_response = response;
-      IPDA_ASSIGN_OR_RETURN(const agg::IpdaRunResult run,
-                            agg::RunIpda(config, *function, *field, proto));
-      arm->accuracy = run.accuracy;
-      arm->completeness =
-          run.stats.completeness_red < run.stats.completeness_blue
-              ? run.stats.completeness_red
-              : run.stats.completeness_blue;
-      arm->accepted = run.stats.decision.accepted;
-      arm->degraded = run.stats.degraded;
-      arm->grafts = run.stats.grafts;
-      arm->violations = run.stats.disjoint_violations;
-      arm->joins = run.stats.joins_absorbed;
-      arm->control_msgs = run.stats.churn_control_msgs;
-      arm->retries = run.stats.backoff_retries;
-      double latency_sum = 0.0;
-      for (double ms : run.stats.repair_latencies_ms) latency_sum += ms;
-      arm->repair_latency_ms =
-          run.stats.repair_latencies_ms.empty()
-              ? 0.0
-              : latency_sum /
-                    static_cast<double>(run.stats.repair_latencies_ms.size());
-    }
-    return EncodeOutcome(out);
+  const std::pair<agg::ChurnResponse, const char*> arms[] = {
+      {agg::ChurnResponse::kNone, "none"},
+      {agg::ChurnResponse::kRepair, "repair"},
+      {agg::ChurnResponse::kRebuild, "rebuild"},
   };
-
-  auto swept =
-      RunBenchSweep(engine, options, argv[0], labels, runs, resilience, body);
-  if (!swept.ok()) {
-    std::fprintf(stderr, "churn_sweep: %s\n",
-                 swept.status().ToString().c_str());
-    return 1;
-  }
-  const exp::ResilientReport& report = *swept;
-
-  if (report.drained) {
-    // No partial JSON on stdout: the resumed invocation prints the whole
-    // document, byte-identical to an uninterrupted sweep.
-    PrintDrainHint("churn_sweep", options, report, argv[0]);
-    return util::kDrainExitCode;
-  }
-
-  // Reduce the store: per (cell, metric) key the observations arrive
-  // with seq (= flat run index) ascending — the old per-point,
-  // run-ascending fold order, so every printed byte is unchanged.
-  if (const util::Status folded = fold.Finish(report); !folded.ok()) {
-    std::fprintf(stderr, "churn_sweep: %s\n", folded.ToString().c_str());
-    return 1;
-  }
-  std::vector<PointResult> points(labels.size());
-  const util::Status drained = fold.store().ForEachSorted(
-      [&](std::string_view key, uint64_t seq, double value) {
-        PointResult& p = points[seq / runs];
-        const auto [cell, metric] = BenchFold::SplitKey(key);
-        (void)cell;
-        if (metric == "effective") {
-          ++p.effective;
-          return;
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const auto [rate, speed] = grid[ctx.cell];
+        agg::RunConfig config = PaperRunConfig(kNodes, ctx.seed);
+        config.control = ctx.control;
+        config.churn = MakePlan(rate, speed);
+        Record record;
+        for (const auto& [response, name] : arms) {
+          agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+          proto.retarget_slices = true;
+          proto.parent_failover = true;
+          proto.churn_response = response;
+          IPDA_ASSIGN_OR_RETURN(
+              const agg::IpdaRunResult run,
+              agg::RunIpda(config, *function, *field, proto));
+          const agg::IpdaStats& stats = run.stats;
+          const std::string arm = std::string(name) + ".";
+          record.Set(arm + "accuracy", run.accuracy)
+              .Set(arm + "completeness",
+                   std::min(stats.completeness_red, stats.completeness_blue))
+              .Set(arm + "accepted", stats.decision.accepted)
+              .Set(arm + "degraded", stats.degraded)
+              .Set(arm + "grafts", stats.grafts)
+              .Set(arm + "violations", stats.disjoint_violations)
+              .Set(arm + "joins", stats.joins_absorbed)
+              .Set(arm + "control_msgs", stats.churn_control_msgs)
+              .Set(arm + "retries", stats.backoff_retries);
+          if (stats.grafts > 0) {  // The run's mean graft latency.
+            const std::vector<double>& latencies = stats.repair_latencies_ms;
+            double sum = 0.0;
+            for (double ms : latencies) sum += ms;
+            record.Set(arm + "repair_latency_ms",
+                       latencies.empty() ? 0.0 : sum / latencies.size());
+          }
         }
-        const size_t dot = metric.find('.');
-        const std::string_view arm = metric.substr(0, dot);
-        const std::string_view field = metric.substr(dot + 1);
-        if (arm == "none") {
-          p.none.Apply(field, value);
-        } else if (arm == "repair") {
-          p.repair.Apply(field, value);
-        } else if (arm == "rebuild") {
-          p.rebuild.Apply(field, value);
-        }
+        return record;
       });
-  if (!drained.ok()) {
-    std::fprintf(stderr, "churn_sweep: %s\n", drained.ToString().c_str());
-    return 1;
-  }
 
-  std::printf("{\n  \"experiment\": \"churn_sweep\",\n");
-  std::printf("  \"nodes\": %zu,\n  \"runs_per_point\": %zu,\n", kNodes,
-              runs);
-  std::printf("  \"failed_runs\": %zu,\n", report.failed);
-  std::printf("  \"grid\": [\n");
-  for (size_t point = 0; point < labels.size(); ++point) {
-    const PointResult& p = points[point];
-    std::printf("    %s{\n", point == 0 ? "" : ",");
-    std::printf("      \"churn_rate_hz\": %.2f, \"speed_mps\": %.1f, "
-                "\"requested\": %zu,\n",
-                grid[point].first, grid[point].second, runs);
-    PrintArm("ipda_none", p.none, p.effective, /*last=*/false);
-    PrintArm("ipda_repair", p.repair, p.effective, /*last=*/false);
-    PrintArm("ipda_rebuild", p.rebuild, p.effective, /*last=*/true);
+  std::printf("{\n  \"experiment\": \"churn_sweep\",\n  \"nodes\": %zu,\n"
+              "  \"runs_per_point\": %zu,\n  \"failed_runs\": %zu,\n"
+              "  \"grid\": [\n",
+              kNodes, runs, result.failed_runs());
+  for (size_t cell = 0; cell < grid.size(); ++cell) {
+    std::printf("    %s{\n      \"churn_rate_hz\": %.2f, \"speed_mps\": "
+                "%.1f, \"requested\": %zu,\n",
+                cell == 0 ? "" : ",", grid[cell].first, grid[cell].second,
+                runs);
+    PrintArm(result, cell, "none", /*last=*/false);
+    PrintArm(result, cell, "repair", /*last=*/false);
+    PrintArm(result, cell, "rebuild", /*last=*/true);
     std::printf("    }\n");
   }
   std::printf("  ]\n}\n");

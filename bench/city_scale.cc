@@ -1,366 +1,145 @@
-// City-scale sweep (DESIGN.md §13): N x sink-count grid at the paper's
-// deployment density (side = 400·√(N/400), so degree stays ~constant as
-// N grows from the paper's 400 to 25k).
-//
-// Per grid point this reports:
-//   - topology build time, spatial-hash vs the O(N²) brute-force scan
-//     (measured once per point on run 0; the ≥20x acceptance target at
-//     N=10k from DESIGN.md §13 is checked and flagged in the output),
-//   - round wall-clock and bytes on air,
-//   - merged accuracy and the acceptance decision (single-sink iPDA for
-//     sinks=1, the sharded multi-sink protocol otherwise).
-//
-// The grid fans out across exp::RunResilientSweep: journaled runs replay
-// byte-identically (timings included — they are part of the recorded
-// payload, not re-measured) for any --jobs value. IPDA_BENCH_MAX_NODES
-// caps the size axis so the bench-smoke tier stays fast; the nightly
-// slow tier runs the full grid including N=25k.
+// City-scale sweep (DESIGN.md §13): N x sinks at the paper's density
+// (side = 400·√(N/400)): spatial-hash vs O(N²) build time (once per N;
+// ≥20x flagged at N=10k), round wall-clock, bytes, accuracy, acceptance.
+// Timings are journaled (a resume replays them); IPDA_BENCH_MAX_NODES caps N.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
-#include "agg/runner.h"
 #include "agg/shard/sharded.h"
 #include "bench_common.h"
-#include "exp/resilient.h"
 #include "net/deployment.h"
 #include "net/topology.h"
-#include "stats/summary.h"
+#include "util/proc.h"
 #include "util/random.h"
-#include "util/signal.h"
 
 namespace ipda::bench {
 namespace {
 
-constexpr uint64_t kSweepSeed = 0xC17C5;
-
-// Peak resident set (VmHWM) in KiB, 0 when unavailable. Process-wide
-// high-water mark, printed once in the footer.
-size_t PeakRssKb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
-}
-
 double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+  using Ms = std::chrono::duration<double, std::milli>;
+  return Ms(std::chrono::steady_clock::now() - start).count();
 }
 
-struct GridPoint {
-  size_t nodes = 0;
-  size_t sinks = 1;
-};
-
-struct RunOutcome {
-  double accuracy = 0.0;
-  bool accepted = false;
-  bool degraded = false;
-  uint64_t bytes_sent = 0;
-  double round_ms = 0.0;
-  // Build-timing fields are populated on run 0 only (one measurement per
-  // point; re-timing every Monte-Carlo run would just add noise).
-  double build_spatial_ms = 0.0;
-  double build_brute_ms = 0.0;
-};
-
-std::string EncodeOutcome(const RunOutcome& out) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "%.17g,%d,%d,%llu,%.17g,%.17g,%.17g",
-                out.accuracy, out.accepted ? 1 : 0, out.degraded ? 1 : 0,
-                static_cast<unsigned long long>(out.bytes_sent),
-                out.round_ms, out.build_spatial_ms, out.build_brute_ms);
-  return buf;
-}
-
-bool DecodeOutcome(const std::string& payload, RunOutcome* out) {
-  int accepted = 0;
-  int degraded = 0;
-  unsigned long long bytes = 0;
-  if (std::sscanf(payload.c_str(), "%lg,%d,%d,%llu,%lg,%lg,%lg",
-                  &out->accuracy, &accepted, &degraded, &bytes,
-                  &out->round_ms, &out->build_spatial_ms,
-                  &out->build_brute_ms) != 7) {
-    return false;
+// Min-of-3 spatial vs brute-force build times (runs execute in parallel;
+// the minimum is the contention-free estimate the speedup is about).
+util::Status TimeBuilds(const agg::RunConfig& config, uint64_t seed,
+                        Record& record) {
+  util::Rng rng(util::Mix64(seed, 0xB117D));
+  IPDA_ASSIGN_OR_RETURN(const std::vector<net::Point2D> positions,
+                        net::UniformDeployment(config.deployment, rng));
+  double best_ms[2] = {HUGE_VAL, HUGE_VAL};  // Spatial, brute.
+  for (int rep = 0; rep < 3; ++rep) {
+    double degree[2] = {0.0, 0.0};
+    for (int brute = 0; brute < 2; ++brute) {
+      const auto t0 = std::chrono::steady_clock::now();
+      IPDA_ASSIGN_OR_RETURN(
+          const net::Topology topology,
+          brute ? net::Topology::BuildBruteForce(positions, config.range)
+                : net::Topology::Build(positions, config.range));
+      best_ms[brute] = std::min(best_ms[brute], MsSince(t0));
+      degree[brute] = topology.AverageDegree();
+    }
+    if (degree[0] != degree[1]) {
+      return util::InternalError("spatial/brute adjacency mismatch");
+    }
   }
-  out->accepted = accepted != 0;
-  out->degraded = degraded != 0;
-  out->bytes_sent = bytes;
-  return true;
-}
-
-agg::RunConfig CityConfig(size_t nodes, uint64_t seed) {
-  agg::RunConfig config = PaperRunConfig(nodes, seed);
-  const double side =
-      400.0 * std::sqrt(static_cast<double>(nodes) / 400.0);
-  config.deployment.area = net::Area{side, side};
-  return config;
+  record.Set("build_spatial_ms", best_ms[0]).Set("build_brute_ms", best_ms[1]);
+  return util::OkStatus();
 }
 
 int Run(int argc, char** argv) {
-  util::InstallDrainHandler();
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  exp::Engine engine(options.jobs);
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint(/*default_runs=*/3);
+  const uint64_t max_nodes = EnvCount("IPDA_BENCH_MAX_NODES", 25000, 1000);
   auto function = agg::MakeSum();
   auto field = agg::MakeUniformField(15.0, 30.0, 42);
 
-  size_t max_nodes = 25000;
-  if (const char* cap = std::getenv("IPDA_BENCH_MAX_NODES")) {
-    max_nodes = static_cast<size_t>(std::strtoull(cap, nullptr, 10));
-  }
-
-  const size_t all_sizes[] = {1000, 5000, 10000, 25000};
-  const size_t sink_counts[] = {1, 4, 8};
-  std::vector<GridPoint> grid;
-  std::vector<std::string> labels;
-  for (size_t nodes : all_sizes) {
-    if (nodes > max_nodes) continue;
-    for (size_t sinks : sink_counts) {
-      grid.push_back({nodes, sinks});
-      char label[64];
-      std::snprintf(label, sizeof(label), "n=%zu,sinks=%zu", nodes, sinks);
-      labels.push_back(label);
+  SweepSpec spec{"city_scale", 0xC17C5, "", {}, true};
+  std::vector<std::pair<size_t, size_t>> grid;  // (nodes, sinks)
+  for (size_t nodes : {1000, 5000, 10000, 25000}) {
+    for (size_t sinks : {1, 4, 8}) {
+      if (nodes > max_nodes) continue;
+      spec.cells.push_back({"n=" + std::to_string(nodes) + ",sinks=" +
+                                std::to_string(sinks), runs, nullptr, ""});
+      grid.emplace_back(nodes, sinks);
     }
   }
-  if (grid.empty()) {
-    std::fprintf(stderr, "city_scale: IPDA_BENCH_MAX_NODES=%zu leaves an "
-                 "empty grid\n", max_nodes);
-    return 1;
-  }
 
-  exp::ResilientOptions resilience;
-  resilience.sweep_seed = kSweepSeed;
-  resilience.event_budget = options.event_budget;
-  resilience.run_deadline_s = options.run_deadline_s;
-  resilience.max_retries = options.max_retries;
-  resilience.journal_path = options.journal;
-  resilience.resume_path = options.resume;
-  resilience.experiment = "city_scale";
-  resilience.config_digest =
-      "city_scale|max_nodes=" + std::to_string(max_nodes) +
-      "|runs=" + std::to_string(runs) + "|" + options.canonical;
-
-  // Stream results through the spill store instead of retaining every
-  // payload (O(--agg-memory-budget) RSS however large the grid gets).
-  // Build timings only exist on runs that measured them (brute > 0);
-  // the conditional emit reproduces the old "last timed run wins" rule
-  // because seq ascends within the key.
-  BenchFold fold(options, runs,
-                 [&labels](size_t point, size_t /*run*/,
-                           const std::string& payload,
-                           const BenchFold::Emit& emit) {
-                   RunOutcome out;
-                   if (!DecodeOutcome(payload, &out)) return;
-                   const std::string& cell = labels[point];
-                   emit(BenchFold::Key(cell, "accuracy"), out.accuracy);
-                   emit(BenchFold::Key(cell, "round_ms"), out.round_ms);
-                   emit(BenchFold::Key(cell, "bytes"),
-                        static_cast<double>(out.bytes_sent));
-                   emit(BenchFold::Key(cell, "accepted"),
-                        out.accepted ? 1.0 : 0.0);
-                   emit(BenchFold::Key(cell, "degraded"),
-                        out.degraded ? 1.0 : 0.0);
-                   if (out.build_brute_ms > 0.0) {
-                     emit(BenchFold::Key(cell, "build_spatial_ms"),
-                          out.build_spatial_ms);
-                     emit(BenchFold::Key(cell, "build_brute_ms"),
-                          out.build_brute_ms);
-                   }
-                   emit(BenchFold::Key(cell, "effective"), 1.0);
-                 });
-  fold.Attach(resilience);
-
-  const auto body =
-      [&](const exp::AttemptContext& ctx) -> util::Result<std::string> {
-    const GridPoint point = grid[ctx.point];
-    RunOutcome out;
-
-    agg::RunConfig config = CityConfig(point.nodes, ctx.seed);
-    config.control.cancel = ctx.cancel;
-    config.control.event_budget = ctx.event_budget;
-
-    if (ctx.run == 0 && point.sinks == sink_counts[0]) {
-      // One spatial-vs-brute build timing per network size. Same
-      // deployment class as the round below (positions differ only by
-      // the rng stream — timing depends on N and density, not the draw).
-      // Min-of-3 on both sides: the sweep runs points in parallel, so a
-      // single-shot timing can be inflated by a scheduling hiccup on
-      // either side and flip the ratio; the minimum is the contention-
-      // free estimate the speedup claim is about.
-      util::Rng rng(util::Mix64(ctx.seed, 0xB117D));
-      IPDA_ASSIGN_OR_RETURN(
-          const std::vector<net::Point2D> positions,
-          net::UniformDeployment(config.deployment, rng));
-      double fast_degree = 0.0;
-      double slow_degree = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        IPDA_ASSIGN_OR_RETURN(const net::Topology fast,
-                              net::Topology::Build(positions, config.range));
-        const double spatial_ms = MsSince(t0);
-        t0 = std::chrono::steady_clock::now();
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const auto [nodes, sinks] = grid[ctx.cell];
+        agg::RunConfig config = PaperRunConfig(nodes, ctx.seed);
+        const double side = 400.0 * std::sqrt(nodes / 400.0);
+        config.deployment.area = net::Area{side, side};
+        config.control = ctx.control;
+        Record record;
+        if (ctx.run == 0 && sinks == 1) {
+          IPDA_RETURN_IF_ERROR(TimeBuilds(config, ctx.seed, record));
+        }
+        const agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+        const auto round_start = std::chrono::steady_clock::now();
+        const auto finish = [&](const auto& run, const auto& outcome) {
+          return record.Set("accuracy", run.accuracy)
+              .Set("accepted", outcome.decision.accepted)
+              .Set("degraded", outcome.degraded)
+              .Set("bytes", static_cast<double>(run.traffic.bytes_sent))
+              .Set("round_ms", MsSince(round_start));
+        };
+        if (sinks <= 1) {
+          IPDA_ASSIGN_OR_RETURN(const agg::IpdaRunResult run,
+                                agg::RunIpda(config, *function, *field, proto));
+          return finish(run, run.stats);
+        }
         IPDA_ASSIGN_OR_RETURN(
-            const net::Topology slow,
-            net::Topology::BuildBruteForce(positions, config.range));
-        const double brute_ms = MsSince(t0);
-        if (rep == 0 || spatial_ms < out.build_spatial_ms) {
-          out.build_spatial_ms = spatial_ms;
-        }
-        if (rep == 0 || brute_ms < out.build_brute_ms) {
-          out.build_brute_ms = brute_ms;
-        }
-        fast_degree = fast.AverageDegree();
-        slow_degree = slow.AverageDegree();
-      }
-      if (fast_degree != slow_degree) {
-        return util::InternalError("spatial/brute adjacency mismatch");
-      }
-    }
-
-    agg::IpdaConfig proto = PaperIpdaConfig(2);
-    proto.cipher = options.cipher;
-    const auto round_start = std::chrono::steady_clock::now();
-    if (point.sinks <= 1) {
-      IPDA_ASSIGN_OR_RETURN(const agg::IpdaRunResult run,
-                            agg::RunIpda(config, *function, *field, proto));
-      out.accuracy = run.accuracy;
-      out.accepted = run.stats.decision.accepted;
-      out.degraded = run.stats.degraded;
-      out.bytes_sent = run.traffic.bytes_sent;
-    } else {
-      agg::ShardedConfig sharded;
-      sharded.sinks = point.sinks;
-      IPDA_ASSIGN_OR_RETURN(
-          const agg::ShardedRunResult run,
-          agg::RunShardedIpda(config, *function, *field, proto, sharded));
-      out.accuracy = run.accuracy;
-      out.accepted = run.decision.accepted;
-      out.degraded = run.degraded;
-      out.bytes_sent = run.traffic.bytes_sent;
-    }
-    out.round_ms = MsSince(round_start);
-    return EncodeOutcome(out);
-  };
-
-  auto swept =
-      RunBenchSweep(engine, options, argv[0], labels, runs, resilience, body);
-  if (!swept.ok()) {
-    std::fprintf(stderr, "city_scale: %s\n",
-                 swept.status().ToString().c_str());
-    return 1;
-  }
-  const exp::ResilientReport& report = *swept;
-
-  if (report.drained) {
-    PrintDrainHint("city_scale", options, report, argv[0]);
-    return util::kDrainExitCode;
-  }
-
-  // Reduce the store: per (cell, metric) key the observations arrive
-  // with seq (= flat run index) ascending — the old per-point,
-  // run-ascending fold order, so every printed byte is unchanged.
-  if (const util::Status folded = fold.Finish(report); !folded.ok()) {
-    std::fprintf(stderr, "city_scale: %s\n", folded.ToString().c_str());
-    return 1;
-  }
-  struct PointResult {
-    stats::Summary accuracy;
-    stats::Summary round_ms;
-    stats::Summary bytes;
-    size_t accepted = 0;
-    size_t degraded = 0;
-    size_t effective = 0;
-    double build_spatial_ms = 0.0;
-    double build_brute_ms = 0.0;
-    bool has_build = false;
-  };
-  std::vector<PointResult> points(grid.size());
-  const util::Status drained = fold.store().ForEachSorted(
-      [&](std::string_view key, uint64_t seq, double value) {
-        PointResult& p = points[seq / runs];
-        const std::string_view metric = BenchFold::SplitKey(key).second;
-        if (metric == "accuracy") {
-          p.accuracy.Add(value);
-        } else if (metric == "round_ms") {
-          p.round_ms.Add(value);
-        } else if (metric == "bytes") {
-          p.bytes.Add(value);
-        } else if (metric == "accepted") {
-          p.accepted += value != 0.0 ? 1 : 0;
-        } else if (metric == "degraded") {
-          p.degraded += value != 0.0 ? 1 : 0;
-        } else if (metric == "effective") {
-          ++p.effective;
-        } else if (metric == "build_spatial_ms") {
-          p.build_spatial_ms = value;  // Last timed run wins (seq order).
-        } else if (metric == "build_brute_ms") {
-          p.build_brute_ms = value;
-          p.has_build = true;
-        }
+            const agg::ShardedRunResult run,
+            agg::RunShardedIpda(config, *function, *field, proto,
+                                {.sinks = sinks, .crashed_sinks = {}}));
+        return finish(run, run);
       });
-  if (!drained.ok()) {
-    std::fprintf(stderr, "city_scale: %s\n", drained.ToString().c_str());
-    return 1;
-  }
 
   PrintHeader("city_scale",
               "city-scale scaling: spatial-hash build speedup, round "
               "wall-clock, and multi-sink sharded accuracy (DESIGN.md §13)");
-  std::printf("{\n  \"experiment\": \"city_scale\",\n");
-  std::printf("  \"runs_per_point\": %zu,\n  \"failed_runs\": %zu,\n", runs,
-              report.failed);
-  std::printf("  \"grid\": [\n");
-  // Build timings live on (size, sinks=1, run 0); remember them so the
-  // multi-sink rows of the same size can echo the speedup.
-  double spatial_ms = 0.0;
-  double brute_ms = 0.0;
-  for (size_t point = 0; point < grid.size(); ++point) {
-    const PointResult& p = points[point];
-    const stats::Summary& accuracy = p.accuracy;
-    const stats::Summary& round_ms = p.round_ms;
-    const stats::Summary& bytes = p.bytes;
-    const size_t accepted = p.accepted;
-    const size_t degraded = p.degraded;
-    const size_t effective = p.effective;
-    if (p.has_build) {
-      spatial_ms = p.build_spatial_ms;
-      brute_ms = p.build_brute_ms;
+  std::printf("{\n  \"experiment\": \"city_scale\",\n  \"runs_per_point\": "
+              "%zu,\n  \"failed_runs\": %zu,\n  \"grid\": [\n",
+              runs, result.failed_runs());
+  double spatial_ms = 0.0, brute_ms = 0.0;  // Timed on (N, sinks=1, run 0).
+  for (size_t cell = 0; cell < grid.size(); ++cell) {
+    const auto [nodes, sinks] = grid[cell];
+    const auto mean = [&](const char* field) {
+      return result.Get(cell, field).summary.mean();
+    };
+    if (result.Get(cell, "build_brute_ms").count() > 0) {
+      spatial_ms = mean("build_spatial_ms");
+      brute_ms = mean("build_brute_ms");
     }
     const double speedup =
         spatial_ms > 0.0 && brute_ms > 0.0 ? brute_ms / spatial_ms : 0.0;
-    std::printf("    %s{\"nodes\": %zu, \"sinks\": %zu, \"runs\": %zu,\n",
-                point == 0 ? "" : ",", grid[point].nodes, grid[point].sinks,
-                effective);
-    std::printf("      \"accuracy_mean\": %.6f, \"accepted\": %zu, "
-                "\"degraded\": %zu,\n",
-                accuracy.mean(), accepted, degraded);
-    std::printf("      \"round_ms_mean\": %.3f, \"bytes_mean\": %.1f,\n",
-                round_ms.mean(), bytes.mean());
-    std::printf("      \"build_spatial_ms\": %.3f, \"build_brute_ms\": "
+    std::printf("    %s{\"nodes\": %zu, \"sinks\": %zu, \"runs\": %zu,\n"
+                "      \"accuracy_mean\": %.6f, \"accepted\": %zu, "
+                "\"degraded\": %zu,\n"
+                "      \"round_ms_mean\": %.3f, \"bytes_mean\": %.1f,\n"
+                "      \"build_spatial_ms\": %.3f, \"build_brute_ms\": "
                 "%.3f, \"build_speedup\": %.1f%s}\n",
-                spatial_ms, brute_ms, speedup,
-                grid[point].nodes >= 10000 && grid[point].sinks == 1
-                    ? (speedup >= 20.0 ? ", \"speedup_target_20x\": \"met\""
-                                       : ", \"speedup_target_20x\": "
-                                         "\"MISSED\"")
-                    : "");
+                cell == 0 ? "" : ",", nodes, sinks, result.ok_runs(cell),
+                mean("accuracy"), result.Get(cell, "accepted").total(),
+                result.Get(cell, "degraded").total(), mean("round_ms"),
+                mean("bytes"), spatial_ms, brute_ms, speedup,
+                nodes < 10000 || sinks != 1 ? ""
+                : speedup >= 20.0 ? ", \"speedup_target_20x\": \"met\""
+                                  : ", \"speedup_target_20x\": \"MISSED\"");
   }
-  std::printf("  ],\n");
-  std::printf("  \"peak_rss_mib\": %zu\n}\n", PeakRssKb() / 1024);
+  std::printf("  ],\n  \"peak_rss_mib\": %zu\n}\n", util::PeakRssKb() / 1024);
   PrintFooter();
   return 0;
 }

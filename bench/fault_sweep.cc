@@ -6,16 +6,12 @@
 // specified by the paper, and iPDA with the failure-resilience extensions
 // (slice retargeting + parent failover) switched on.
 //
-// The grid fans out across the crash-tolerant sweep executor
-// (exp::RunResilientSweep): every completed run is appended to the
-// --journal as it finishes (fsynced, so a SIGKILL loses at most the run
-// in flight), SIGINT/SIGTERM drains gracefully and prints a --resume
-// command, and a resumed sweep replays journaled runs to byte-identical
-// output. Per-run seeds derive from (sweep seed, point label, run
-// index), so two invocations with the same IPDA_BENCH_RUNS emit
-// byte-identical JSON for ANY --jobs value — and for any kill/resume
-// split.
+// One bench sweep (bench_common.h): journaled, drainable, resumable and
+// fabric-capable, byte-identical for any --jobs value or kill/resume
+// split. A permanently failed run degrades its point (fewer "runs")
+// and is counted in "failed_runs"; it never aborts the grid.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -24,11 +20,8 @@
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "bench_common.h"
-#include "exp/resilient.h"
 #include "fault/fault_plan.h"
 #include "sim/time.h"
-#include "stats/summary.h"
-#include "util/signal.h"
 
 namespace ipda::bench {
 namespace {
@@ -40,120 +33,6 @@ constexpr uint64_t kSweepSeed = 0xFA117;
 constexpr sim::SimTime kTagCrashAt = sim::Milliseconds(2200);
 constexpr sim::SimTime kIpdaCrashAt = sim::Milliseconds(4400);
 
-struct ArmOutcome {
-  double accuracy = 0.0;
-  double completeness = 0.0;  // min(red, blue); 1.0 for TAG.
-  bool accepted = false;
-  bool degraded = false;
-  size_t retargeted = 0;
-  size_t rerouted = 0;
-  size_t orphaned = 0;
-};
-
-// One grid point x one seed, all three arms (they share the deployment).
-struct RunOutcome {
-  ArmOutcome tag;
-  ArmOutcome ipda;
-  ArmOutcome ipda_failover;
-};
-
-// Journal payload codec: "%.17g" round-trips doubles exactly, so a
-// replayed run folds into the same statistics bit-for-bit.
-void EncodeArm(const ArmOutcome& arm, std::string* out) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%.17g,%.17g,%d,%d,%zu,%zu,%zu",
-                arm.accuracy, arm.completeness, arm.accepted ? 1 : 0,
-                arm.degraded ? 1 : 0, arm.retargeted, arm.rerouted,
-                arm.orphaned);
-  *out += buf;
-}
-
-std::string EncodeOutcome(const RunOutcome& outcome) {
-  std::string payload;
-  EncodeArm(outcome.tag, &payload);
-  payload += ';';
-  EncodeArm(outcome.ipda, &payload);
-  payload += ';';
-  EncodeArm(outcome.ipda_failover, &payload);
-  return payload;
-}
-
-bool DecodeArm(const std::string& text, ArmOutcome* arm) {
-  int accepted = 0;
-  int degraded = 0;
-  if (std::sscanf(text.c_str(), "%lg,%lg,%d,%d,%zu,%zu,%zu", &arm->accuracy,
-                  &arm->completeness, &accepted, &degraded, &arm->retargeted,
-                  &arm->rerouted, &arm->orphaned) != 7) {
-    return false;
-  }
-  arm->accepted = accepted != 0;
-  arm->degraded = degraded != 0;
-  return true;
-}
-
-bool DecodeOutcome(const std::string& payload, RunOutcome* outcome) {
-  const size_t first = payload.find(';');
-  if (first == std::string::npos) return false;
-  const size_t second = payload.find(';', first + 1);
-  if (second == std::string::npos) return false;
-  return DecodeArm(payload.substr(0, first), &outcome->tag) &&
-         DecodeArm(payload.substr(first + 1, second - first - 1),
-                   &outcome->ipda) &&
-         DecodeArm(payload.substr(second + 1), &outcome->ipda_failover);
-}
-
-struct ArmResult {
-  stats::Summary accuracy;
-  stats::Summary completeness;
-  size_t accepted = 0;
-  size_t degraded = 0;
-  size_t retargeted = 0;
-  size_t rerouted = 0;
-  size_t orphaned = 0;
-
-  // Folds one observation from the streaming store. Counts were emitted
-  // as exact small integers, so the double round-trip is lossless.
-  void Apply(std::string_view field, double v) {
-    if (field == "accuracy") {
-      accuracy.Add(v);
-    } else if (field == "completeness") {
-      completeness.Add(v);
-    } else if (field == "accepted") {
-      accepted += v != 0.0 ? 1 : 0;
-    } else if (field == "degraded") {
-      degraded += v != 0.0 ? 1 : 0;
-    } else if (field == "retargeted") {
-      retargeted += static_cast<size_t>(v);
-    } else if (field == "rerouted") {
-      rerouted += static_cast<size_t>(v);
-    } else if (field == "orphaned") {
-      orphaned += static_cast<size_t>(v);
-    }
-  }
-};
-
-// Per-point fold target; "effective" counts runs that decoded.
-struct PointResult {
-  ArmResult tag;
-  ArmResult ipda;
-  ArmResult ipda_failover;
-  size_t effective = 0;
-};
-
-void EmitArm(const std::string& cell, const char* arm, const ArmOutcome& a,
-             const BenchFold::Emit& emit) {
-  const auto key = [&cell, arm](const char* field) {
-    return BenchFold::Key(cell, std::string(arm) + "." + field);
-  };
-  emit(key("accuracy"), a.accuracy);
-  emit(key("completeness"), a.completeness);
-  emit(key("accepted"), a.accepted ? 1.0 : 0.0);
-  emit(key("degraded"), a.degraded ? 1.0 : 0.0);
-  emit(key("retargeted"), static_cast<double>(a.retargeted));
-  emit(key("rerouted"), static_cast<double>(a.rerouted));
-  emit(key("orphaned"), static_cast<double>(a.orphaned));
-}
-
 fault::FaultPlan MakePlan(double crash_frac, double loss_rate,
                           sim::SimTime crash_at) {
   fault::FaultPlan plan;
@@ -164,176 +43,95 @@ fault::FaultPlan MakePlan(double crash_frac, double loss_rate,
   return plan;
 }
 
-void PrintArm(const char* key, const ArmResult& arm, size_t effective,
+void PrintArm(const SweepResult& result, size_t cell, const char* arm,
               bool last) {
+  const auto field = [&](const char* name) -> const FieldFold& {
+    return result.Get(cell, std::string(arm) + "." + name);
+  };
   std::printf(
       "      \"%s\": {\"accuracy_mean\": %.6f, \"completeness_mean\": "
       "%.6f, \"accepted\": %zu, \"degraded\": %zu, \"retargeted\": %zu, "
       "\"rerouted\": %zu, \"orphaned\": %zu, \"runs\": %zu}%s\n",
-      key, arm.accuracy.mean(), arm.completeness.mean(), arm.accepted,
-      arm.degraded, arm.retargeted, arm.rerouted, arm.orphaned, effective,
-      last ? "" : ",");
+      arm, field("accuracy").summary.mean(),
+      field("completeness").summary.mean(), field("accepted").total(),
+      field("degraded").total(), field("retargeted").total(),
+      field("rerouted").total(), field("orphaned").total(),
+      result.ok_runs(cell), last ? "" : ",");
 }
 
 int Run(int argc, char** argv) {
-  util::InstallDrainHandler();
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  exp::Engine engine(options.jobs);
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
 
-  const double crash_fracs[] = {0.0, 0.05, 0.10, 0.20};
-  const double loss_rates[] = {0.0, 0.05, 0.10};
-
-  std::vector<std::string> labels;
+  SweepSpec spec{"fault_sweep", kSweepSeed,
+                 "nodes=" + std::to_string(kNodes), {}, true};
   std::vector<std::pair<double, double>> grid;
-  for (double crash : crash_fracs) {
-    for (double loss : loss_rates) {
+  for (double crash : {0.0, 0.05, 0.10, 0.20}) {
+    for (double loss : {0.0, 0.05, 0.10}) {
       char label[64];
       std::snprintf(label, sizeof(label), "crash=%.2f,loss=%.2f", crash,
                     loss);
-      labels.push_back(label);
+      spec.cells.push_back({label, runs, nullptr, ""});
       grid.emplace_back(crash, loss);
     }
   }
 
-  exp::ResilientOptions resilience;
-  resilience.sweep_seed = kSweepSeed;
-  resilience.event_budget = options.event_budget;
-  resilience.run_deadline_s = options.run_deadline_s;
-  resilience.max_retries = options.max_retries;
-  resilience.journal_path = options.journal;
-  resilience.resume_path = options.resume;
-  resilience.experiment = "fault_sweep";
-  resilience.config_digest = "fault_sweep|nodes=" + std::to_string(kNodes) +
-                             "|runs=" + std::to_string(runs) + "|" +
-                             options.canonical;
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const auto [crash, loss] = grid[ctx.cell];
+        Record record;
+        agg::RunConfig tag_config = PaperRunConfig(kNodes, ctx.seed);
+        tag_config.control = ctx.control;
+        tag_config.faults = MakePlan(crash, loss, kTagCrashAt);
+        IPDA_ASSIGN_OR_RETURN(const agg::TagRunResult tag,
+                              agg::RunTag(tag_config, *function, *field));
+        record.Set("tag.accuracy", tag.accuracy)
+            .Set("tag.completeness", 1.0)
+            .Set("tag.accepted", 1.0);  // TAG has no integrity check.
 
-  // Stream results through the spill store instead of retaining every
-  // payload (O(--agg-memory-budget) RSS however large the grid gets).
-  BenchFold fold(options, runs,
-                 [&labels](size_t point, size_t /*run*/,
-                           const std::string& payload,
-                           const BenchFold::Emit& emit) {
-                   RunOutcome outcome;
-                   if (!DecodeOutcome(payload, &outcome)) return;
-                   const std::string& cell = labels[point];
-                   EmitArm(cell, "tag", outcome.tag, emit);
-                   EmitArm(cell, "ipda", outcome.ipda, emit);
-                   EmitArm(cell, "ipda_failover", outcome.ipda_failover,
-                           emit);
-                   emit(BenchFold::Key(cell, "effective"), 1.0);
-                 });
-  fold.Attach(resilience);
-
-  const auto body =
-      [&](const exp::AttemptContext& ctx) -> util::Result<std::string> {
-    const auto [crash, loss] = grid[ctx.point];
-    RunOutcome out;
-
-    agg::RunConfig tag_config = PaperRunConfig(kNodes, ctx.seed);
-    tag_config.control.cancel = ctx.cancel;
-    tag_config.control.event_budget = ctx.event_budget;
-    tag_config.faults = MakePlan(crash, loss, kTagCrashAt);
-    IPDA_ASSIGN_OR_RETURN(const agg::TagRunResult tag_run,
-                          agg::RunTag(tag_config, *function, *field));
-    out.tag.accuracy = tag_run.accuracy;
-    out.tag.completeness = 1.0;
-    out.tag.accepted = true;  // TAG has no integrity check to fail.
-
-    agg::RunConfig ipda_config = PaperRunConfig(kNodes, ctx.seed);
-    ipda_config.control.cancel = ctx.cancel;
-    ipda_config.control.event_budget = ctx.event_budget;
-    ipda_config.faults = MakePlan(crash, loss, kIpdaCrashAt);
-    for (bool failover : {false, true}) {
-      agg::IpdaConfig proto = PaperIpdaConfig(2);
-      proto.cipher = options.cipher;
-      proto.retarget_slices = failover;
-      proto.parent_failover = failover;
-      IPDA_ASSIGN_OR_RETURN(
-          const agg::IpdaRunResult run,
-          agg::RunIpda(ipda_config, *function, *field, proto));
-      ArmOutcome& arm = failover ? out.ipda_failover : out.ipda;
-      arm.accuracy = run.accuracy;
-      arm.completeness =
-          run.stats.completeness_red < run.stats.completeness_blue
-              ? run.stats.completeness_red
-              : run.stats.completeness_blue;
-      arm.accepted = run.stats.decision.accepted;
-      arm.degraded = run.stats.degraded;
-      arm.retargeted = run.stats.slices_retargeted;
-      arm.rerouted = run.stats.reports_rerouted;
-      arm.orphaned = run.stats.orphaned_partials;
-    }
-    return EncodeOutcome(out);
-  };
-
-  auto swept =
-      RunBenchSweep(engine, options, argv[0], labels, runs, resilience, body);
-  if (!swept.ok()) {
-    std::fprintf(stderr, "fault_sweep: %s\n",
-                 swept.status().ToString().c_str());
-    return 1;
-  }
-  const exp::ResilientReport& report = *swept;
-
-  if (report.drained) {
-    // No partial JSON on stdout: the resumed invocation prints the whole
-    // document, byte-identical to an uninterrupted sweep.
-    PrintDrainHint("fault_sweep", options, report, argv[0]);
-    return util::kDrainExitCode;
-  }
-
-  // Reduce the store: per (cell, metric) key the observations arrive
-  // with seq (= flat run index) ascending — the old per-point,
-  // run-ascending fold order, so every printed byte is unchanged.
-  if (const util::Status folded = fold.Finish(report); !folded.ok()) {
-    std::fprintf(stderr, "fault_sweep: %s\n", folded.ToString().c_str());
-    return 1;
-  }
-  std::vector<PointResult> points(labels.size());
-  const util::Status drained = fold.store().ForEachSorted(
-      [&](std::string_view key, uint64_t seq, double value) {
-        PointResult& p = points[seq / runs];
-        const auto [cell, metric] = BenchFold::SplitKey(key);
-        (void)cell;
-        if (metric == "effective") {
-          ++p.effective;
-          return;
+        agg::RunConfig config = PaperRunConfig(kNodes, ctx.seed);
+        config.control = ctx.control;
+        config.faults = MakePlan(crash, loss, kIpdaCrashAt);
+        for (bool failover : {false, true}) {
+          agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+          proto.retarget_slices = failover;
+          proto.parent_failover = failover;
+          IPDA_ASSIGN_OR_RETURN(
+              const agg::IpdaRunResult run,
+              agg::RunIpda(config, *function, *field, proto));
+          const std::string arm = failover ? "ipda_failover." : "ipda.";
+          const agg::IpdaStats& stats = run.stats;
+          record.Set(arm + "accuracy", run.accuracy)
+              .Set(arm + "completeness",
+                   std::min(stats.completeness_red, stats.completeness_blue))
+              .Set(arm + "accepted", stats.decision.accepted)
+              .Set(arm + "degraded", stats.degraded)
+              .Set(arm + "retargeted", stats.slices_retargeted)
+              .Set(arm + "rerouted", stats.reports_rerouted)
+              .Set(arm + "orphaned", stats.orphaned_partials);
         }
-        const size_t dot = metric.find('.');
-        const std::string_view arm = metric.substr(0, dot);
-        const std::string_view field = metric.substr(dot + 1);
-        if (arm == "tag") {
-          p.tag.Apply(field, value);
-        } else if (arm == "ipda") {
-          p.ipda.Apply(field, value);
-        } else if (arm == "ipda_failover") {
-          p.ipda_failover.Apply(field, value);
-        }
+        return record;
       });
-  if (!drained.ok()) {
-    std::fprintf(stderr, "fault_sweep: %s\n", drained.ToString().c_str());
-    return 1;
-  }
 
   std::printf("{\n  \"experiment\": \"fault_sweep\",\n");
   std::printf("  \"nodes\": %zu,\n  \"runs_per_point\": %zu,\n", kNodes,
               runs);
   std::printf("  \"cipher\": \"%s\",\n",
               crypto::CipherKindName(options.cipher));
-  std::printf("  \"failed_runs\": %zu,\n", report.failed);
+  std::printf("  \"failed_runs\": %zu,\n", result.failed_runs());
   std::printf("  \"grid\": [\n");
-  for (size_t point = 0; point < labels.size(); ++point) {
-    const PointResult& p = points[point];
-    std::printf("    %s{\n", point == 0 ? "" : ",");
+  for (size_t cell = 0; cell < grid.size(); ++cell) {
+    std::printf("    %s{\n", cell == 0 ? "" : ",");
     std::printf("      \"crash_frac\": %.2f, \"loss_rate\": %.2f, "
                 "\"requested\": %zu,\n",
-                grid[point].first, grid[point].second, runs);
-    PrintArm("tag", p.tag, p.effective, /*last=*/false);
-    PrintArm("ipda", p.ipda, p.effective, /*last=*/false);
-    PrintArm("ipda_failover", p.ipda_failover, p.effective, /*last=*/true);
+                grid[cell].first, grid[cell].second, runs);
+    PrintArm(result, cell, "tag", /*last=*/false);
+    PrintArm(result, cell, "ipda", /*last=*/false);
+    PrintArm(result, cell, "ipda_failover", /*last=*/true);
     std::printf("    }\n");
   }
   std::printf("  ]\n}\n");

@@ -1,9 +1,9 @@
 // Fig. 6: red-tree vs blue-tree COUNT aggregates across network sizes,
 // without any attack, for l = 1 and l = 2, against the "perfect" line
 // (true sensor count). The paper uses this to justify Th = 5: the two
-// trees' results differ only by (small) loss noise.
+// trees' results differ only by (small) loss noise. Both regimes run as
+// one bench sweep (bench_common.h).
 
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -16,90 +16,87 @@
 namespace ipda::bench {
 namespace {
 
-struct RunOutcome {
-  bool ok = false;
-  double red = 0.0;
-  double blue = 0.0;
-  double diff = 0.0;
-};
+int Run(int argc, char** argv) {
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+  const size_t runs = RunsPerPoint();
 
-// The (N, l, run) grid flattened for the engine; seeds stay a pure
-// function of the grid cell so output is --jobs independent.
-struct Cell {
-  size_t n;
-  uint32_t l;
-  size_t run;
-};
-
-std::vector<Cell> GridCells(size_t runs) {
-  std::vector<Cell> cells;
-  for (size_t n : NetworkSizes()) {
-    for (uint32_t l : {1u, 2u}) {
-      for (size_t r = 0; r < runs; ++r) cells.push_back({n, l, r});
+  // One cell per (regime, N, l). Same seed across l values: paired
+  // deployments. With retransmissions capped low (the lossy regime), a
+  // few unicasts die on hidden-terminal collisions — the small asymmetric
+  // losses the paper's ns-2/802.11 stack exhibits, which is what Th
+  // exists to absorb.
+  struct Regime {
+    const char* pool;
+    uint64_t seed_base;
+    uint64_t stride;
+    bool lossy;
+  };
+  const Regime regimes[] = {{"ideal", 0xF16'6u, 7919, false},
+                            {"lossy", 0xF16'6bu, 7333, true}};
+  SweepSpec spec{"fig6_th_setting", 0, "", {}, false};
+  struct Point {
+    bool lossy;
+    size_t n;
+    uint32_t l;
+  };
+  std::vector<Point> points;
+  for (const Regime& regime : regimes) {
+    for (size_t n : NetworkSizes()) {
+      for (uint32_t l : {1u, 2u}) {
+        char label[48];
+        std::snprintf(label, sizeof(label), "%s,N=%zu,l=%u", regime.pool, n,
+                      l);
+        spec.cells.push_back({label, runs, [regime, n](size_t r) {
+                                return regime.seed_base + r * regime.stride +
+                                       n;
+                              }, regime.pool});
+        points.push_back({regime.lossy, n, l});
+      }
     }
   }
-  return cells;
-}
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const Point& point = points[ctx.cell];
+        auto config = PaperRunConfig(point.n, ctx.seed);
+        config.control = ctx.control;
+        if (point.lossy) config.mac.max_retries = 1;
+        auto function = agg::MakeCount();
+        auto field = agg::MakeConstantField(1.0);
+        IPDA_ASSIGN_OR_RETURN(
+            const agg::IpdaRunResult run,
+            agg::RunIpda(config, *function, *field,
+                         PaperIpdaConfig(point.l, options.cipher)));
+        return Record()
+            .Set("red", run.stats.decision.acc_red[0])
+            .Set("blue", run.stats.decision.acc_blue[0])
+            .Set("diff", run.stats.decision.max_component_diff);
+      });
 
-int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
   PrintHeader("Fig. 6 — red vs blue tree aggregates (Th setting)",
               "COUNT per tree vs network size, no attack; paper: Th=5 "
               "suffices");
-  const size_t runs = RunsPerPoint();
-  const std::vector<Cell> cells = GridCells(runs);
-
-  auto run_cell = [&cells](uint64_t seed_base, uint64_t stride,
-                           bool lossy) {
-    return [&cells, seed_base, stride, lossy](size_t i) {
-      const Cell& cell = cells[i];
-      // Same seed across l values: paired deployments.
-      auto config = PaperRunConfig(
-          cell.n, seed_base + cell.run * stride + cell.n);
-      if (lossy) config.mac.max_retries = 1;
-      auto function = agg::MakeCount();
-      auto field = agg::MakeConstantField(1.0);
-      RunOutcome out;
-      auto result = agg::RunIpda(config, *function, *field,
-                                 PaperIpdaConfig(cell.l));
-      if (!result.ok()) return out;
-      out.red = result->stats.decision.acc_red[0];
-      out.blue = result->stats.decision.acc_blue[0];
-      out.diff = result->stats.decision.max_component_diff;
-      out.ok = true;
-      return out;
-    };
-  };
-
-  const auto outcomes = engine.Map<RunOutcome>(
-      cells.size(), run_cell(0xF16'6u, 7919, /*lossy=*/false));
-
   stats::SeriesSet series;
-  stats::Summary all_diffs;
-  size_t index = 0;
-  for (size_t n : NetworkSizes()) {
-    for (uint32_t l : {1u, 2u}) {
-      stats::Summary red, blue, diff;
-      for (size_t r = 0; r < runs; ++r, ++index) {
-        const RunOutcome& out = outcomes[index];
-        if (!out.ok) return 1;
-        red.Add(out.red);
-        blue.Add(out.blue);
-        diff.Add(out.diff);
-        all_diffs.Add(out.diff);
-      }
-      char red_name[48], blue_name[48];
-      std::snprintf(red_name, sizeof(red_name), "red l=%u", l);
-      std::snprintf(blue_name, sizeof(blue_name), "blue l=%u", l);
-      series.Add(red_name, static_cast<double>(n), red.mean());
-      series.Add(blue_name, static_cast<double>(n), blue.mean());
-      char diff_name[48];
-      std::snprintf(diff_name, sizeof(diff_name), "|diff| l=%u", l);
-      series.Add(diff_name, static_cast<double>(n), diff.mean());
+  stats::SeriesSet lossy;
+  for (size_t cell = 0; cell < points.size(); ++cell) {
+    const auto [is_lossy, n, l] = points[cell];
+    const double x = static_cast<double>(n);
+    char name[48];
+    std::snprintf(name, sizeof(name), "|diff| l=%u", l);
+    if (is_lossy) {
+      lossy.Add(name, x, result.Get(cell, "diff").summary.mean());
+      continue;
     }
-    series.Add("perfect", static_cast<double>(n),
-               static_cast<double>(n - 1));
+    char red_name[48], blue_name[48];
+    std::snprintf(red_name, sizeof(red_name), "red l=%u", l);
+    std::snprintf(blue_name, sizeof(blue_name), "blue l=%u", l);
+    series.Add(red_name, x, result.Get(cell, "red").summary.mean());
+    series.Add(blue_name, x, result.Get(cell, "blue").summary.mean());
+    series.Add(name, x, result.Get(cell, "diff").summary.mean());
+    if (l == 2) series.Add("perfect", x, static_cast<double>(n - 1));
   }
+  const stats::Summary& all_diffs = result.Pool("ideal", "diff").summary;
   series.ToTable("N", 1).PrintTo(stdout);
   std::printf(
       "\nmax |S_red - S_blue| over all runs: %.2f  (mean %.2f)\n"
@@ -108,30 +105,8 @@ int Run(int argc, char** argv) {
       "non-participation.\n",
       all_diffs.max(), all_diffs.mean());
 
-  // With retransmissions capped low, a few unicasts die on hidden-terminal
-  // collisions — the small asymmetric losses the paper's ns-2/802.11 stack
-  // exhibits, which is what Th exists to absorb.
   std::printf("\nLossy regime (MAC retries capped at 1):\n");
-  const auto lossy_outcomes = engine.Map<RunOutcome>(
-      cells.size(), run_cell(0xF16'6bu, 7333, /*lossy=*/true));
-
-  stats::SeriesSet lossy;
-  stats::Summary lossy_diffs;
-  index = 0;
-  for (size_t n : NetworkSizes()) {
-    for (uint32_t l : {1u, 2u}) {
-      stats::Summary diff;
-      for (size_t r = 0; r < runs; ++r, ++index) {
-        const RunOutcome& out = lossy_outcomes[index];
-        if (!out.ok) return 1;
-        diff.Add(out.diff);
-        lossy_diffs.Add(out.diff);
-      }
-      char diff_name[48];
-      std::snprintf(diff_name, sizeof(diff_name), "|diff| l=%u", l);
-      lossy.Add(diff_name, static_cast<double>(n), diff.mean());
-    }
-  }
+  const stats::Summary& lossy_diffs = result.Pool("lossy", "diff").summary;
   lossy.ToTable("N", 2).PrintTo(stdout);
   std::printf(
       "\nlossy-regime max |S_red - S_blue| = %.2f (mean %.2f)\n"

@@ -5,37 +5,35 @@
 // stay silent.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "analysis/overhead.h"
 #include "bench_common.h"
+#include "obs/metrics.h"
 #include "stats/series.h"
-#include "stats/summary.h"
 
 namespace ipda::bench {
 namespace {
 
-struct RunOutcome {
-  bool ok = false;
-  double tag_bytes = 0.0, tag_msgs = 0.0;
-  double ipda1_bytes = 0.0, ipda1_msgs = 0.0;
-  double ipda2_bytes = 0.0, ipda2_msgs = 0.0;
-};
-
 int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
-  PrintHeader("Fig. 7 — bandwidth consumption: iPDA vs TAG",
-              "total bytes transmitted per round vs network size");
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
   const std::vector<size_t> sizes = NetworkSizes();
-
-  const auto outcomes = engine.Map<RunOutcome>(
-      sizes.size() * runs, [&sizes, runs](size_t i) {
-        const size_t n = sizes[i / runs];
-        const size_t r = i % runs;
-        const auto config = PaperRunConfig(n, 0xF16'7u + r * 104729 + n);
+  SweepSpec spec{"fig7_overhead", 0, "", {}, false};
+  for (size_t n : sizes) {
+    spec.cells.push_back({"N=" + std::to_string(n), runs, [n](size_t r) {
+                            return 0xF16'7u + r * 104729 + n;
+                          }, ""});
+  }
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        auto config = PaperRunConfig(sizes[ctx.cell], ctx.seed);
+        config.control = ctx.control;
         auto function = agg::MakeCount();
         auto field = agg::MakeConstantField(1.0);
 
@@ -44,54 +42,48 @@ int Run(int argc, char** argv) {
         // (counted minus the ACK subset at collection, DESIGN.md §11), so
         // the bench reads the same registry `--metrics` files expose —
         // the two surfaces reconcile by construction.
-        RunOutcome out;
-        auto tag = agg::RunTag(config, *function, *field);
-        if (!tag.ok()) return out;
-        out.tag_bytes = tag->metrics.CounterOr("net.protocol_bytes", 0.0);
-        out.tag_msgs = tag->metrics.CounterOr("net.protocol_frames", 0.0);
-
-        auto ipda1 =
-            agg::RunIpda(config, *function, *field, PaperIpdaConfig(1));
-        if (!ipda1.ok()) return out;
-        out.ipda1_bytes =
-            ipda1->metrics.CounterOr("net.protocol_bytes", 0.0);
-        out.ipda1_msgs =
-            ipda1->metrics.CounterOr("net.protocol_frames", 0.0);
-
-        auto ipda2 =
-            agg::RunIpda(config, *function, *field, PaperIpdaConfig(2));
-        if (!ipda2.ok()) return out;
-        out.ipda2_bytes =
-            ipda2->metrics.CounterOr("net.protocol_bytes", 0.0);
-        out.ipda2_msgs =
-            ipda2->metrics.CounterOr("net.protocol_frames", 0.0);
-        out.ok = true;
-        return out;
+        Record record;
+        const auto traffic = [&record](const std::string& arm,
+                                       const obs::Snapshot& metrics) {
+          record.Set(arm + "_bytes",
+                     metrics.CounterOr("net.protocol_bytes", 0.0));
+          record.Set(arm + "_msgs",
+                     metrics.CounterOr("net.protocol_frames", 0.0));
+        };
+        IPDA_ASSIGN_OR_RETURN(const agg::TagRunResult tag,
+                              agg::RunTag(config, *function, *field));
+        traffic("tag", tag.metrics);
+        for (uint32_t l : {1u, 2u}) {
+          IPDA_ASSIGN_OR_RETURN(
+              const agg::IpdaRunResult ipda,
+              agg::RunIpda(config, *function, *field,
+                           PaperIpdaConfig(l, options.cipher)));
+          traffic("ipda" + std::to_string(l), ipda.metrics);
+        }
+        return record;
       });
 
+  PrintHeader("Fig. 7 — bandwidth consumption: iPDA vs TAG",
+              "total bytes transmitted per round vs network size");
   stats::SeriesSet series;
   stats::SeriesSet ratios;
   for (size_t s = 0; s < sizes.size(); ++s) {
-    stats::Summary tag_bytes, ipda1_bytes, ipda2_bytes;
-    stats::Summary tag_msgs, ipda1_msgs, ipda2_msgs;
-    for (size_t r = 0; r < runs; ++r) {
-      const RunOutcome& out = outcomes[s * runs + r];
-      if (!out.ok) return 1;
-      tag_bytes.Add(out.tag_bytes);
-      tag_msgs.Add(out.tag_msgs);
-      ipda1_bytes.Add(out.ipda1_bytes);
-      ipda1_msgs.Add(out.ipda1_msgs);
-      ipda2_bytes.Add(out.ipda2_bytes);
-      ipda2_msgs.Add(out.ipda2_msgs);
-    }
+    const auto mean = [&](const char* field) {
+      return result.Get(s, field).summary.mean();
+    };
+    const double tag_bytes = mean("tag_bytes"), tag_msgs = mean("tag_msgs");
+    const double ipda1_bytes = mean("ipda1_bytes");
+    const double ipda1_msgs = mean("ipda1_msgs");
+    const double ipda2_bytes = mean("ipda2_bytes");
+    const double ipda2_msgs = mean("ipda2_msgs");
     const double x = static_cast<double>(sizes[s]);
-    series.Add("TAG", x, tag_bytes.mean());
-    series.Add("iPDA l=1", x, ipda1_bytes.mean());
-    series.Add("iPDA l=2", x, ipda2_bytes.mean());
-    ratios.Add("bytes l=1/TAG", x, ipda1_bytes.mean() / tag_bytes.mean());
-    ratios.Add("bytes l=2/TAG", x, ipda2_bytes.mean() / tag_bytes.mean());
-    ratios.Add("msgs l=1/TAG", x, ipda1_msgs.mean() / tag_msgs.mean());
-    ratios.Add("msgs l=2/TAG", x, ipda2_msgs.mean() / tag_msgs.mean());
+    series.Add("TAG", x, tag_bytes);
+    series.Add("iPDA l=1", x, ipda1_bytes);
+    series.Add("iPDA l=2", x, ipda2_bytes);
+    ratios.Add("bytes l=1/TAG", x, ipda1_bytes / tag_bytes);
+    ratios.Add("bytes l=2/TAG", x, ipda2_bytes / tag_bytes);
+    ratios.Add("msgs l=1/TAG", x, ipda1_msgs / tag_msgs);
+    ratios.Add("msgs l=2/TAG", x, ipda2_msgs / tag_msgs);
   }
   std::printf("Total protocol bytes transmitted (mean over runs, MAC ACKs "
               "excluded):\n");

@@ -8,102 +8,83 @@
 // networks. The analytic coverage model (Eq. 9) is printed alongside (a).
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "analysis/coverage.h"
 #include "bench_common.h"
+#include "net/topology.h"
 #include "stats/series.h"
-#include "stats/summary.h"
 
 namespace ipda::bench {
 namespace {
 
-struct RunOutcome {
-  bool ok = false;
-  double covered1 = 0.0, covered2 = 0.0;
-  double part1 = 0.0, part2 = 0.0;
-  double acc_tag = 0.0, acc1 = 0.0, acc2 = 0.0;
-  double model_cov = 0.0;
-};
-
 int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
-  PrintHeader("Fig. 8 — coverage, participation, accuracy",
-              "loss factors (a)/(b)/(c) of §IV-B-3 vs network size");
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
   const size_t runs = RunsPerPoint();
   const std::vector<size_t> sizes = NetworkSizes();
-
-  const auto outcomes = engine.Map<RunOutcome>(
-      sizes.size() * runs, [&sizes, runs](size_t i) {
-        const size_t n = sizes[i / runs];
-        const size_t r = i % runs;
+  SweepSpec spec{"fig8_coverage", 0, "", {}, false};
+  for (size_t n : sizes) {
+    spec.cells.push_back({"N=" + std::to_string(n), runs, [n](size_t r) {
+                            return 0xF16'8u + r * 15485863 + n;
+                          }, ""});
+  }
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        const size_t n = sizes[ctx.cell];
         const double sensors = static_cast<double>(n - 1);
-        auto config = PaperRunConfig(n, 0xF16'8u + r * 15485863 + n);
+        auto config = PaperRunConfig(n, ctx.seed);
+        config.control = ctx.control;
         auto function = agg::MakeCount();
         auto field = agg::MakeConstantField(1.0);
 
-        RunOutcome out;
         // One graph per run, shared by all three protocol runs and the
         // Eq.9 model below (instead of four identical rebuilds).
-        const auto topology = agg::BuildRunTopology(config);
-        if (!topology.ok()) return out;
-        config.topology = &*topology;
-        auto tag = agg::RunTag(config, *function, *field);
-        if (!tag.ok()) return out;
-        out.acc_tag = tag->accuracy;
-
-        auto ipda1 =
-            agg::RunIpda(config, *function, *field, PaperIpdaConfig(1));
-        if (!ipda1.ok()) return out;
-        out.covered1 =
-            static_cast<double>(ipda1->stats.covered_both) / sensors;
-        out.part1 =
-            static_cast<double>(ipda1->stats.participants) / sensors;
-        out.acc1 = ipda1->accuracy;
-
-        auto ipda2 =
-            agg::RunIpda(config, *function, *field, PaperIpdaConfig(2));
-        if (!ipda2.ok()) return out;
-        out.covered2 =
-            static_cast<double>(ipda2->stats.covered_both) / sensors;
-        out.part2 =
-            static_cast<double>(ipda2->stats.participants) / sensors;
-        out.acc2 = ipda2->accuracy;
-
-        out.model_cov =
-            analysis::ExpectedCoveredFraction(*topology, 0.5, 0.5);
-        out.ok = true;
-        return out;
+        IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
+                              agg::BuildRunTopology(config));
+        config.topology = &topology;
+        Record record;
+        IPDA_ASSIGN_OR_RETURN(const agg::TagRunResult tag,
+                              agg::RunTag(config, *function, *field));
+        record.Set("acc_tag", tag.accuracy);
+        for (uint32_t l : {1u, 2u}) {
+          IPDA_ASSIGN_OR_RETURN(
+              const agg::IpdaRunResult ipda,
+              agg::RunIpda(config, *function, *field,
+                           PaperIpdaConfig(l, options.cipher)));
+          const std::string suffix = std::to_string(l);
+          record.Set("covered" + suffix,
+                     static_cast<double>(ipda.stats.covered_both) / sensors)
+              .Set("part" + suffix,
+                   static_cast<double>(ipda.stats.participants) / sensors)
+              .Set("acc" + suffix, ipda.accuracy);
+        }
+        return record.Set(
+            "model_cov",
+            analysis::ExpectedCoveredFraction(topology, 0.5, 0.5));
       });
 
+  PrintHeader("Fig. 8 — coverage, participation, accuracy",
+              "loss factors (a)/(b)/(c) of §IV-B-3 vs network size");
   stats::SeriesSet coverage, participation, accuracy;
   for (size_t s = 0; s < sizes.size(); ++s) {
-    stats::Summary covered1, covered2, part2, part1;
-    stats::Summary acc_tag, acc1, acc2, model_cov;
-    for (size_t r = 0; r < runs; ++r) {
-      const RunOutcome& out = outcomes[s * runs + r];
-      if (!out.ok) return 1;
-      covered1.Add(out.covered1);
-      covered2.Add(out.covered2);
-      part1.Add(out.part1);
-      part2.Add(out.part2);
-      acc_tag.Add(out.acc_tag);
-      acc1.Add(out.acc1);
-      acc2.Add(out.acc2);
-      model_cov.Add(out.model_cov);
-    }
+    const auto mean = [&](const char* field) {
+      return result.Get(s, field).summary.mean();
+    };
     const double x = static_cast<double>(sizes[s]);
-    coverage.Add("covered (l=1 run)", x, covered1.mean());
-    coverage.Add("covered (l=2 run)", x, covered2.mean());
-    coverage.Add("Eq.9 model", x, model_cov.mean());
-    participation.Add("participate l=1", x, part1.mean());
-    participation.Add("participate l=2", x, part2.mean());
-    participation.Add("covered l=2", x, covered2.mean());
-    accuracy.Add("TAG", x, acc_tag.mean());
-    accuracy.Add("iPDA l=1", x, acc1.mean());
-    accuracy.Add("iPDA l=2", x, acc2.mean());
+    coverage.Add("covered (l=1 run)", x, mean("covered1"));
+    coverage.Add("covered (l=2 run)", x, mean("covered2"));
+    coverage.Add("Eq.9 model", x, mean("model_cov"));
+    participation.Add("participate l=1", x, mean("part1"));
+    participation.Add("participate l=2", x, mean("part2"));
+    participation.Add("covered l=2", x, mean("covered2"));
+    accuracy.Add("TAG", x, mean("acc_tag"));
+    accuracy.Add("iPDA l=1", x, mean("acc1"));
+    accuracy.Add("iPDA l=2", x, mean("acc2"));
   }
   std::printf("(a) fraction covered by both trees:\n");
   coverage.ToTable("N").PrintTo(stdout);

@@ -13,9 +13,15 @@
 // µJ/node/round columns derived from measured 4 KiB keystream throughput
 // (xtea/aesni/chacha20), so keying scheme and cipher choice read off one
 // table. Wire bytes per backend are identical; only the cycles differ.
+// The scheme rows are cells of one bench sweep (bench_common.h); --cipher
+// picks the backend the swept rounds seal with.
 
 #include <chrono>
 #include <cstdio>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
@@ -27,7 +33,6 @@
 #include "crypto/pairwise.h"
 #include "crypto/predistribution.h"
 #include "bench_common.h"
-#include "stats/summary.h"
 #include "stats/table.h"
 
 namespace ipda::bench {
@@ -40,15 +45,6 @@ constexpr size_t kCaptured = 10;
 // used only to convert measured keystream time into a comparable energy
 // column, not a calibrated board model.
 constexpr double kActivePowerWatts = 0.030;
-
-struct SchemeOutcome {
-  double keyed_fraction = 1.0;
-  double participation = 0.0;
-  double accuracy = 0.0;
-  double capture_exposure = 0.0;  // Broken-link fraction, 10 captures.
-  double disclosure = 0.0;        // Empirical P_disclose under capture.
-  double keystream_bytes_per_node = 0.0;  // CTR payload bytes / node.
-};
 
 // Bytes/s CTR-crypting 4 KiB buffers through the generic backend path —
 // the same chunked loop LinkCrypto::Seal drives. Grows the pass count
@@ -73,74 +69,104 @@ double MeasureKeystreamThroughput(crypto::CipherKind kind) {
   }
 }
 
-int RunScheme(uint64_t seed, const crypto::EgConfig* eg,
-              SchemeOutcome& out) {
+// One keyed deployment: how many links the scheme keys, what a
+// 10-node capture exposes, and an iPDA round sealed through the
+// scheme's link keys.
+util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
+                               const agg::RunControl& control,
+                               crypto::CipherKind cipher) {
   agg::RunConfig config = PaperRunConfig(kNodes, seed);
-  auto topology = agg::BuildRunTopology(config);
-  if (!topology.ok()) return 1;
+  config.control = control;
+  IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
+                        agg::BuildRunTopology(config));
   std::vector<crypto::Link> links;
-  for (net::NodeId a = 0; a < topology->node_count(); ++a) {
-    for (net::NodeId b : topology->neighbors(a)) {
+  for (net::NodeId a = 0; a < topology.node_count(); ++a) {
+    for (net::NodeId b : topology.neighbors(a)) {
       if (a < b) links.emplace_back(a, b);
     }
   }
   std::vector<crypto::LinkCrypto> cryptos;
-  for (net::NodeId id = 0; id < topology->node_count(); ++id) {
-    cryptos.emplace_back(id);
+  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
+    cryptos.emplace_back(id, cipher);
   }
 
+  Record record;
   util::Rng rng(util::Mix64(seed, 0xE6));
   crypto::LinkCompromiseReport capture;
   std::optional<crypto::KeyPredistribution> predistribution;
   if (eg == nullptr) {
     crypto::PairwiseKeyScheme scheme(seed * 31 + 7);
     scheme.Provision(links, cryptos);
-    out.keyed_fraction = 1.0;
-    capture = crypto::NodeCaptureUnderPairwise(
-        links, topology->node_count(), kCaptured, rng);
+    record.Set("keyed", 1.0);
+    capture = crypto::NodeCaptureUnderPairwise(links, topology.node_count(),
+                                               kCaptured, rng);
   } else {
-    auto created = crypto::KeyPredistribution::Create(
-        *eg, topology->node_count(), seed * 131 + 3, rng);
-    if (!created.ok()) return 1;
-    predistribution = std::move(*created);
-    out.keyed_fraction = predistribution->Provision(links, cryptos);
+    IPDA_ASSIGN_OR_RETURN(
+        predistribution,
+        crypto::KeyPredistribution::Create(*eg, topology.node_count(),
+                                           seed * 131 + 3, rng));
+    record.Set("keyed", predistribution->Provision(links, cryptos));
     capture = crypto::NodeCaptureUnderPredistribution(
         links, *predistribution, kCaptured, rng);
   }
-  out.capture_exposure = capture.fraction_broken;
+  record.Set("exposure", capture.fraction_broken);  // Broken-link share.
 
   std::vector<bool> broken(capture.broken.begin(), capture.broken.end());
-  attack::Eavesdropper eve(topology->node_count(), links, broken);
+  attack::Eavesdropper eve(topology.node_count(), links, broken);
 
-  config.topology = &*topology;
+  config.topology = &topology;
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
   agg::IpdaRunHooks hooks;
   hooks.slice_observer = eve.Observer();
   hooks.link_crypto = &cryptos;
-  auto run =
-      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2), hooks);
-  if (!run.ok()) return 1;
-  const agg::IpdaStats& stats = run->stats;
-  out.keystream_bytes_per_node =
-      run->metrics.CounterOr("crypto.keystream_bytes", 0.0) /
-      static_cast<double>(kNodes);
-  out.participation = static_cast<double>(stats.participants) /
-                      static_cast<double>(kNodes - 1);
-  out.accuracy =
-      agg::AccuracyRatio(stats.decision.Agreed(),
-                         agg::Vector{static_cast<double>(kNodes - 1)});
-  out.disclosure = eve.Evaluate().disclosure_rate;
-  return 0;
+  IPDA_ASSIGN_OR_RETURN(
+      const agg::IpdaRunResult run,
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher),
+                   hooks));
+  const agg::IpdaStats& stats = run.stats;
+  // Keystream: CTR payload bytes per node.
+  return record
+      .Set("ks_bytes", run.metrics.CounterOr("crypto.keystream_bytes", 0.0) /
+                           static_cast<double>(kNodes))
+      .Set("participation", static_cast<double>(stats.participants) /
+                                static_cast<double>(kNodes - 1))
+      .Set("accuracy", agg::AccuracyRatio(
+                           stats.decision.Agreed(),
+                           agg::Vector{static_cast<double>(kNodes - 1)}))
+      .Set("disclosure", eve.Evaluate().disclosure_rate);
 }
 
 int Run(int argc, char** argv) {
-  exp::Engine engine(BenchJobs(argc, argv));
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+  const size_t runs = RunsPerPoint();
+  struct Row {
+    const char* name;
+    std::optional<crypto::EgConfig> eg;
+  };
+  const Row rows[] = {
+      {"pairwise master", std::nullopt},
+      {"EG P=10000 m=75", crypto::EgConfig{10000, 75}},
+      {"EG P=10000 m=150", crypto::EgConfig{10000, 150}},
+      {"EG P=1000 m=75", crypto::EgConfig{1000, 75}},
+  };
+  SweepSpec spec{"keying_schemes", 0, "", {}, false};
+  for (const Row& row : rows) {
+    spec.cells.push_back(
+        {row.name, runs, [](size_t r) { return 0x4B + r * 53; }, ""});
+  }
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) {
+        const Row& row = rows[ctx.cell];
+        return RunScheme(ctx.seed, row.eg ? &*row.eg : nullptr, ctx.control,
+                         options.cipher);
+      });
+
   PrintHeader("Key-management ablation — pairwise vs EG predistribution",
               "keyable links, participation, 10-node-capture exposure, "
               "per-cipher energy");
-  const size_t runs = RunsPerPoint();
-
   // One throughput sample per backend (4 KiB buffers, this core); the
   // energy columns below divide each scheme's per-node keystream bytes
   // by these rates.
@@ -157,53 +183,26 @@ int Run(int argc, char** argv) {
                 throughput[c] / 1e6);
   }
   std::printf("\n\n");
-  struct Row {
-    const char* name;
-    std::optional<crypto::EgConfig> eg;
-  };
-  const Row rows[] = {
-      {"pairwise master", std::nullopt},
-      {"EG P=10000 m=75", crypto::EgConfig{10000, 75}},
-      {"EG P=10000 m=150", crypto::EgConfig{10000, 150}},
-      {"EG P=1000 m=75", crypto::EgConfig{1000, 75}},
-  };
   stats::Table table({"scheme", "keyed links", "participate", "accuracy",
                       "capture exposure", "P_disclose", "ks B/node",
                       "xtea uJ/rnd", "aesni uJ/rnd", "chacha uJ/rnd"});
-  for (const Row& row : rows) {
-    struct MappedOutcome {
-      bool ok = false;
-      SchemeOutcome scheme;
+  for (size_t cell = 0; cell < std::size(rows); ++cell) {
+    const auto mean = [&](const char* field) {
+      return result.Get(cell, field).summary.mean();
     };
-    const auto outcomes = engine.Map<MappedOutcome>(runs, [&](size_t r) {
-      MappedOutcome mapped;
-      mapped.ok = RunScheme(0x4B + r * 53, row.eg ? &*row.eg : nullptr,
-                            mapped.scheme) == 0;
-      return mapped;
-    });
-    stats::Summary keyed, part, acc, expo, leak, ks_bytes;
-    for (const MappedOutcome& mapped : outcomes) {
-      if (!mapped.ok) return 1;
-      const SchemeOutcome& out = mapped.scheme;
-      keyed.Add(out.keyed_fraction);
-      part.Add(out.participation);
-      acc.Add(out.accuracy);
-      expo.Add(out.capture_exposure);
-      leak.Add(out.disclosure);
-      ks_bytes.Add(out.keystream_bytes_per_node);
-    }
+    const double ks_bytes = mean("ks_bytes");
     // µJ/node/round = keystream seconds at the measured rate x active
     // power. Cipher does not change the bytes, only the rate.
     std::vector<std::string> cells = {
-        row.name, stats::FormatDouble(keyed.mean(), 3),
-        stats::FormatDouble(part.mean(), 3),
-        stats::FormatDouble(acc.mean(), 3),
-        stats::FormatDouble(expo.mean(), 4),
-        stats::FormatDouble(leak.mean(), 4),
-        stats::FormatDouble(ks_bytes.mean(), 1)};
+        rows[cell].name, stats::FormatDouble(mean("keyed"), 3),
+        stats::FormatDouble(mean("participation"), 3),
+        stats::FormatDouble(mean("accuracy"), 3),
+        stats::FormatDouble(mean("exposure"), 4),
+        stats::FormatDouble(mean("disclosure"), 4),
+        stats::FormatDouble(ks_bytes, 1)};
     for (size_t c = 0; c < std::size(ciphers); ++c) {
       cells.push_back(stats::FormatDouble(
-          ks_bytes.mean() / throughput[c] * kActivePowerWatts * 1e6, 4));
+          ks_bytes / throughput[c] * kActivePowerWatts * 1e6, 4));
     }
     table.AddRow(cells);
   }

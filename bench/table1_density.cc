@@ -2,22 +2,18 @@
 // deployment with 50 m range. Paper values: 200→8.8, 300→13.7, 400→18.6,
 // 500→23.5, 600→28.4.
 //
-// Runs through the crash-tolerant sweep executor: --journal/--resume make
-// the table regenerable after a kill, and a permanently failed run
-// degrades its row (widened CI, "n/requested" runs column) instead of
-// aborting the table.
+// One bench sweep (bench_common.h): --journal/--resume make the table
+// regenerable after a kill, and a permanently failed run degrades its
+// row ("n/requested" runs column) instead of aborting the table.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "exp/resilient.h"
 #include "net/topology.h"
 #include "stats/summary.h"
 #include "stats/table.h"
-#include "util/signal.h"
 
 namespace ipda::bench {
 namespace {
@@ -26,86 +22,33 @@ constexpr double kPaperDegrees[] = {8.8, 13.7, 18.6, 23.5, 28.4};
 constexpr uint64_t kSweepSeed = 0xA11CE;
 
 int Run(int argc, char** argv) {
-  util::InstallDrainHandler();
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  exp::Engine engine(options.jobs);
+  const BenchOptions options =
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   // Deployments are cheap; use a higher default for a tighter mean.
   const size_t runs = RunsPerPoint() * 4;
 
   const std::vector<size_t> sizes = NetworkSizes();
-  std::vector<std::string> labels;
-  for (size_t n : sizes) labels.push_back("N=" + std::to_string(n));
-
-  exp::ResilientOptions resilience;
-  resilience.sweep_seed = kSweepSeed;
-  resilience.event_budget = options.event_budget;
-  resilience.run_deadline_s = options.run_deadline_s;
-  resilience.max_retries = options.max_retries;
-  resilience.journal_path = options.journal;
-  resilience.resume_path = options.resume;
-  resilience.experiment = "table1_density";
-  resilience.config_digest = "table1_density|runs=" + std::to_string(runs) +
-                             "|" + options.canonical;
-
-  // Stream results through the spill store instead of retaining every
-  // payload: one "degree" observation per successful run.
-  BenchFold fold(options, runs,
-                 [&labels](size_t point, size_t /*run*/,
-                           const std::string& payload,
-                           const BenchFold::Emit& emit) {
-                   emit(BenchFold::Key(labels[point], "degree"),
-                        std::strtod(payload.c_str(), nullptr));
-                 });
-  fold.Attach(resilience);
-
-  const auto body =
-      [&](const exp::AttemptContext& ctx) -> util::Result<std::string> {
-    agg::RunConfig config = PaperRunConfig(sizes[ctx.point], ctx.seed);
-    config.control.cancel = ctx.cancel;
-    config.control.event_budget = ctx.event_budget;
-    IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
-                          agg::BuildRunTopology(config));
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", topology.AverageDegree());
-    return std::string(buf);
-  };
-
-  auto swept =
-      RunBenchSweep(engine, options, argv[0], labels, runs, resilience, body);
-  if (!swept.ok()) {
-    std::fprintf(stderr, "table1_density: %s\n",
-                 swept.status().ToString().c_str());
-    return 1;
+  SweepSpec spec{"table1_density", kSweepSeed, "", {}, true};
+  for (size_t n : sizes) {
+    spec.cells.push_back({"N=" + std::to_string(n), runs, nullptr, ""});
   }
-  const exp::ResilientReport& report = *swept;
-  if (report.drained) {
-    PrintDrainHint("table1_density", options, report, argv[0]);
-    return util::kDrainExitCode;
-  }
-
-  if (const util::Status folded = fold.Finish(report); !folded.ok()) {
-    std::fprintf(stderr, "table1_density: %s\n", folded.ToString().c_str());
-    return 1;
-  }
-  // Reduce the store: observations arrive grouped by key with seq (flat
-  // run index) ascending, i.e. the old per-row, run-ascending order — a
-  // failed run simply never contributed, so the row degrades as before.
-  std::vector<stats::Summary> row_degrees(labels.size());
-  const util::Status drained = fold.store().ForEachSorted(
-      [&](std::string_view /*key*/, uint64_t seq, double value) {
-        row_degrees[seq / runs].Add(value);
+  const SweepResult result = RunSweep(
+      options, argv[0], spec,
+      [&](const RunContext& ctx) -> util::Result<Record> {
+        agg::RunConfig config = PaperRunConfig(sizes[ctx.cell], ctx.seed);
+        config.control = ctx.control;
+        IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
+                              agg::BuildRunTopology(config));
+        return Record().Set("degree", topology.AverageDegree());
       });
-  if (!drained.ok()) {
-    std::fprintf(stderr, "table1_density: %s\n", drained.ToString().c_str());
-    return 1;
-  }
 
   PrintHeader("Table I — network size vs. network density",
               "average node degree of the random geometric deployment");
   stats::Table table({"nodes", "avg degree (ours)", "min", "max", "paper",
                       "runs"});
-  for (size_t row = 0; row < labels.size(); ++row) {
-    const stats::Summary& degrees = row_degrees[row];
+  for (size_t row = 0; row < sizes.size(); ++row) {
+    // A failed run never contributed, so its row degrades to n/requested.
+    const stats::Summary& degrees = result.Get(row, "degree").summary;
     table.AddRow({stats::FormatInt(static_cast<long long>(sizes[row])),
                   stats::FormatDouble(degrees.mean(), 1),
                   stats::FormatDouble(degrees.min(), 1),

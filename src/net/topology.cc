@@ -210,15 +210,6 @@ Topology::Topology(std::vector<Point2D> positions, double range,
   }
 }
 
-std::vector<Point2D> Topology::positions() const {
-  std::vector<Point2D> out;
-  out.reserve(node_count());
-  for (size_t i = 0; i < node_count(); ++i) {
-    out.push_back(Point2D{xs_[i], ys_[i]});
-  }
-  return out;
-}
-
 void Topology::EnsureGrid() {
   if (grid_.empty()) {
     grid_ = SpatialHash(xs_.data(), ys_.data(), node_count(), range_);

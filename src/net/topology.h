@@ -72,9 +72,6 @@ class Topology {
 
   size_t node_count() const { return xs_.size(); }
   double range() const { return range_; }
-  // Materialized AoS copy of the SoA coordinate arrays (cold-path helper
-  // for tests and exports; hot paths use position()/x()/y()).
-  std::vector<Point2D> positions() const;
   Point2D position(NodeId id) const { return Point2D{xs_[id], ys_[id]}; }
   double x(NodeId id) const { return xs_[id]; }
   double y(NodeId id) const { return ys_[id]; }

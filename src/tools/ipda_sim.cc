@@ -8,8 +8,10 @@
 // Prints one row per run plus a summary; --csv switches to
 // machine-readable output.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregate_function.h"
@@ -121,6 +123,18 @@ int Main(int argc, char** argv) {
   if (flags.GetBool("help")) {
     std::fputs(flags.Usage(argv[0]).c_str(), stdout);
     return 0;
+  }
+  // Count flags are read through unsigned casts below; reject what would
+  // wrap (a negative --runs used to abort in vector allocation).
+  const std::pair<const char*, uint64_t> count_flags[] = {
+      {"nodes", UINT32_MAX}, {"runs", UINT32_MAX},
+      {"sinks", UINT32_MAX}, {"l", UINT32_MAX},
+      {"max-retries", UINT32_MAX}, {"event-budget", INT64_MAX}};
+  for (const auto& [name, max] : count_flags) {
+    if (const auto count = flags.GetCount(name, max); !count.ok()) {
+      std::fprintf(stderr, "%s\n", count.status().ToString().c_str());
+      return 2;
+    }
   }
 
   const std::string protocol = flags.GetString("protocol");

@@ -23,6 +23,30 @@ std::string TypeName(int type) {
 
 }  // namespace
 
+Result<uint64_t> ParseCount(const std::string& what, const std::string& text,
+                            uint64_t max) {
+  uint64_t value = 0;
+  bool overflow = false;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return InvalidArgumentError(what + " expects a non-negative integer, "
+                                  "got '" + text + "'");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    overflow = overflow || value > (UINT64_MAX - digit) / 10;
+    value = value * 10 + digit;
+  }
+  if (text.empty()) {
+    return InvalidArgumentError(what + " expects a non-negative integer, "
+                                "got ''");
+  }
+  if (overflow || value > max) {
+    return InvalidArgumentError(what + " must be at most " +
+                                std::to_string(max) + ", got '" + text + "'");
+  }
+  return value;
+}
+
 void FlagSet::DefineString(const std::string& name, const std::string& def,
                            const std::string& help) {
   IPDA_CHECK(flags_.emplace(name, Flag{Type::kString, help, def, def}).second);
@@ -159,6 +183,11 @@ std::string FlagSet::GetString(const std::string& name) const {
 
 int64_t FlagSet::GetInt(const std::string& name) const {
   return std::strtoll(Require(name, Type::kInt).value.c_str(), nullptr, 10);
+}
+
+Result<uint64_t> FlagSet::GetCount(const std::string& name,
+                                   uint64_t max) const {
+  return ParseCount("--" + name, Require(name, Type::kInt).value, max);
 }
 
 double FlagSet::GetDouble(const std::string& name) const {

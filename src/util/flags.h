@@ -18,6 +18,12 @@
 
 namespace ipda::util {
 
+// Parses a decimal count in [0, max]. Digits only: a sign, blanks,
+// trailing junk, an empty string or overflow are InvalidArgument. `what`
+// names the source in the message (a flag or an environment variable).
+Result<uint64_t> ParseCount(const std::string& what, const std::string& text,
+                            uint64_t max = UINT64_MAX);
+
 class FlagSet {
  public:
   FlagSet() = default;
@@ -39,6 +45,11 @@ class FlagSet {
   // Typed access; aborts on undeclared names (programming error).
   std::string GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
+  // An int flag read as an unsigned count: InvalidArgument (naming the
+  // flag) when the value is negative or above `max`, instead of a cast
+  // that wraps -1 to a huge count.
+  Result<uint64_t> GetCount(const std::string& name,
+                            uint64_t max = UINT64_MAX) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 

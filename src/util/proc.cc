@@ -229,4 +229,16 @@ Result<LockFile> LockFile::Acquire(const std::string& path) {
                           " kept reappearing while breaking a stale lock");
 }
 
+size_t PeakRssKb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  size_t kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %zu kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
+}
+
 }  // namespace ipda::util

@@ -11,6 +11,7 @@
 #ifndef IPDA_UTIL_PROC_H_
 #define IPDA_UTIL_PROC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,6 +67,10 @@ Result<double> FileAgeSeconds(const std::string& path);
 
 // mkdir -p: creates `path` and any missing parents.
 Status MakeDirs(const std::string& path);
+
+// This process's peak resident set (VmHWM) in KiB; 0 when
+// /proc/self/status is unavailable.
+size_t PeakRssKb();
 
 // Exclusive pid-stamped lockfile. Acquire creates the file O_EXCL and
 // writes the owner pid; if the file already exists but its recorded pid

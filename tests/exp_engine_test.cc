@@ -1,13 +1,16 @@
 // The experiment engine's determinism contract (exp/engine.h): identical
 // output for any --jobs value, including under fault injection. These
-// tests run the same work at jobs=1 and jobs=8 and require bit-equal
-// results, so any scheduling leak into seeds or collection order fails
-// loudly rather than skewing a table by a fraction of a percent.
+// tests run the same work at jobs=1 and jobs=8 — on the engine directly
+// and through the resilient sweep executor every bench uses — and
+// require bit-equal results, so any scheduling leak into seeds or
+// collection order fails loudly rather than skewing a table by a
+// fraction of a percent.
 
 #include "exp/engine.h"
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +18,7 @@
 #include "agg/aggregate_function.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
-#include "exp/sweep.h"
+#include "exp/resilient.h"
 #include "fault/fault_plan.h"
 #include "util/random.h"
 
@@ -108,43 +111,50 @@ struct RunOutcome {
   bool operator==(const RunOutcome&) const = default;
 };
 
-std::vector<std::vector<RunOutcome>> SweepWithJobs(size_t jobs,
-                                                   bool with_faults) {
+// Two points x 4 runs through the resilient executor (no journal); each
+// body writes only its own flat slot, so the vector is in grid order.
+std::vector<RunOutcome> SweepWithJobs(size_t jobs, bool with_faults) {
   Engine engine(jobs);
-  std::vector<SweepPoint> points;
-  for (size_t n : {50u, 70u}) {
-    SweepPoint point;
-    point.label = "N=" + std::to_string(n);
-    point.config.deployment.node_count = n;
-    point.config.deployment.area = net::Area{200.0, 200.0};
-    if (with_faults) {
-      auto plan = fault::ParseFaultSpec("crash-frac=0.2@0.05,loss=0.05");
-      if (!plan.ok()) return {};
-      point.config.faults = *plan;
-    }
-    points.push_back(std::move(point));
+  const size_t nodes[] = {50, 70};
+  const std::vector<std::string> labels = {"N=50", "N=70"};
+  fault::FaultPlan plan;
+  if (with_faults) {
+    auto parsed = fault::ParseFaultSpec("crash-frac=0.2@0.05,loss=0.05");
+    if (!parsed.ok()) return {};
+    plan = *parsed;
   }
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
   agg::IpdaConfig ipda;
   ipda.retarget_slices = with_faults;
   ipda.parent_failover = with_faults;
-  return MapSweep<RunOutcome>(
-      engine, 0x5EED, points, 4,
-      [&](const agg::RunConfig& config, size_t, size_t) {
-        RunOutcome out;
-        auto run = agg::RunIpda(config, *function, *field, ipda);
-        if (!run.ok()) return out;
-        out.result = run->result;
-        out.accuracy = run->accuracy;
-        out.bytes = run->traffic.bytes_sent;
-        out.injected_drops = run->traffic.injected_drops;
-        out.participants = run->stats.participants;
-        out.accepted = run->stats.decision.accepted;
-        out.degraded = run->stats.degraded;
+  ResilientOptions options;
+  options.sweep_seed = 0x5EED;
+  options.drain_on_signal = false;
+  std::vector<RunOutcome> outcomes(labels.size() * 4);
+  const auto report = RunResilientSweep(
+      engine, labels, 4, options,
+      [&](const AttemptContext& ctx) -> util::Result<std::string> {
+        agg::RunConfig config;
+        config.deployment.node_count = nodes[ctx.point];
+        config.deployment.area = net::Area{200.0, 200.0};
+        config.faults = plan;
+        config.seed = ctx.seed;
+        IPDA_ASSIGN_OR_RETURN(const agg::IpdaRunResult run,
+                              agg::RunIpda(config, *function, *field, ipda));
+        RunOutcome& out = outcomes[ctx.point * 4 + ctx.run];
+        out.result = run.result;
+        out.accuracy = run.accuracy;
+        out.bytes = run.traffic.bytes_sent;
+        out.injected_drops = run.traffic.injected_drops;
+        out.participants = run.stats.participants;
+        out.accepted = run.stats.decision.accepted;
+        out.degraded = run.stats.degraded;
         out.ok = true;
-        return out;
+        return std::string();
       });
+  if (!report.ok()) return {};
+  return outcomes;
 }
 
 TEST(Engine, SimulationSweepIdenticalAcrossJobs) {
@@ -152,9 +162,7 @@ TEST(Engine, SimulationSweepIdenticalAcrossJobs) {
   const auto parallel = SweepWithJobs(8, /*with_faults=*/false);
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-  for (const auto& point : serial) {
-    for (const auto& run : point) EXPECT_TRUE(run.ok);
-  }
+  for (const auto& run : serial) EXPECT_TRUE(run.ok);
 }
 
 TEST(Engine, FaultInjectedSweepIdenticalAcrossJobs) {
@@ -165,55 +173,53 @@ TEST(Engine, FaultInjectedSweepIdenticalAcrossJobs) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
   uint64_t drops = 0;
-  for (const auto& point : serial) {
-    for (const auto& run : point) {
-      EXPECT_TRUE(run.ok);
-      drops += run.injected_drops;
-    }
+  for (const auto& run : serial) {
+    EXPECT_TRUE(run.ok);
+    drops += run.injected_drops;
   }
   EXPECT_GT(drops, 0u) << "fault plan should actually injure the runs";
 }
 
-TEST(Engine, MapSweepSetsDerivedSeeds) {
+// Attempt-0 seeds are DeriveRunSeed(sweep seed, point label, run): the
+// addressing that makes every sweep --jobs independent.
+TEST(Engine, ResilientSweepSetsDerivedSeeds) {
   Engine engine(4);
-  std::vector<SweepPoint> points;
-  for (const char* label : {"a", "b"}) {
-    SweepPoint point;
-    point.label = label;
-    points.push_back(std::move(point));
-  }
-  const auto seeds = MapSweep<uint64_t>(
-      engine, 99, points, 3,
-      [](const agg::RunConfig& config, size_t, size_t) {
-        return config.seed;
+  const std::vector<std::string> labels = {"a", "b"};
+  ResilientOptions options;
+  options.sweep_seed = 99;
+  options.drain_on_signal = false;
+  const auto report = RunResilientSweep(
+      engine, labels, 3, options,
+      [](const AttemptContext& ctx) -> util::Result<std::string> {
+        return std::to_string(ctx.seed);
       });
-  ASSERT_EQ(seeds.size(), 2u);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->runs.size(), 6u);
   for (size_t p = 0; p < 2; ++p) {
-    ASSERT_EQ(seeds[p].size(), 3u);
     for (size_t r = 0; r < 3; ++r) {
-      EXPECT_EQ(seeds[p][r], DeriveRunSeed(99, points[p].label, r));
+      EXPECT_EQ(report->runs[p * 3 + r].payload,
+                std::to_string(DeriveRunSeed(99, labels[p], r)));
     }
   }
 }
 
-TEST(Engine, SweepTableRowsFollowPointOrder) {
+// The report is point-major (index = point * runs + run) whatever order
+// the pool finished the runs in.
+TEST(Engine, ResilientSweepReportFollowsPointOrder) {
   Engine engine(4);
-  std::vector<SweepPoint> points;
-  for (const char* label : {"x", "y", "z"}) {
-    SweepPoint point;
-    point.label = label;
-    points.push_back(std::move(point));
-  }
-  auto table = SweepTable<size_t>(
-      {"label", "sum"}, engine, 1, points, 5,
-      [](const agg::RunConfig&, size_t, size_t run) { return run; },
-      [](const SweepPoint& point, const std::vector<size_t>& runs) {
-        size_t sum = 0;
-        for (size_t r : runs) sum += r;
-        return std::vector<std::string>{point.label,
-                                        std::to_string(sum)};
+  ResilientOptions options;
+  options.drain_on_signal = false;
+  const auto report = RunResilientSweep(
+      engine, {"x", "y", "z"}, 5, options,
+      [](const AttemptContext& ctx) -> util::Result<std::string> {
+        return std::to_string(ctx.point) + ":" + std::to_string(ctx.run);
       });
-  ASSERT_EQ(table.row_count(), 3u);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->runs.size(), 15u);
+  for (size_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(report->runs[i].payload,
+              std::to_string(i / 5) + ":" + std::to_string(i % 5));
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversSparseAndDenseCounts) {

@@ -7,7 +7,6 @@
 // city-scale churn round must fit comfortably under a flat ceiling.
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -16,22 +15,12 @@
 #include "agg/reading.h"
 #include "agg/runner.h"
 #include "fault/churn_plan.h"
+#include "util/proc.h"
 
 namespace ipda {
 namespace {
 
-// Peak resident set (VmHWM) in KiB, or 0 when unavailable.
-size_t PeakRssKb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
-}
+using util::PeakRssKb;
 
 TEST(ScaleMemory, CityScaleChurnRoundStaysUnderCeiling) {
   const size_t before_kb = PeakRssKb();
