@@ -35,7 +35,7 @@ BENCHMARK(BM_XteaBlock);
 void BM_CipherKeystream(benchmark::State& state,
                         crypto::CipherKind kind) {
   // The CTR path (precompiled schedule + 512 B chunked keystream) per
-  // cipher — the apples-to-apples row set behind BENCH_cipher.json.
+  // cipher — one apples-to-apples row set across the backends.
   const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
   crypto::CipherSchedule sched;
   backend.build(crypto::Key128::FromSeed(2), sched);

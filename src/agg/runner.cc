@@ -98,7 +98,8 @@ constexpr bool kHasChurnHooks = requires(Protocol& p) {
 //   cipher()                      names the link backend in the metrics;
 //   Fill(protocol, simulator, readings, result)
 //                                 truth, accuracy and any protocol metrics,
-//                                 before the registry is snapshotted.
+//                                 before the registry is snapshotted;
+//   Finished(protocol, topology)  optional, sees the finished round.
 // Finish() runs where the protocol has one.
 template <typename Round, typename Result>
 util::Result<Result> RunRound(const RunConfig& config,
@@ -137,6 +138,9 @@ util::Result<Result> RunRound(const RunConfig& config,
   // Round boundary: fold any churn mutations back into flat CSR form so a
   // follow-on round (or the degree census below) runs on the hot path.
   network.mutable_topology()->Compact();
+  if constexpr (requires { round.Finished(protocol, network.topology()); }) {
+    round.Finished(protocol, network.topology());
+  }
 
   Result result;
   result.stats = protocol.stats();
@@ -223,6 +227,10 @@ struct IpdaRound : AdditiveRound<IpdaProtocol, IpdaConfig> {
     if (hooks.link_crypto != nullptr) {
       protocol.SetLinkCrypto(hooks.link_crypto);
     }
+  }
+  void Finished(const Protocol& protocol,
+                const net::Topology& topology) const {
+    if (hooks.finished) hooks.finished(protocol, topology);
   }
   // Accuracy per tree and for the agreed total, plus the iPDA metrics.
   void Fill(const Protocol& protocol, sim::Simulator& simulator,

@@ -9,6 +9,7 @@
 #ifndef IPDA_AGG_RUNNER_H_
 #define IPDA_AGG_RUNNER_H_
 
+#include <functional>
 #include <vector>
 
 #include "agg/aggregate_function.h"
@@ -138,6 +139,9 @@ struct IpdaRunHooks {
   // Externally provisioned link keys (key-management studies); null keeps
   // the protocol's own pairwise keying. Must outlive the run.
   std::vector<crypto::LinkCrypto>* link_crypto = nullptr;
+  // Called once the round has finished, with the protocol (roles and
+  // trees final) and the topology it ended on; e.g. for tree exports.
+  std::function<void(const IpdaProtocol&, const net::Topology&)> finished;
 };
 
 util::Result<IpdaRunResult> RunIpda(const RunConfig& config,

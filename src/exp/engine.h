@@ -1,5 +1,5 @@
-// Experiment engine: fans a sweep's independent simulation runs across a
-// work-stealing thread pool and collects results in index order.
+// Experiment engine: fans a sweep's independent simulation runs across
+// threads that share one index counter.
 //
 // The determinism contract (locked down by tests/exp_engine_test.cc and
 // the golden traces): for any jobs value, the engine produces the same
@@ -10,16 +10,16 @@
 //       and protocol state, and library code holds no mutable globals;
 //   (3) results land in slot i of a preallocated vector, so collection
 //       order equals submission order regardless of completion order.
+// Nothing depends on the schedule, so ParallelFor makes no ordering
+// promise at all.
 
 #ifndef IPDA_EXP_ENGINE_H_
 #define IPDA_EXP_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <vector>
-
-#include "exp/thread_pool.h"
 
 namespace ipda::exp {
 
@@ -43,22 +43,21 @@ size_t ResolveJobs(int64_t jobs_flag);
 class Engine {
  public:
   // `jobs` as from ResolveJobs: total threads, calling thread included.
-  explicit Engine(size_t jobs) : pool_(jobs == 0 ? 1 : jobs) {}
+  explicit Engine(size_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {}
 
-  size_t jobs() const { return pool_.thread_count(); }
-  ThreadPool& pool() { return pool_; }
+  size_t jobs() const { return jobs_; }
 
-  // Runs fn(i) for i in [0, count) across the pool; out[i] = fn(i). R
-  // must be default-constructible and movable.
-  template <typename R>
-  std::vector<R> Map(size_t count, const std::function<R(size_t)>& fn) {
-    std::vector<R> out(count);
-    pool_.ParallelFor(count, [&](size_t i) { out[i] = fn(i); });
-    return out;
-  }
+  // Runs fn(i) once for every i in [0, count) and returns when all calls
+  // have. The calling thread and min(jobs, count) - 1 helper threads
+  // started for this call each take the next index from one shared
+  // counter, so uneven run times balance one index at a time. With
+  // jobs == 1 or count <= 1 it is a plain loop on the calling thread. An
+  // exception from fn reaches the caller after every thread has stopped.
+  void ParallelFor(size_t count,
+                   const std::function<void(size_t)>& fn) const;
 
  private:
-  ThreadPool pool_;
+  size_t jobs_;
 };
 
 }  // namespace ipda::exp

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace ipda::exp {
 namespace {
@@ -139,7 +140,7 @@ std::string FormatHeaderLine(const JournalHeader& h) {
   line += ",\"config_hash\":\"" + Hex16(h.config_hash) + "\"";
   line += ",\"sweep_seed\":" + std::to_string(h.sweep_seed);
   line += ",\"total_runs\":" + std::to_string(h.total_runs);
-  line += ",\"experiment\":\"" + JsonEscape(h.experiment) + "\"}";
+  line += ",\"experiment\":\"" + util::JsonEscape(h.experiment) + "\"}";
   return line;
 }
 
@@ -150,7 +151,7 @@ std::string FormatRunLine(const JournalRecord& r) {
   line += ",\"attempts\":" + std::to_string(r.attempts);
   line += std::string(",\"ok\":") + (r.ok ? "true" : "false");
   line += ",\"crc\":\"" + Hex16(JournalChecksum(r)) + "\"";
-  line += ",\"payload\":\"" + JsonEscape(r.payload) + "\"}";
+  line += ",\"payload\":\"" + util::JsonEscape(r.payload) + "\"}";
   return line;
 }
 
@@ -159,7 +160,7 @@ std::string FormatFailureLine(const JournalFailure& f) {
   line += std::to_string(f.index);
   line += ",\"attempt\":" + std::to_string(f.attempt);
   line += ",\"seed\":" + std::to_string(f.seed);
-  line += ",\"reason\":\"" + JsonEscape(f.reason) + "\"}";
+  line += ",\"reason\":\"" + util::JsonEscape(f.reason) + "\"}";
   return line;
 }
 
@@ -167,104 +168,6 @@ std::string FormatFailureLine(const JournalFailure& f) {
 
 uint64_t JournalChecksum(const JournalRecord& record) {
   return Fnv1a(ChecksumInput(record));
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-util::Result<std::string> JsonUnescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (i + 1 >= s.size()) {
-      return util::InvalidArgumentError("dangling escape in journal string");
-    }
-    const char esc = s[++i];
-    switch (esc) {
-      case '"':
-        out += '"';
-        break;
-      case '\\':
-        out += '\\';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        if (i + 4 >= s.size()) {
-          return util::InvalidArgumentError(
-              "truncated \\u escape in journal string");
-        }
-        unsigned value = 0;
-        for (size_t k = 1; k <= 4; ++k) {
-          const char h = s[i + k];
-          value <<= 4;
-          if (h >= '0' && h <= '9') {
-            value |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return util::InvalidArgumentError(
-                "bad \\u escape in journal string");
-          }
-        }
-        if (value > 0xFF) {
-          return util::InvalidArgumentError(
-              "journal strings only escape single bytes");
-        }
-        out += static_cast<char>(value);
-        i += 4;
-        break;
-      }
-      default:
-        return util::InvalidArgumentError("unknown escape in journal string");
-    }
-  }
-  return out;
 }
 
 struct JournalWriter::State {
@@ -364,7 +267,7 @@ util::Result<Journal> JournalReader::Load(const std::string& path) {
             ", expected " + std::to_string(kJournalVersion));
       }
       IPDA_ASSIGN_OR_RETURN(journal.header.experiment,
-                            JsonUnescape(experiment));
+                            util::JsonUnescape(experiment));
       journal.header.version = static_cast<uint32_t>(version);
       journal.header.config_hash = config_hash;
       journal.header.sweep_seed = sweep_seed;
@@ -388,7 +291,7 @@ util::Result<Journal> JournalReader::Load(const std::string& path) {
         continue;
       }
       record.attempts = static_cast<uint32_t>(attempts);
-      util::Result<std::string> decoded = JsonUnescape(payload);
+      util::Result<std::string> decoded = util::JsonUnescape(payload);
       if (!decoded.ok()) {
         ++journal.corrupt_lines;
         continue;
@@ -416,7 +319,7 @@ util::Result<Journal> JournalReader::Load(const std::string& path) {
         continue;
       }
       failure.attempt = static_cast<uint32_t>(attempt);
-      util::Result<std::string> decoded = JsonUnescape(reason);
+      util::Result<std::string> decoded = util::JsonUnescape(reason);
       if (!decoded.ok()) {
         ++journal.corrupt_lines;
         continue;

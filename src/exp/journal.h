@@ -141,11 +141,6 @@ util::Result<Journal> MergeShardJournals(const std::vector<std::string>& paths,
 // Checksum over a record's canonical fields; writer and reader agree.
 uint64_t JournalChecksum(const JournalRecord& record);
 
-// Minimal JSON string escaping for payloads: ", \, and control
-// characters. Everything the journal writes is one-line JSON.
-std::string JsonEscape(std::string_view s);
-util::Result<std::string> JsonUnescape(std::string_view s);
-
 }  // namespace ipda::exp
 
 #endif  // IPDA_EXP_JOURNAL_H_

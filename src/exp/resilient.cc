@@ -163,7 +163,7 @@ util::Result<ResilientReport> RunResilientSweep(
   Watchdog watchdog;
   FirstError journal_error;
 
-  engine.pool().ParallelFor(shard_len, [&](size_t offset) {
+  engine.ParallelFor(shard_len, [&](size_t offset) {
     const size_t i = static_cast<size_t>(shard_lo) + offset;
     RunStatus& slot = report.runs[i];
     if (slot.replayed) return;

@@ -5,37 +5,17 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/json.h"
+
 namespace ipda::obs {
 namespace {
 
 // One metrics-file format version; bumped when the line grammar changes.
 constexpr unsigned kMetricsVersion = 1;
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void AppendString(std::string& out, std::string_view s) {
   out += '"';
-  AppendEscaped(out, s);
+  out += util::JsonEscape(s);
   out += '"';
 }
 
@@ -203,8 +183,8 @@ std::string MetricsHeaderLine(std::string_view experiment, uint64_t runs,
 namespace {
 
 // Recursive-descent reader for exactly the JSON subset the emitters above
-// produce (string keys; number/string/object/array values; no nulls,
-// booleans, or nested escapes beyond \" \\ \uXXXX).
+// produce (string keys; number/string/object/array values; no nulls or
+// booleans). Strings decode through util::JsonUnescape.
 class LineReader {
  public:
   explicit LineReader(std::string_view s) : s_(s) {}
@@ -238,28 +218,14 @@ class LineReader {
 
   bool ParseString(std::string& out, std::string* error) {
     if (!Consume('"')) return Fail("expected string", error);
-    out.clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_];
-      if (c == '\\') {
-        if (i_ + 1 >= s_.size()) return Fail("truncated escape", error);
-        const char esc = s_[i_ + 1];
-        if (esc == '"' || esc == '\\') {
-          out += esc;
-          i_ += 2;
-        } else if (esc == 'u' && i_ + 5 < s_.size()) {
-          const std::string hex(s_.substr(i_ + 2, 4));
-          out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
-          i_ += 6;
-        } else {
-          return Fail("unsupported escape", error);
-        }
-      } else {
-        out += c;
-        ++i_;
-      }
-    }
-    if (!Consume('"')) return Fail("unterminated string", error);
+    const size_t begin = i_;
+    while (i_ < s_.size() && s_[i_] != '"') i_ += s_[i_] == '\\' ? 2 : 1;
+    if (i_ >= s_.size()) return Fail("unterminated string", error);
+    util::Result<std::string> decoded =
+        util::JsonUnescape(s_.substr(begin, i_ - begin));
+    if (!decoded.ok()) return Fail(decoded.status().ToString(), error);
+    out = std::move(decoded).value();
+    ++i_;
     return true;
   }
 

@@ -24,7 +24,6 @@
 #include "fault/churn_plan.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 #include "util/flags.h"
@@ -302,14 +301,22 @@ int Main(int argc, char** argv) {
       metrics_lines[ctx.run] =
           obs::SnapshotJsonLine(snapshot, ctx.run, ctx.seed);
     };
+    // Copies a finished round into the outcome. KIPDA's truth is the
+    // true extreme; the sharded round has no metrics side channel (each
+    // shard has its own registry, and a merged snapshot would mean
+    // nothing).
+    const auto fill = [&](const auto& run) {
+      out.result = run.result;
+      out.truth = protocol == "kipda" ? run.true_acc[0]
+                                      : function->Finalize(run.true_acc);
+      out.accuracy = run.accuracy;
+      out.bytes = run.traffic.bytes_sent;
+      if constexpr (requires { run.metrics; }) stash_metrics(run.metrics);
+    };
     if (protocol == "tag") {
-      auto run = agg::RunTag(run_config, *function, *field);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = function->Finalize(run->true_acc);
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      stash_metrics(run->metrics);
+      IPDA_ASSIGN_OR_RETURN(const auto run,
+                            agg::RunTag(run_config, *function, *field));
+      fill(run);
     } else if (protocol == "smart") {
       agg::SmartConfig smart;
       smart.slice_count =
@@ -317,60 +324,39 @@ int Main(int argc, char** argv) {
       smart.slice_range = ipda.slice_range;
       smart.encrypt_slices = ipda.encrypt_slices;
       smart.cipher = ipda.cipher;
-      auto run = agg::RunSmart(run_config, *function, *field, smart);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = function->Finalize(run->true_acc);
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      stash_metrics(run->metrics);
+      IPDA_ASSIGN_OR_RETURN(
+          const auto run, agg::RunSmart(run_config, *function, *field, smart));
+      fill(run);
     } else if (protocol == "cpda") {
       agg::CpdaConfig cpda;
       cpda.encrypt_shares = ipda.encrypt_slices;
       cpda.cipher = ipda.cipher;
-      auto run = agg::RunCpda(run_config, *function, *field, cpda);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = function->Finalize(run->true_acc);
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      stash_metrics(run->metrics);
+      IPDA_ASSIGN_OR_RETURN(
+          const auto run, agg::RunCpda(run_config, *function, *field, cpda));
+      fill(run);
     } else if (protocol == "kipda") {
       agg::KipdaConfig kipda;
       kipda.maximize = flags.GetString("function") == "max";
       kipda.value_floor = flags.GetDouble("reading-lo") - 1.0;
       kipda.value_ceiling = flags.GetDouble("reading-hi") + 1.0;
-      auto run = agg::RunKipda(run_config, *field, kipda);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = run->true_acc[0];  // The true extreme.
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      stash_metrics(run->metrics);
+      IPDA_ASSIGN_OR_RETURN(const auto run,
+                            agg::RunKipda(run_config, *field, kipda));
+      fill(run);
     } else if (sinks > 1) {  // sharded ipda
       agg::ShardedConfig sharded;
       sharded.sinks = sinks;
-      auto run = agg::RunShardedIpda(run_config, *function, *field, ipda,
-                                     sharded);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = function->Finalize(run->true_acc);
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      out.accepted = run->decision.accepted;
-      out.degraded = run->degraded;
-      // No metrics side channel: each shard has its own registry, and a
-      // merged snapshot would double-count nothing meaningfully.
+      IPDA_ASSIGN_OR_RETURN(const auto run,
+                            agg::RunShardedIpda(run_config, *function,
+                                                *field, ipda, sharded));
+      fill(run);
+      out.accepted = run.decision.accepted;
+      out.degraded = run.degraded;
     } else {  // ipda
-      auto run = agg::RunIpda(run_config, *function, *field, ipda);
-      if (!run.ok()) return run.status();
-      out.result = run->result;
-      out.truth = function->Finalize(run->true_acc);
-      out.accuracy = run->accuracy;
-      out.bytes = run->traffic.bytes_sent;
-      out.accepted = run->stats.decision.accepted;
-      out.degraded = run->stats.degraded;
-      stash_metrics(run->metrics);
+      IPDA_ASSIGN_OR_RETURN(
+          const auto run, agg::RunIpda(run_config, *function, *field, ipda));
+      fill(run);
+      out.accepted = run.stats.decision.accepted;
+      out.degraded = run.stats.degraded;
     }
     // "%.17g" round-trips doubles exactly, so replayed runs print the
     // same bytes a live run would.
@@ -461,39 +447,32 @@ int Main(int argc, char** argv) {
     }
   }
 
+  const std::string dot_path = flags.GetString("dot-out");
+  const std::string roles_path = flags.GetString("roles-out");
   if (protocol == "ipda" && runs > 0 &&
-      (!flags.GetString("dot-out").empty() ||
-       !flags.GetString("roles-out").empty())) {
-    // Re-run the first deployment with direct protocol access for the
-    // exports.
+      (!dot_path.empty() || !roles_path.empty())) {
+    // Re-run run 0's round, faults and churn included, and export its
+    // trees and roles as they stood when it finished.
     agg::RunConfig run_config = config;
     run_config.seed = base_seed;
-    auto topology = agg::BuildRunTopology(run_config);
-    if (!topology.ok()) return 1;
-    sim::Simulator simulator(run_config.seed);
-    net::Network network(&simulator, std::move(*topology));
-    agg::IpdaProtocol live(&network, function.get(), ipda);
-    live.SetReadings(field->Sample(network.topology()));
-    live.Start();
-    simulator.RunUntil(live.Duration());
-    live.Finish();
-    if (const std::string path = flags.GetString("dot-out");
-        !path.empty()) {
-      auto status = agg::WriteTextFile(
-          path, agg::IpdaTreesToDot(live, network.topology()));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
+    std::string dot, roles;
+    agg::IpdaRunHooks hooks;
+    hooks.finished = [&](const agg::IpdaProtocol& live,
+                         const net::Topology& topology) {
+      dot = agg::IpdaTreesToDot(live, topology);
+      roles = agg::IpdaRolesToCsv(live, topology);
+    };
+    util::Status status =
+        agg::RunIpda(run_config, *function, *field, ipda, hooks).status();
+    if (status.ok() && !dot_path.empty()) {
+      status = agg::WriteTextFile(dot_path, dot);
     }
-    if (const std::string path = flags.GetString("roles-out");
-        !path.empty()) {
-      auto status = agg::WriteTextFile(
-          path, agg::IpdaRolesToCsv(live, network.topology()));
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
+    if (status.ok() && !roles_path.empty()) {
+      status = agg::WriteTextFile(roles_path, roles);
+    }
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
     }
   }
   if (!csv) {

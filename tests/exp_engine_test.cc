@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,30 +58,87 @@ TEST(ResolveJobs, ZeroMeansAllHardwareThreads) {
   EXPECT_GE(ResolveJobs(-3), 1u);  // Nonsense clamps, never zero.
 }
 
+// The map pattern every sweep uses: each index writes its result to slot
+// i of a preallocated vector, and the slots come out in index order.
 TEST(Engine, MapPreservesIndexOrder) {
-  Engine engine(8);
+  const Engine engine(8);
   for (size_t count : {0u, 1u, 7u, 64u, 1000u}) {
-    const auto out = engine.Map<size_t>(
-        count, [](size_t i) { return i * i + 1; });
-    ASSERT_EQ(out.size(), count);
+    std::vector<size_t> out(count);
+    engine.ParallelFor(count, [&](size_t i) { out[i] = i * i + 1; });
     for (size_t i = 0; i < count; ++i) EXPECT_EQ(out[i], i * i + 1);
   }
 }
 
 TEST(Engine, EveryIndexRunsExactlyOnce) {
-  Engine engine(8);
-  std::atomic<uint64_t> calls{0};
-  const size_t count = 10000;
-  const auto out = engine.Map<size_t>(count, [&](size_t i) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    return i;
+  const Engine engine(8);
+  constexpr size_t kCount = 10000;
+  std::vector<std::atomic<int>> hits(kCount);
+  engine.ParallelFor(kCount, [&](size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
   });
-  EXPECT_EQ(calls.load(), count);
-  for (size_t i = 0; i < count; ++i) EXPECT_EQ(out[i], i);
+  for (size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-// CPU-bound mixing loop with per-index result; uneven per-item cost
-// provokes stealing so collection order is genuinely exercised.
+// Exactly once also for counts below, at and above the thread count.
+TEST(Engine, ParallelForCoversSparseAndDenseCounts) {
+  constexpr size_t kJobs = 4;
+  const Engine engine(kJobs);
+  for (size_t count : {size_t{0}, size_t{1}, kJobs - 1, kJobs, kJobs + 1,
+                       size_t{1023}}) {
+    std::vector<std::atomic<int>> hits(count);
+    engine.ParallelFor(count, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "count=" << count << " i=" << i;
+    }
+  }
+}
+
+TEST(Engine, ParallelForReusableAcrossManyCalls) {
+  // Back-to-back calls on one engine: each sees every index of its own
+  // count and nothing of the call before it.
+  const Engine engine(8);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<uint64_t> sum{0};
+    engine.ParallelFor(64, [&](size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 64u * 63u / 2u) << "round=" << round;
+  }
+}
+
+// jobs == 1 starts no thread: timed serial batches rely on every run
+// sharing the caller's thread.
+TEST(Engine, SingleJobRunsOnCallingThread) {
+  const Engine engine(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  engine.ParallelFor(ran_on.size(), [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+// An exception thrown on a helper thread must not end the program. The
+// calling thread holds its first index until a helper has thrown.
+TEST(Engine, ParallelForRethrowsOnCallingThread) {
+  const Engine engine(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  const auto fn = [&](size_t) {
+    if (std::this_thread::get_id() != caller) {
+      thrown = true;
+      throw std::runtime_error("helper");
+    }
+    while (!thrown) std::this_thread::yield();
+  };
+  EXPECT_THROW(engine.ParallelFor(1000, fn), std::runtime_error);
+}
+
+// CPU-bound mixing loop with per-index result; uneven per-item cost makes
+// threads finish out of index order, so slot collection is genuinely
+// exercised.
 uint64_t MixWork(size_t i) {
   uint64_t h = 0x9E3779B97F4A7C15ull ^ i;
   const size_t iters = 100 + (i % 17) * 300;
@@ -87,13 +146,17 @@ uint64_t MixWork(size_t i) {
   return h;
 }
 
+std::vector<uint64_t> MixAll(size_t jobs) {
+  std::vector<uint64_t> out(512);
+  Engine(jobs).ParallelFor(out.size(),
+                           [&](size_t i) { out[i] = MixWork(i); });
+  return out;
+}
+
 TEST(Engine, JobsCountNeverChangesResults) {
-  Engine serial(1);
-  const auto expected = serial.Map<uint64_t>(512, MixWork);
+  const std::vector<uint64_t> expected = MixAll(1);
   for (size_t jobs : {2u, 3u, 8u}) {
-    Engine parallel(jobs);
-    EXPECT_EQ(parallel.Map<uint64_t>(512, MixWork), expected)
-        << "jobs=" << jobs;
+    EXPECT_EQ(MixAll(jobs), expected) << "jobs=" << jobs;
   }
 }
 
@@ -204,7 +267,7 @@ TEST(Engine, ResilientSweepSetsDerivedSeeds) {
 }
 
 // The report is point-major (index = point * runs + run) whatever order
-// the pool finished the runs in.
+// the threads finished the runs in.
 TEST(Engine, ResilientSweepReportFollowsPointOrder) {
   Engine engine(4);
   ResilientOptions options;
@@ -219,29 +282,6 @@ TEST(Engine, ResilientSweepReportFollowsPointOrder) {
   for (size_t i = 0; i < 15; ++i) {
     EXPECT_EQ(report->runs[i].payload,
               std::to_string(i / 5) + ":" + std::to_string(i % 5));
-  }
-}
-
-TEST(ThreadPool, ParallelForCoversSparseAndDenseCounts) {
-  ThreadPool pool(4);
-  for (size_t count : {1u, 3u, 4u, 5u, 1023u}) {
-    std::vector<std::atomic<int>> hits(count);
-    pool.ParallelFor(count,
-                     [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1);
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  // Back-to-back jobs on one pool: stale workers from job k must never
-  // touch job k+1 (the generation fence).
-  ThreadPool pool(8);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<uint64_t> sum{0};
-    pool.ParallelFor(64, [&](size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 64u * 63u / 2u);
   }
 }
 

@@ -1,7 +1,7 @@
 // City-scale golden fixtures (DESIGN.md §13): N=2000 rounds at the
 // paper's deployment density, single-sink and 4-sink sharded, must
 // reproduce tests/golden/ipda_n2000*.csv byte for byte — and produce the
-// SAME bytes whether the runs execute on 1 engine worker or 8. This pins
+// SAME bytes whether the runs execute on 1 engine thread or 8. This pins
 // the spatial-hash build, the SoA node state, and the shard merge to the
 // engine's jobs-independence contract at a size where the old O(N²)
 // paths would actually matter.
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,46 +49,49 @@ agg::RunConfig ScaleConfig(uint64_t seed) {
   return config;
 }
 
-// One run → one CSV row; engine-mapped over the seeds so the jobs 1 vs 8
-// comparison exercises real work stealing.
+// One run → one CSV row.
+std::string TraceRow(uint64_t seed, size_t sinks,
+                     const agg::AggregateFunction& function,
+                     const agg::SensorField& field) {
+  agg::RunConfig config = ScaleConfig(seed);
+  char buf[256];
+  if (sinks <= 1) {
+    auto run = agg::RunIpda(config, function, field);
+    if (!run.ok()) return "run failed: " + run.status().ToString();
+    std::snprintf(buf, sizeof(buf), "%llu,%.6f,%.6f,%.6f,%d,%d,%zu,%llu\n",
+                  static_cast<unsigned long long>(seed), run->result,
+                  function.Finalize(run->true_acc), run->accuracy,
+                  run->stats.decision.accepted ? 1 : 0,
+                  run->stats.degraded ? 1 : 0, run->stats.participants,
+                  static_cast<unsigned long long>(run->traffic.bytes_sent));
+  } else {
+    agg::ShardedConfig sharded;
+    sharded.sinks = sinks;
+    auto run = agg::RunShardedIpda(config, function, field, {}, sharded);
+    if (!run.ok()) return "run failed: " + run.status().ToString();
+    size_t participants = 0;
+    for (const agg::ShardOutcome& s : run->shards) {
+      participants += s.stats.participants;
+    }
+    std::snprintf(buf, sizeof(buf), "%llu,%.6f,%.6f,%.6f,%d,%d,%zu,%llu\n",
+                  static_cast<unsigned long long>(seed), run->result,
+                  function.Finalize(run->true_acc), run->accuracy,
+                  run->decision.accepted ? 1 : 0, run->degraded ? 1 : 0,
+                  participants,
+                  static_cast<unsigned long long>(run->traffic.bytes_sent));
+  }
+  return std::string(buf);
+}
+
+// Each seed's row lands in its own slot, so the jobs 1 vs 8 comparison
+// runs the seeds on concurrent threads.
 std::string TraceRows(exp::Engine& engine, size_t sinks) {
   auto function = agg::MakeSum();
   auto field = agg::MakeUniformField(15.0, 30.0, 42);
-  const size_t runs = std::size(kSeeds);
-  const std::vector<std::string> rows = engine.Map<std::string>(
-      runs, [&](size_t i) -> std::string {
-        agg::RunConfig config = ScaleConfig(kSeeds[i]);
-        char buf[256];
-        if (sinks <= 1) {
-          auto run = agg::RunIpda(config, *function, *field);
-          if (!run.ok()) return "run failed: " + run.status().ToString();
-          std::snprintf(
-              buf, sizeof(buf), "%llu,%.6f,%.6f,%.6f,%d,%d,%zu,%llu\n",
-              static_cast<unsigned long long>(kSeeds[i]), run->result,
-              function->Finalize(run->true_acc), run->accuracy,
-              run->stats.decision.accepted ? 1 : 0,
-              run->stats.degraded ? 1 : 0, run->stats.participants,
-              static_cast<unsigned long long>(run->traffic.bytes_sent));
-        } else {
-          agg::ShardedConfig sharded;
-          sharded.sinks = sinks;
-          auto run =
-              agg::RunShardedIpda(config, *function, *field, {}, sharded);
-          if (!run.ok()) return "run failed: " + run.status().ToString();
-          size_t participants = 0;
-          for (const agg::ShardOutcome& s : run->shards) {
-            participants += s.stats.participants;
-          }
-          std::snprintf(
-              buf, sizeof(buf), "%llu,%.6f,%.6f,%.6f,%d,%d,%zu,%llu\n",
-              static_cast<unsigned long long>(kSeeds[i]), run->result,
-              function->Finalize(run->true_acc), run->accuracy,
-              run->decision.accepted ? 1 : 0, run->degraded ? 1 : 0,
-              participants,
-              static_cast<unsigned long long>(run->traffic.bytes_sent));
-        }
-        return std::string(buf);
-      });
+  std::vector<std::string> rows(std::size(kSeeds));
+  engine.ParallelFor(rows.size(), [&](size_t i) {
+    rows[i] = TraceRow(kSeeds[i], sinks, *function, *field);
+  });
   std::string csv =
       "seed,result,truth,accuracy,accepted,degraded,participants,"
       "bytes_sent\n";

@@ -170,6 +170,10 @@ TEST(Snapshot, ParserRejectsMalformedLines) {
   EXPECT_FALSE(ParseMetricsLine("{\"kind\":\"bogus\"}", parsed, &error));
   EXPECT_FALSE(
       ParseMetricsLine("{\"kind\":\"run_metrics\",\"run\":", parsed, &error));
+  // A well-formed header but for a \u escape with non-hex digits.
+  std::string bad_escape = MetricsHeaderLine("a_b", 1, 1);
+  bad_escape.replace(bad_escape.find("a_b"), 3, "a\\u00zzb");
+  EXPECT_FALSE(ParseMetricsLine(bad_escape, parsed, &error)) << bad_escape;
   EXPECT_FALSE(error.empty());
 }
 
