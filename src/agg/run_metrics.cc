@@ -34,6 +34,7 @@ void CollectRunMetrics(sim::Simulator& simulator,
                        crypto::CipherKind cipher) {
   simulator.CollectKernelMetrics();
   obs::Registry& reg = simulator.metrics();
+  network.channel().CollectMetrics(reg);
   SetGauge(reg, "sim.duration_s",
            sim::ToSeconds(simulator.now()));
 

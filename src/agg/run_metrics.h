@@ -23,7 +23,8 @@
 namespace ipda::agg {
 
 // Pulls every layer's tallies into the run simulator's registry:
-//   sim.* / pool.*  — kernel health (Simulator::CollectKernelMetrics)
+//   sim.*           — kernel health (Simulator::CollectKernelMetrics)
+//   pool.*          — the channel's frame table (Channel::CollectMetrics)
 //   net.*           — CounterBoard totals, derived protocol-only traffic
 //                     (frames/bytes minus the MAC-ACK subset), per-node
 //                     bytes histogram, energy gauges

@@ -172,6 +172,7 @@ util::Result<ShardedRunResult> RunShardedIpda(
     outcome.stats = std::move(run->stats);
     outcome.traffic = run->traffic;
     outcome.average_degree = run->average_degree;
+    outcome.metrics = std::move(run->metrics);
     merge.Add(TreeColor::kRed, outcome.stats.decision.acc_red);
     merge.Add(TreeColor::kBlue, outcome.stats.decision.acc_blue);
     any_rejected |= !outcome.stats.decision.accepted;

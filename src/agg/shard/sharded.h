@@ -46,6 +46,7 @@ struct ShardOutcome {
   IpdaStats stats;
   net::NodeCounters traffic;
   double average_degree = 0.0;
+  obs::Snapshot metrics;  // The shard round's own registry snapshot.
 };
 
 struct ShardedRunResult {

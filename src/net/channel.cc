@@ -1,11 +1,11 @@
 #include "net/channel.h"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
+#include <iterator>
 #include <utility>
 
 #include "util/check.h"
-#include "util/pool.h"
 
 namespace ipda::net {
 
@@ -20,17 +20,31 @@ Channel::Channel(sim::Simulator* sim, const Topology* topology,
   IPDA_CHECK(topology != nullptr);
   IPDA_CHECK(counters != nullptr);
   IPDA_CHECK_GT(config_.data_rate_bps, 0.0);
+  // A zero speed would make every delay infinite (and its integer
+  // conversion undefined).
+  IPDA_CHECK_GT(config_.propagation_speed, 0.0);
   const size_t n = topology_->node_count();
   delivery_.resize(n);
-  active_rx_.resize(n);
+  receptions_.resize(n);
+  sim_->scheduler().SetUnqueuedEvents(this);
 }
+
+Channel::~Channel() { sim_->scheduler().SetUnqueuedEvents(nullptr); }
 
 void Channel::FailNode(NodeId id) {
   IPDA_CHECK_LT(id, radio_.node_count());
   radio_.failed[id] = 1;
-  // Anything the radio was mid-receiving dies with it; marking here keeps
-  // the frame lost even if the node recovers before the frame ends.
-  for (auto& rx : active_rx_[id]) rx.dead_rx = true;
+  // Anything the radio is mid-receiving dies with it, even if the node
+  // recovers before the frame ends; what has yet to arrive begins on a
+  // dead radio unless the node recovers first.
+  const sim::EventKey now = position();
+  for (Reception& rx : receptions_[id]) {
+    if (rx.begin < now) {
+      rx.dead_rx = true;
+    } else {
+      rx.failed_at_begin = true;
+    }
+  }
 }
 
 void Channel::RecoverNode(NodeId id) {
@@ -38,6 +52,10 @@ void Channel::RecoverNode(NodeId id) {
   if (radio_.failed[id] == 0) return;
   radio_.failed[id] = 0;
   counters_->at(id).recoveries += 1;
+  const sim::EventKey now = position();
+  for (Reception& rx : receptions_[id]) {
+    if (now < rx.begin) rx.failed_at_begin = false;
+  }
 }
 
 void Channel::SetLinkFaultHook(LinkFaultHook hook) {
@@ -68,113 +86,208 @@ sim::SimTime Channel::PropagationDelay(NodeId a, NodeId b) const {
   return delay > 0 ? delay : sim::Nanoseconds(1);
 }
 
-void Channel::StartTransmission(NodeId sender, Packet packet) {
+void Channel::StartTransmission(NodeId sender, const Packet& packet) {
   IPDA_CHECK_LT(sender, topology_->node_count());
   if (radio_.failed[sender] != 0) return;  // Dead radio: nothing leaves the node.
-  packet.uid = next_uid_++;
   const sim::SimTime now = sim_->now();
-  const sim::SimTime airtime = AirTime(packet.size_bytes());
+  const size_t bytes = packet.size_bytes();
+  const sim::SimTime airtime = AirTime(bytes);
 
   auto sender_counters = counters_->at(sender);
   sender_counters.frames_sent += 1;
-  sender_counters.bytes_sent += packet.size_bytes();
+  sender_counters.bytes_sent += bytes;
   sender_counters.energy_tx_j +=
-      config_.energy.TxCost(packet.size_bytes(), topology_->range());
+      config_.energy.TxCost(bytes, topology_->range());
   if (packet.type == PacketType::kAck) {
     sender_counters.ack_frames_sent += 1;
-    sender_counters.ack_bytes_sent += packet.size_bytes();
+    sender_counters.ack_bytes_sent += bytes;
   }
 
-  // Half duplex: anything this node was receiving is now lost.
-  for (auto& rx : active_rx_[sender]) rx.lost_to_tx = true;
+  // Half duplex: anything this node is receiving is now lost, and so is
+  // anything that begins before its transmission ends.
   radio_.tx_until[sender] = std::max(radio_.tx_until[sender], now + airtime);
+  const sim::EventKey here = position();
+  Settle(sender, here);
+  for (Reception& rx : receptions_[sender]) {
+    if (rx.begin < here || rx.begin.at < radio_.tx_until[sender]) {
+      rx.lost_to_tx = true;
+    }
+  }
 
-  // Pool-backed allocate_shared: Packet and control block recycle through
-  // the run's arena. The arena lives on the Simulator (not here) because
-  // queued delivery events copy `shared` and the scheduler outlives the
-  // Channel at teardown.
-  std::shared_ptr<const Packet> shared = std::allocate_shared<Packet>(
-      util::PoolAllocator<Packet>(&sim_->arena()), std::move(packet));
+  // The stored copy is what receivers read; StartTransmission holds one
+  // reference to it until the fan-out is done.
+  const uint32_t frame = StoreFrame(packet);
+  Packet& sent = frames_[frame].packet;
+  sent.uid = next_uid_++;
+  IPDA_CHECK_LE(bytes, static_cast<size_t>(UINT32_MAX));
+  const uint32_t length = static_cast<uint32_t>(bytes);
   for (NodeId receiver : topology_->neighbors(sender)) {
     LinkFault fault;
-    if (link_fault_) fault = link_fault_(sender, receiver, *shared);
+    if (link_fault_) fault = link_fault_(sender, receiver, sent);
     if (fault.drop) {
       counters_->at(receiver).injected_drops += 1;
       continue;
     }
     IPDA_CHECK_GE(fault.extra_delay, 0);
-    const sim::SimTime prop =
-        PropagationDelay(sender, receiver) + fault.extra_delay;
-    const uint64_t uid = shared->uid;
-    sim_->At(now + prop, [this, receiver, uid, shared] {
-      BeginReception(receiver, uid, shared);
-    });
-    sim_->At(now + prop + airtime, [this, receiver, uid] {
-      EndReception(receiver, uid);
-    });
+    const sim::SimTime begin =
+        now + PropagationDelay(sender, receiver) + fault.extra_delay;
+    // Code runs at the end only where the frame can be delivered or
+    // overheard.
+    const bool end_event =
+        overhear_ || sent.dst == receiver || sent.IsBroadcast();
+    const uint32_t handle = end_event ? frame : kNoFrame;
+    AddReception(receiver, begin, airtime, handle, length);
     if (fault.duplicate) {
       // A stale second copy abuts the first (end == start, so the copies
       // do not collide with each other). MAC-level dedup decides its fate.
       counters_->at(receiver).injected_dup += 1;
-      sim_->At(now + prop + airtime, [this, receiver, uid, shared] {
-        BeginReception(receiver, uid, shared);
-      });
-      sim_->At(now + prop + 2 * airtime, [this, receiver, uid] {
-        EndReception(receiver, uid);
-      });
+      AddReception(receiver, begin + airtime, airtime, handle, length);
     }
   }
+  ReleaseFrame(frame);
+}
+
+void Channel::AddReception(NodeId receiver, sim::SimTime begin_at,
+                           sim::SimTime airtime, uint32_t frame,
+                           uint32_t bytes) {
+  sim::Scheduler& scheduler = sim_->scheduler();
+  Reception rx;
+  rx.begin = {begin_at, scheduler.ReserveSeq()};
+  rx.end = {begin_at + airtime, scheduler.next_seq()};
+  if (frame != kNoFrame) {
+    sim_->At(rx.end.at, [this, receiver] { EndReception(receiver); });
+    frames_[frame].refs += 1;
+  } else {
+    scheduler.ReserveSeq();
+  }
+  rx.frame = frame;
+  rx.bytes = bytes;
+  rx.lost_to_tx = radio_.tx_until[receiver] > begin_at;
+  rx.failed_at_begin = radio_.failed[receiver] != 0;
+
+  Settle(receiver, position());
+  std::vector<Reception>& list = receptions_[receiver];
+  for (Reception& other : list) {
+    if (other.begin < rx.end && rx.begin < other.end) {
+      other.collided = true;
+      rx.collided = true;
+    }
+  }
+  auto at = list.end();
+  while (at != list.begin() && rx.end < std::prev(at)->end) --at;
+  list.insert(at, rx);
+}
+
+void Channel::Settle(NodeId receiver, sim::EventKey before) {
+  std::vector<Reception>& list = receptions_[receiver];
+  size_t done = 0;
+  while (done < list.size() && list[done].end < before) {
+    // A reception with an end event is settled by that event, which runs
+    // before anything that could settle it here.
+    IPDA_DCHECK(list[done].frame == kNoFrame);
+    Bill(receiver, list[done]);
+    ++done;
+  }
+  if (done > 0) list.erase(list.begin(), list.begin() + done);
+}
+
+bool Channel::Bill(NodeId receiver, const Reception& rx) {
+  auto rc = counters_->at(receiver);
+  // The radio listens for the whole frame whatever its fate.
+  rc.energy_rx_j += config_.energy.RxCost(rx.bytes);
+  if (rx.lost_to_tx) {
+    rc.frames_missed_tx += 1;
+    return false;
+  }
+  if (rx.collided) {
+    rc.frames_collided += 1;
+    return false;
+  }
+  return true;
+}
+
+void Channel::EndReception(NodeId receiver) {
+  const sim::EventKey now = position();
+  Settle(receiver, now);
+  std::vector<Reception>& list = receptions_[receiver];
+  IPDA_CHECK(!list.empty() && list.front().end == now);
+  const Reception rx = list.front();
+  list.erase(list.begin());
+  // Crashed now, or at any point while the frame was arriving (dead_rx
+  // survives a mid-frame recovery): the frame vanishes.
+  const bool alive =
+      !rx.dead_rx && !rx.failed_at_begin && radio_.failed[receiver] == 0;
+  if (Bill(receiver, rx) && alive) {
+    // The handlers may store frames; the deque keeps this one in place.
+    const Packet& packet = frames_[rx.frame].packet;
+    if (overhear_) overhear_(OverhearEvent{receiver, packet});
+    if (packet.dst == receiver || packet.IsBroadcast()) {
+      auto rc = counters_->at(receiver);
+      rc.frames_delivered += 1;
+      rc.bytes_delivered += packet.size_bytes();
+      if (delivery_[receiver]) delivery_[receiver](packet);
+    }
+  }
+  ReleaseFrame(rx.frame);
+}
+
+uint32_t Channel::StoreFrame(const Packet& packet) {
+  uint32_t index;
+  if (free_frame_ != kNoFrame) {
+    index = free_frame_;
+    free_frame_ = frames_[index].next_free;
+  } else {
+    IPDA_CHECK_LT(frames_.size(), static_cast<size_t>(kNoFrame));
+    frames_.emplace_back();
+    index = static_cast<uint32_t>(frames_.size() - 1);
+  }
+  Frame& frame = frames_[index];
+  frame.packet = packet;  // Copy-assignment reuses the payload's buffer.
+  frame.refs = 1;
+  ++frames_stored_;
+  ++frames_live_;
+  frames_high_water_ = std::max(frames_high_water_, frames_live_);
+  return index;
+}
+
+void Channel::ReleaseFrame(uint32_t index) {
+  Frame& frame = frames_[index];
+  IPDA_CHECK_GT(frame.refs, 0u);
+  if (--frame.refs > 0) return;
+  frame.next_free = free_frame_;
+  free_frame_ = index;
+  --frames_live_;
 }
 
 bool Channel::IsBusy(NodeId id) const {
-  IPDA_CHECK_LT(id, active_rx_.size());
+  IPDA_CHECK_LT(id, receptions_.size());
   if (radio_.tx_until[id] > sim_->now()) return true;
-  return !active_rx_[id].empty();
+  const sim::EventKey now = position();
+  for (const Reception& rx : receptions_[id]) {
+    if (rx.begin < now && now < rx.end) return true;
+  }
+  return false;
 }
 
-void Channel::BeginReception(NodeId receiver, uint64_t uid,
-                             std::shared_ptr<const Packet> packet) {
-  auto& actives = active_rx_[receiver];
-  ActiveReception rx{uid, std::move(packet)};
-  if (radio_.tx_until[receiver] > sim_->now()) rx.lost_to_tx = true;
-  if (radio_.failed[receiver] != 0) rx.dead_rx = true;
-  if (!actives.empty()) {
-    rx.collided = true;
-    for (auto& other : actives) other.collided = true;
+sim::EventKey Channel::ApplyUntil(sim::SimTime deadline) {
+  // Every queued end event due by `deadline` has run, so what ends by then
+  // is unqueued. Runs once per RunUntil: a pass over all receivers is cheap.
+  const sim::EventKey horizon{deadline, UINT64_MAX};
+  sim::EventKey last;
+  for (NodeId receiver = 0; receiver < receptions_.size(); ++receiver) {
+    for (const Reception& rx : receptions_[receiver]) {
+      const sim::EventKey& edge = rx.end < horizon ? rx.end : rx.begin;
+      if (edge < horizon) last = std::max(last, edge);
+    }
+    Settle(receiver, horizon);
   }
-  actives.push_back(std::move(rx));
+  return last;
 }
 
-void Channel::EndReception(NodeId receiver, uint64_t uid) {
-  auto& actives = active_rx_[receiver];
-  for (size_t i = 0; i < actives.size(); ++i) {
-    if (actives[i].uid != uid) continue;
-    ActiveReception rx = std::move(actives[i]);
-    actives.erase(actives.begin() + static_cast<long>(i));
-    auto rc = counters_->at(receiver);
-    // The radio listens for the whole frame whatever its fate.
-    rc.energy_rx_j += config_.energy.RxCost(rx.packet->size_bytes());
-    if (rx.lost_to_tx) {
-      rc.frames_missed_tx += 1;
-      return;
-    }
-    if (rx.collided) {
-      rc.frames_collided += 1;
-      return;
-    }
-    // Crashed now, or crashed at any point while the frame was arriving
-    // (dead_rx survives a mid-frame recovery): the frame vanishes.
-    if (rx.dead_rx || radio_.failed[receiver] != 0) return;
-    if (overhear_) overhear_(OverhearEvent{receiver, *rx.packet});
-    if (rx.packet->dst == receiver || rx.packet->IsBroadcast()) {
-      rc.frames_delivered += 1;
-      rc.bytes_delivered += rx.packet->size_bytes();
-      if (delivery_[receiver]) delivery_[receiver](*rx.packet);
-    }
-    return;
-  }
-  // Reception record must exist; EndReception fires exactly once per Begin.
-  IPDA_CHECK(false);
+void Channel::CollectMetrics(obs::Registry& registry) const {
+  registry.GetCounter("pool.arena_allocs")->Set(frames_stored_);
+  registry.GetGauge("pool.arena_high_water")
+      ->Set(static_cast<double>(frames_high_water_));
 }
 
 }  // namespace ipda::net

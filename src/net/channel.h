@@ -5,12 +5,25 @@
 // (no capture effect), and a half-duplex radio loses frames that arrive
 // while it is itself transmitting. Frames that abut exactly (end == start)
 // do not collide. This is the loss source the paper calls "factor (c)".
+//
+// Reception records (DESIGN.md §9). Each receiver keeps a short list of
+// the receptions it has not yet settled: begin and end keys in dispatch
+// order, the frame's length, and the collided / lost-to-transmit / dead
+// marks. The keys take their sequence numbers from the scheduler exactly
+// when the frame is sent, so a reception's edges sit among the queued
+// events where a begin event and an end event would. Only a reception
+// that runs code at its end — the unicast destination, every neighbor of
+// a broadcast, every neighbor while an overhear tap is installed — gets a
+// queued event. The others are settled (energy, collision and
+// missed-while-transmitting counts) the next time the receiver's list is
+// touched, in end order, or when RunUntil applies them at its deadline.
 
 #ifndef IPDA_NET_CHANNEL_H_
 #define IPDA_NET_CHANNEL_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/counters.h"
@@ -18,14 +31,16 @@
 #include "net/packet.h"
 #include "net/radio_state.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
+#include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace ipda::net {
 
 struct PhyConfig {
-  double data_rate_bps = 1e6;        // Paper: 1 Mbps.
-  double propagation_speed = 3e8;    // m/s.
+  double data_rate_bps = 1e6;        // Paper: 1 Mbps. Must be > 0.
+  double propagation_speed = 3e8;    // m/s. Must be > 0.
   EnergyModel energy;                // Per-frame radio energy accounting.
 };
 
@@ -46,7 +61,7 @@ struct LinkFault {
   sim::SimTime extra_delay = 0;  // Added one-way latency on this link.
 };
 
-class Channel {
+class Channel final : private sim::UnqueuedEvents {
  public:
   using DeliveryHandler = std::function<void(const Packet&)>;
   using OverhearHandler = std::function<void(const OverhearEvent&)>;
@@ -57,19 +72,22 @@ class Channel {
   Channel(sim::Simulator* sim, const Topology* topology, PhyConfig config,
           CounterBoard* counters);
 
+  ~Channel();
+
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
   // MAC layers register here to receive intact, addressed frames.
   void SetDeliveryHandler(NodeId id, DeliveryHandler handler);
 
-  // Optional promiscuous tap (attack models, tracing).
+  // Optional promiscuous tap (attack models, tracing). It hears the
+  // frames that both start and end while it is installed.
   void SetOverhearHandler(OverhearHandler handler);
 
-  // Begins transmitting `packet` from `sender` now. The caller (MAC) is
-  // responsible for carrier-sensing first; the channel faithfully models
-  // whatever overlap results.
-  void StartTransmission(NodeId sender, Packet packet);
+  // Begins transmitting a copy of `packet` from `sender` now. The caller
+  // (MAC) is responsible for carrier-sensing first; the channel faithfully
+  // models whatever overlap results.
+  void StartTransmission(NodeId sender, const Packet& packet);
 
   // Carrier sense at `id`: any reception in progress, or own transmission.
   bool IsBusy(NodeId id) const;
@@ -98,18 +116,50 @@ class Channel {
 
   const PhyConfig& config() const { return config_; }
 
+  // Publishes the frame table's use as pool.arena_allocs (frames stored)
+  // and pool.arena_high_water (most frames held at once).
+  void CollectMetrics(obs::Registry& registry) const;
+
  private:
-  struct ActiveReception {
-    uint64_t uid;
-    std::shared_ptr<const Packet> packet;
-    bool collided = false;      // Overlapped another reception.
-    bool lost_to_tx = false;    // Receiver was transmitting.
-    bool dead_rx = false;       // Receiver was crashed when it started.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  // One frame as one receiver hears it. Keys order its edges among the
+  // scheduler's events; begin < position() < end means "arriving now".
+  struct Reception {
+    sim::EventKey begin;
+    sim::EventKey end;
+    uint32_t frame = kNoFrame;  // Frame-table index; kNoFrame: no end event.
+    uint32_t bytes = 0;         // Frame length, for the energy bill.
+    bool collided = false;         // Overlapped another reception.
+    bool lost_to_tx = false;       // Receiver was transmitting.
+    bool dead_rx = false;          // Receiver crashed while it arrived.
+    bool failed_at_begin = false;  // Crash state at begin, as known so far.
   };
 
-  void BeginReception(NodeId receiver, uint64_t uid,
-                      std::shared_ptr<const Packet> packet);
-  void EndReception(NodeId receiver, uint64_t uid);
+  // A frame that receptions with end events still read. `refs` counts
+  // them; runs are single-threaded, so a plain count does.
+  struct Frame {
+    Packet packet;
+    uint32_t refs = 0;
+    uint32_t next_free = kNoFrame;
+  };
+
+  sim::EventKey position() const { return sim_->scheduler().position(); }
+  // Adds a reception at `receiver` beginning at `begin_at` and reserves
+  // its keys; when `frame` names a stored frame, also queues its end.
+  void AddReception(NodeId receiver, sim::SimTime begin_at,
+                    sim::SimTime airtime, uint32_t frame, uint32_t bytes);
+  // Settles the receptions at `receiver` that ended before `before`.
+  void Settle(NodeId receiver, sim::EventKey before);
+  // Bills a finished reception's energy and, if it was lost to the
+  // receiver's own transmission or collided, that count; returns whether
+  // the frame arrived clean.
+  bool Bill(NodeId receiver, const Reception& rx);
+  // The end event of the reception at the head of `receiver`'s list.
+  void EndReception(NodeId receiver);
+  uint32_t StoreFrame(const Packet& packet);
+  void ReleaseFrame(uint32_t frame);
+  sim::EventKey ApplyUntil(sim::SimTime deadline) override;
 
   sim::Simulator* sim_;
   const Topology* topology_;
@@ -119,7 +169,14 @@ class Channel {
   std::vector<DeliveryHandler> delivery_;
   OverhearHandler overhear_;
   LinkFaultHook link_fault_;
-  std::vector<std::vector<ActiveReception>> active_rx_;  // Per receiver.
+  // Per receiver, unsettled receptions in end-key order.
+  std::vector<std::vector<Reception>> receptions_;
+  // Frame table: a deque, so a handler reading one frame may store more.
+  std::deque<Frame> frames_;
+  uint32_t free_frame_ = kNoFrame;
+  uint64_t frames_stored_ = 0;
+  size_t frames_live_ = 0;
+  size_t frames_high_water_ = 0;
   RadioBoard radio_;  // SoA per-node tx-busy / crash-failed columns.
 };
 

@@ -33,6 +33,7 @@ class Network {
   // reads the same object, so mutations affect reachability immediately.
   Topology* mutable_topology() { return &topology_; }
   Channel& channel() { return channel_; }
+  const Channel& channel() const { return channel_; }
   CounterBoard& counters() { return counters_; }
   const CounterBoard& counters() const { return counters_; }
   sim::Simulator& sim() { return *sim_; }

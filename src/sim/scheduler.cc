@@ -118,6 +118,7 @@ void Scheduler::DispatchTop() {
   PopTop();
   IPDA_CHECK_GE(top.at, now_);
   now_ = top.at;
+  position_seq_ = top.seq;
   ++events_run_;
   Slot& s = slots_[top.slot];
   // Recycle the slot before running: the handler may schedule new events
@@ -155,11 +156,23 @@ size_t Scheduler::RunUntil(SimTime deadline) {
   for (;;) {
     DropStaleHead();
     if (heap_.empty() || heap_.front().at > deadline) break;
-    if (CheckInterrupt()) break;
+    if (CheckInterrupt()) return n;
     DispatchTop();
     ++n;
   }
+  if (unqueued_ != nullptr) {
+    const EventKey last = unqueued_->ApplyUntil(deadline);
+    if (position() < last) {
+      now_ = last.at;
+      position_seq_ = last.seq;
+    }
+  }
   return n;
+}
+
+void Scheduler::SetUnqueuedEvents(UnqueuedEvents* source) {
+  IPDA_CHECK(source == nullptr || unqueued_ == nullptr);
+  unqueued_ = source;
 }
 
 size_t Scheduler::RunAll() { return RunUntil(kSimTimeNever); }

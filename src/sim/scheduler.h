@@ -4,6 +4,14 @@
 // same timestamp run in scheduling order, which makes simulations
 // deterministic. Scheduled events can be cancelled through their EventId.
 //
+// Unqueued events: a component may take sequence numbers from the same
+// counter (ReserveSeq) for events it never queues, and apply them itself
+// when it next looks at its own state, comparing their keys with
+// position(). net::Channel keeps reception records this way. Such a
+// component registers as the UnqueuedEvents source, so that RunUntil
+// applies everything due by its deadline and leaves the clock where a
+// queue holding those events would have left it.
+//
 // Hot-path layout: a flat 4-ary min-heap of 24-byte POD entries (no
 // pointer chasing, sift moves touch one cache line per level) over a slot
 // array holding the closures. EventIds are generation-tagged handles
@@ -16,6 +24,7 @@
 #ifndef IPDA_SIM_SCHEDULER_H_
 #define IPDA_SIM_SCHEDULER_H_
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +39,24 @@ namespace ipda::sim {
 // (generation << 32) | (slot + 1); 0 never names a live event.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
+
+// An event's place in dispatch order: time, then scheduling sequence.
+struct EventKey {
+  SimTime at = kSimTimeZero;
+  uint64_t seq = 0;
+  friend auto operator<=>(const EventKey&, const EventKey&) = default;
+};
+
+// See "Unqueued events" above.
+class UnqueuedEvents {
+ public:
+  // Applies every event of this source at or before `deadline` and
+  // returns the greatest key among them (EventKey{} when there is none).
+  virtual EventKey ApplyUntil(SimTime deadline) = 0;
+
+ protected:
+  ~UnqueuedEvents() = default;
+};
 
 class Scheduler {
  public:
@@ -67,9 +94,11 @@ class Scheduler {
   bool RunOne();
 
   // Runs events until the queue is empty or the clock would pass `deadline`
-  // (events at exactly `deadline` run). Returns the number of events run.
-  // The deadline check and the stale-entry skip share one peek of the heap
-  // top — there is no separate skip pass.
+  // (events at exactly `deadline` run), then applies the unqueued events
+  // due by `deadline`; the clock stops at the latest event run or applied.
+  // Returns the number of queued events run. The deadline check and the
+  // stale-entry skip share one peek of the heap top — there is no
+  // separate skip pass. An interrupted run applies nothing unqueued.
   size_t RunUntil(SimTime deadline);
 
   // Runs everything. Returns the number of events run.
@@ -96,6 +125,19 @@ class Scheduler {
   }
 
   SimTime now() const { return now_; }
+  // Key of the running event; between runs, of the last event dispatched
+  // or applied. An unqueued event has happened iff its key is smaller.
+  EventKey position() const { return {now_, position_seq_}; }
+  // Takes the sequence number the next ScheduleAt would have used, for an
+  // unqueued event ordered among the queue's.
+  uint64_t ReserveSeq() { return next_seq_++; }
+  // The sequence number the next ScheduleAt or ReserveSeq will use.
+  uint64_t next_seq() const { return next_seq_; }
+  // Sets the source whose events RunUntil applies once every queued event
+  // due by the deadline has run; nullptr clears it. There is at most one
+  // (a simulation has one radio medium). Non-owning: the source must clear
+  // itself before it is destroyed.
+  void SetUnqueuedEvents(UnqueuedEvents* source);
   bool empty() const { return live_ == 0; }
   size_t pending() const { return live_; }
   // Stale heap entries left by Cancel(). Bounded: head entries purge as
@@ -163,6 +205,7 @@ class Scheduler {
   void SiftDown(size_t i);
 
   SimTime now_ = kSimTimeZero;
+  uint64_t position_seq_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
   uint64_t stale_skips_ = 0;
@@ -176,6 +219,7 @@ class Scheduler {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
+  UnqueuedEvents* unqueued_ = nullptr;
 };
 
 }  // namespace ipda::sim

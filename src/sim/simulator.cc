@@ -28,14 +28,6 @@ void Simulator::CollectKernelMetrics() {
   // Process-global (thread-local in practice: one run per worker thread).
   metrics_.GetCounter("sim.callback_heap_fallbacks")
       ->Set(Callback::heap_fallback_count());
-
-  metrics_.GetCounter("pool.arena_allocs")->Set(arena_.alloc_count());
-  metrics_.GetGauge("pool.arena_high_water")
-      ->Set(static_cast<double>(arena_.high_water()));
-  metrics_.GetGauge("pool.arena_slabs")
-      ->Set(static_cast<double>(arena_.slab_count()));
-  metrics_.GetGauge("pool.arena_live_blocks")
-      ->Set(static_cast<double>(arena_.live_blocks()));
 }
 
 }  // namespace ipda::sim

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
-#include "util/pool.h"
 #include "util/random.h"
 
 namespace ipda::sim {
@@ -36,12 +35,6 @@ class Simulator {
   // Independent random stream for (subsystem, index), e.g. per node.
   util::Rng ForkRng(std::string_view label, uint64_t index) const;
 
-  // Per-run allocation arena for hot-path objects whose lifetime can
-  // extend into queued events (shared packets, message buffers). Owned by
-  // the run context — and declared before the scheduler — so closures
-  // still holding arena blocks at teardown release them into a live pool.
-  util::BytePool& arena() { return arena_; }
-
   // Per-run metrics registry and trace span log (DESIGN.md §11).
   // Components register instruments once at their Start() and sample them
   // through held pointers; nothing here feeds back into the simulation.
@@ -51,8 +44,8 @@ class Simulator {
   const obs::Trace& trace() const { return trace_; }
 
   // Pulls kernel-level health into the registry: scheduler dispatch and
-  // cancellation counters, heap/slot capacities (the zero-alloc referee),
-  // and arena pool stats. Idempotent; call before taking a snapshot.
+  // cancellation counters and heap/slot capacities (the zero-alloc
+  // referee). Idempotent; call before taking a snapshot.
   void CollectKernelMetrics();
 
   // Convenience passthroughs. Templated so lambdas reach the scheduler's
@@ -73,8 +66,7 @@ class Simulator {
   util::Rng root_rng_;
   obs::Registry metrics_;
   obs::Trace trace_;
-  util::BytePool arena_;  // Must be declared before (destroyed after)
-  Scheduler scheduler_;   // the scheduler and its pending closures.
+  Scheduler scheduler_;
 };
 
 }  // namespace ipda::sim

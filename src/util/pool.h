@@ -1,14 +1,14 @@
 // Arena/free-list pools for hot-path allocations.
 //
-// A simulation round allocates the same few shapes over and over: one
-// shared Packet per transmission, one scheduler event per delivery edge.
-// General-purpose malloc pays lock/metadata costs per call and scatters
-// these short-lived objects across the heap; the pools below recycle
-// fixed-size slots from chunked slabs, so steady-state allocation is a
-// free-list pop and locality follows the simulation's churn.
+// A simulation round allocates the same few shapes over and over, such as
+// the closure of every scheduler event. General-purpose malloc pays
+// lock/metadata costs per call and scatters these short-lived objects
+// across the heap; the pools below recycle fixed-size slots from chunked
+// slabs, so steady-state allocation is a free-list pop and locality
+// follows the simulation's churn.
 //
 // Pools are single-threaded by design, matching the shared-nothing run
-// model: every Simulator/Channel owns its own pools, so parallel sweeps
+// model: every Simulator owns its own pools, so parallel sweeps
 // never contend. Double-free and delete-of-foreign-pointer are IPDA_CHECK
 // failures, not corruption (tests/util_pool_test.cc exercises this under
 // randomized interleavings and ASan).
@@ -122,10 +122,10 @@ class ObjectPool {
   size_t high_water_ = 0;
 };
 
-// Untyped size-class pool backing PoolAllocator, so standard containers
-// and allocate_shared control blocks can recycle through an arena too.
-// Requests round up to the next power-of-two class (min 32 B); requests
-// beyond the largest class fall through to operator new.
+// Untyped size-class pool: the scheduler's store for closures too large
+// for a slot's inline buffer. Requests round up to the next power-of-two
+// class (min 32 B); requests beyond the largest class fall through to
+// operator new.
 class BytePool {
  public:
   BytePool() = default;
@@ -215,34 +215,6 @@ class BytePool {
   size_t oversize_live_ = 0;
   uint64_t alloc_count_ = 0;
   size_t high_water_ = 0;
-};
-
-// Minimal std allocator over a BytePool (rebind-friendly, stateful).
-template <typename T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(BytePool* pool) : pool_(pool) {
-    IPDA_CHECK(pool != nullptr);
-  }
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other) : pool_(other.pool()) {}
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(pool_->Allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, size_t n) { pool_->Deallocate(p, n * sizeof(T)); }
-
-  BytePool* pool() const { return pool_; }
-
-  template <typename U>
-  bool operator==(const PoolAllocator<U>& other) const {
-    return pool_ == other.pool();
-  }
-
- private:
-  BytePool* pool_;
 };
 
 }  // namespace ipda::util

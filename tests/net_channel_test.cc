@@ -4,6 +4,8 @@
 
 #include "net/channel.h"
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,6 +190,21 @@ TEST_F(ChannelTest, PropagationDelayNeverZero) {
   EXPECT_NEAR(static_cast<double>(d01), 40.0 / 3e8 * 1e9, 2.0);
 }
 
+// A zero speed would make every propagation delay infinite, and turning
+// +inf into integer nanoseconds is undefined behaviour.
+TEST(ChannelDeathTest, NonPositivePropagationSpeedIsRejected) {
+  auto topology = Topology::Build({{0, 0}, {40, 0}}, 50.0);
+  ASSERT_TRUE(topology.ok());
+  sim::Simulator sim(1);
+  CounterBoard counters(topology->node_count());
+  for (double speed : {0.0, -3e8}) {
+    PhyConfig phy;
+    phy.propagation_speed = speed;
+    EXPECT_DEATH(Channel(&sim, &*topology, phy, &counters),
+                 "CHECK failed.*propagation_speed");
+  }
+}
+
 TEST_F(ChannelTest, ThreeWayCollisionCorruptsAll) {
   // Add a third transmitter in range of node 1 via direct channel use.
   Packet a = MakePacket(1, 60);
@@ -316,6 +333,207 @@ TEST_F(ChannelTest, UidAssignedUniquely) {
   sim_->RunAll();
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_NE(delivered_[0].second.uid, delivered_[1].second.uid);
+}
+
+// ---------------------------------------------------------------------
+// Tie order. Events at one nanosecond run in scheduling order, and a
+// reception's begin and end take their places in that order when the
+// sender transmits. These cases pin the outcomes at such ties.
+
+TEST_F(ChannelTest, CarrierSenseAtReceptionEdgesFollowsSchedulingOrder) {
+  // 1 -> 0 unicast: node 0 is addressed, node 2 only hears it.
+  const sim::SimTime start = sim::Microseconds(10);
+  const Packet p = MakePacket(0, 30);
+  const sim::SimTime begin = start + channel_->PropagationDelay(1, 2);
+  const sim::SimTime end = begin + channel_->AirTime(p.size_bytes());
+  ASSERT_EQ(channel_->PropagationDelay(1, 0), channel_->PropagationDelay(1, 2));
+  // Probes scheduled before the transmission run before its begin and
+  // end; probes scheduled after it run after them.
+  bool early_at_begin[3] = {true, true, true};
+  bool early_at_end[3] = {false, false, false};
+  bool late_at_begin[3] = {false, false, false};
+  bool late_at_end[3] = {true, true, true};
+  sim_->At(begin, [&] {
+    for (NodeId id : {0u, 2u}) early_at_begin[id] = channel_->IsBusy(id);
+  });
+  sim_->At(end, [&] {
+    for (NodeId id : {0u, 2u}) early_at_end[id] = channel_->IsBusy(id);
+  });
+  sim_->At(start, [&, p] {
+    channel_->StartTransmission(1, p);
+    sim_->At(begin, [&] {
+      for (NodeId id : {0u, 2u}) late_at_begin[id] = channel_->IsBusy(id);
+    });
+    sim_->At(end, [&] {
+      for (NodeId id : {0u, 2u}) late_at_end[id] = channel_->IsBusy(id);
+    });
+  });
+  sim_->RunAll();
+  for (NodeId id : {0u, 2u}) {
+    EXPECT_FALSE(early_at_begin[id]) << "node " << id;
+    EXPECT_TRUE(early_at_end[id]) << "node " << id;
+    EXPECT_TRUE(late_at_begin[id]) << "node " << id;
+    EXPECT_FALSE(late_at_end[id]) << "node " << id;
+  }
+  ASSERT_EQ(delivered_.size(), 1u);
+  EXPECT_EQ(delivered_[0].first, 0u);
+}
+
+// A destination no node answers to: every receiver only overhears.
+constexpr NodeId kNoSuchNode = 99;
+
+// Frame b from node 2 reaches node 1 exactly when frame a from node 0
+// ends there: a link delay of one airtime pushes b back. Whether the two
+// collide depends only on which was transmitted first.
+void RunAbuttingPair(Channel* channel, sim::Simulator* sim,
+                     bool later_frame_first, NodeId dst) {
+  Packet a;
+  a.dst = dst;
+  a.payload.assign(100, 0xaa);
+  Packet b = a;
+  const sim::SimTime air = channel->AirTime(a.size_bytes());
+  ASSERT_EQ(channel->PropagationDelay(0, 1), channel->PropagationDelay(2, 1));
+  channel->SetLinkFaultHook([air](NodeId sender, NodeId receiver,
+                                  const Packet&) {
+    LinkFault fault;
+    if (sender == 2 && receiver == 1) fault.extra_delay = air;
+    return fault;
+  });
+  const sim::SimTime start = sim::Microseconds(10);
+  if (later_frame_first) {
+    sim->At(start, [channel, b] { channel->StartTransmission(2, b); });
+  }
+  sim->At(start, [channel, a] { channel->StartTransmission(0, a); });
+  if (!later_frame_first) {
+    sim->At(start, [channel, b] { channel->StartTransmission(2, b); });
+  }
+  sim->RunAll();
+}
+
+TEST_F(ChannelTest, AbuttingFramesCollideWhenTheLaterOneWasSentFirst) {
+  RunAbuttingPair(channel_.get(), sim_.get(),
+                  /*later_frame_first=*/true, /*dst=*/1);
+  EXPECT_TRUE(delivered_.empty());
+  EXPECT_EQ(counters_->at(1).frames_collided, 2u);
+}
+
+TEST_F(ChannelTest, AbuttingFramesSurviveWhenTheLaterOneWasSentSecond) {
+  RunAbuttingPair(channel_.get(), sim_.get(),
+                  /*later_frame_first=*/false, /*dst=*/1);
+  EXPECT_EQ(delivered_.size(), 2u);
+  EXPECT_EQ(counters_->at(1).frames_collided, 0u);
+}
+
+TEST_F(ChannelTest, AbuttingOverheardFramesFollowTheSameTieRule) {
+  // Addressed to someone else: node 1 only overhears both frames.
+  RunAbuttingPair(channel_.get(), sim_.get(),
+                  /*later_frame_first=*/true, /*dst=*/kNoSuchNode);
+  EXPECT_EQ(counters_->at(1).frames_collided, 2u);
+}
+
+TEST_F(ChannelTest, CrashInsidePropagationGapLosesTheFrame) {
+  // 0 -> 1 leaves at 10 us and reaches node 1 ~133 ns later.
+  const sim::SimTime start = sim::Microseconds(10);
+  ASSERT_GT(channel_->PropagationDelay(0, 1), sim::Nanoseconds(100));
+  const Packet p = MakePacket(1, 20);
+  sim_->At(start, [&, p] { channel_->StartTransmission(0, p); });
+  sim_->At(start + sim::Nanoseconds(50), [&] { channel_->FailNode(1); });
+  sim_->At(sim::Milliseconds(2), [&] { channel_->RecoverNode(1); });
+  sim_->RunAll();
+  EXPECT_TRUE(delivered_.empty());
+  EXPECT_EQ(counters_->at(1).recoveries, 1u);
+  EXPECT_EQ(counters_->at(1).frames_collided, 0u);
+}
+
+TEST_F(ChannelTest, RecoveryInsidePropagationGapHearsTheFrame) {
+  const sim::SimTime start = sim::Microseconds(10);
+  const Packet p = MakePacket(1, 20);
+  sim_->At(start, [&, p] { channel_->StartTransmission(0, p); });
+  sim_->At(start + sim::Nanoseconds(50), [&] { channel_->FailNode(1); });
+  sim_->At(start + sim::Nanoseconds(100), [&] { channel_->RecoverNode(1); });
+  sim_->RunAll();
+  ASSERT_EQ(delivered_.size(), 1u);
+  EXPECT_EQ(delivered_[0].first, 1u);
+  EXPECT_EQ(counters_->at(1).recoveries, 1u);
+}
+
+TEST_F(ChannelTest, OwnTransmissionInsidePropagationGapLosesTheFrame) {
+  // 1 -> 0 unicast; nodes 0 (addressed) and 2 (overhearing) both start
+  // transmitting before it reaches them.
+  const sim::SimTime start = sim::Microseconds(10);
+  const Packet p = MakePacket(0, 20);
+  const Packet own = MakePacket(kBroadcastId, 1);
+  sim_->At(start, [&, p] { channel_->StartTransmission(1, p); });
+  sim_->At(start + sim::Nanoseconds(50), [&, own] {
+    channel_->StartTransmission(0, own);
+    channel_->StartTransmission(2, own);
+  });
+  sim_->RunAll();
+  for (const auto& [id, packet] : delivered_) EXPECT_NE(id, 0u);
+  EXPECT_EQ(counters_->at(0).frames_missed_tx, 1u);
+  EXPECT_EQ(counters_->at(2).frames_missed_tx, 1u);
+}
+
+// An earlier frame x, then a long frame and a later short one that end
+// out of order at node 1: energy accumulates in end order, x, short, long.
+void CheckEnergyInEndOrder(Channel* channel, sim::Simulator* sim,
+                           const CounterBoard& counters, NodeId dst_from_0,
+                           NodeId dst_from_2) {
+  Packet x;
+  x.dst = dst_from_0;
+  x.payload.assign(1, 0x11);
+  Packet long_frame = x;
+  long_frame.payload.assign(100, 0x22);
+  Packet short_frame;
+  short_frame.dst = dst_from_2;
+  short_frame.payload.assign(2, 0x33);
+  sim->At(sim::Microseconds(10),
+          [channel, x] { channel->StartTransmission(0, x); });
+  sim->At(sim::Milliseconds(1), [channel, long_frame] {
+    channel->StartTransmission(0, long_frame);
+  });
+  sim->At(sim::Milliseconds(1) + sim::Microseconds(10),
+          [channel, short_frame] {
+            channel->StartTransmission(2, short_frame);
+          });
+  sim->RunAll();
+  const EnergyModel& model = channel->config().energy;
+  const double rx_x = model.RxCost(x.size_bytes());
+  const double rx_short = model.RxCost(short_frame.size_bytes());
+  const double rx_long = model.RxCost(long_frame.size_bytes());
+  const double end_order = ((0.0 + rx_x) + rx_short) + rx_long;
+  const double start_order = ((0.0 + rx_x) + rx_long) + rx_short;
+  // The sizes are chosen so the two orders differ in the last bit.
+  ASSERT_NE(std::bit_cast<uint64_t>(end_order),
+            std::bit_cast<uint64_t>(start_order));
+  EXPECT_EQ(std::bit_cast<uint64_t>(counters.at(1).energy_rx_j),
+            std::bit_cast<uint64_t>(end_order));
+  EXPECT_EQ(counters.at(1).frames_collided, 2u);
+}
+
+TEST_F(ChannelTest, EnergyOfAddressedFramesSumsInEndOrder) {
+  CheckEnergyInEndOrder(channel_.get(), sim_.get(), *counters_, 1, 1);
+}
+
+TEST_F(ChannelTest, EnergyOfOverheardFramesSumsInEndOrder) {
+  CheckEnergyInEndOrder(channel_.get(), sim_.get(), *counters_, 2, 0);
+}
+
+TEST_F(ChannelTest, ClockAfterRunUntilStopsAtTheLastReceptionEdge) {
+  // 1 -> 0 unicast at t = 0: both neighbours' receptions begin at `begin`
+  // and end at `end`; node 2's end is the last event of the run.
+  const Packet p = MakePacket(0, 30);
+  const sim::SimTime begin = channel_->PropagationDelay(1, 2);
+  const sim::SimTime end = begin + channel_->AirTime(p.size_bytes());
+  channel_->StartTransmission(1, p);
+  sim_->RunUntil(begin - 1);
+  EXPECT_EQ(sim_->now(), 0);
+  sim_->RunUntil(end - 1);
+  EXPECT_EQ(sim_->now(), begin);
+  sim_->RunUntil(sim::Seconds(1));
+  EXPECT_EQ(sim_->now(), end);
+  EXPECT_EQ(counters_->at(2).energy_rx_j,
+            channel_->config().energy.RxCost(p.size_bytes()));
 }
 
 }  // namespace
