@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "agg/aggregate_function.h"
+#include "agg/link_keys.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
 #include "attack/eavesdropper.h"
@@ -86,21 +87,21 @@ util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
     }
   }
   std::vector<crypto::LinkCrypto> cryptos;
-  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
-    cryptos.emplace_back(id, cipher);
-  }
-
   Record record;
   util::Rng rng(util::Mix64(seed, 0xE6));
   crypto::LinkCompromiseReport capture;
   std::optional<crypto::KeyPredistribution> predistribution;
   if (eg == nullptr) {
-    crypto::PairwiseKeyScheme scheme(seed * 31 + 7);
-    scheme.Provision(links, cryptos);
+    cryptos = agg::ProvisionPairwiseKeys(
+        topology, crypto::PairwiseKeyScheme(seed * 31 + 7), cipher,
+        crypto::KeyStore::DeriveScope::kProvisionedPeers);
     record.Set("keyed", 1.0);
     capture = crypto::NodeCaptureUnderPairwise(links, topology.node_count(),
                                                kCaptured, rng);
   } else {
+    for (net::NodeId id = 0; id < topology.node_count(); ++id) {
+      cryptos.emplace_back(id, cipher);
+    }
     IPDA_ASSIGN_OR_RETURN(
         predistribution,
         crypto::KeyPredistribution::Create(*eg, topology.node_count(),

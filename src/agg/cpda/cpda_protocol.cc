@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "agg/cpda/interpolation.h"
+#include "agg/link_keys.h"
 #include "agg/partial.h"
 #include "crypto/pairwise.h"
 #include "net/packet.h"
@@ -173,24 +174,6 @@ void CpdaProtocol::SetShareObserver(ShareObserver observer) {
   share_observer_ = std::move(observer);
 }
 
-void CpdaProtocol::ProvisionPairwiseKeys() {
-  owned_cryptos_.reserve(network_->size());
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    owned_cryptos_.emplace_back(id, config_.cipher);
-  }
-  std::vector<crypto::Link> links;
-  const net::Topology& topology = network_->topology();
-  for (net::NodeId a = 0; a < topology.node_count(); ++a) {
-    for (net::NodeId b : topology.neighbors(a)) {
-      if (a < b) links.emplace_back(a, b);
-    }
-  }
-  pairwise_scheme_.emplace(
-      util::Mix64(network_->sim().seed(), 0x43504441ULL));  // "CPDA".
-  pairwise_scheme_->Provision(links, owned_cryptos_);
-  cryptos_ = &owned_cryptos_;
-}
-
 bool CpdaProtocol::EnsurePairKey(net::NodeId self, net::NodeId member) {
   if (!config_.encrypt_shares) return true;
   if (crypto_for(self).keystore().HasLinkKey(member)) return true;
@@ -234,13 +217,20 @@ sim::SimTime CpdaProtocol::Duration() const {
 void CpdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_shares && cryptos_ == nullptr) {
-    ProvisionPairwiseKeys();
-  }
   if (config_.encrypt_shares) {
-    // Pairwise keys densify here; cluster keys negotiated later land in
-    // the dynamic overflow map, which Seal() handles transparently.
-    for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    if (cryptos_ == nullptr) {
+      pairwise_scheme_.emplace(
+          util::Mix64(network_->sim().seed(), 0x43504441ULL));  // "CPDA".
+      owned_cryptos_ = ProvisionPairwiseKeys(
+          network_->topology(), *pairwise_scheme_, config_.cipher,
+          crypto::KeyStore::DeriveScope::kProvisionedPeers);
+      cryptos_ = &owned_cryptos_;
+    } else {
+      // Keys set by hand densify here.
+      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    }
+    // Cluster keys negotiated later land in the dynamic overflow map,
+    // which Seal() handles transparently.
   }
   for (net::NodeId id = 0; id < network_->size(); ++id) {
     network_->node(id).SetReceiveHandler(

@@ -117,7 +117,6 @@ class CpdaProtocol {
     Vector children;
   };
 
-  void ProvisionPairwiseKeys();
   // Ensures `self` can seal to co-member `member`. With the built-in
   // master-key scheme both endpoints derive the pair key independently;
   // with external keys (e.g. EG) a missing key means the share is lost.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "agg/link_keys.h"
 #include "agg/partial.h"
 #include "crypto/pairwise.h"
 #include "net/packet.h"
@@ -84,48 +85,27 @@ void IpdaProtocol::SetExcludedNodes(const std::vector<net::NodeId>& nodes) {
   }
 }
 
-void IpdaProtocol::ProvisionPairwiseKeys() {
-  owned_cryptos_.reserve(network_->size());
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    owned_cryptos_.emplace_back(id, config_.cipher);
-  }
-  std::vector<crypto::Link> links;
-  const net::Topology& topology = network_->topology();
-  for (net::NodeId a = 0; a < topology.node_count(); ++a) {
-    for (net::NodeId b : topology.neighbors(a)) {
-      if (a < b) links.emplace_back(a, b);
-    }
-  }
-  const crypto::PairwiseKeyScheme scheme(
-      util::Mix64(network_->sim().seed(), 0x697044414b455953ULL));
-  scheme.Provision(links, owned_cryptos_);
-  if (config_.churn_response != ChurnResponse::kNone) {
-    // Under churn, any pair can become a link mid-round (movers, joiners).
-    // The master-secret scheme lets two nodes derive their pairwise key on
-    // first contact, so instead of materializing all N(N-1)/2 keys up
-    // front (quadratic memory — the city-scale OOM), each node derives
-    // missing keys lazily. Wire output is byte-identical either way.
-    for (net::NodeId id = 0; id < network_->size(); ++id) {
-      owned_cryptos_[id].keystore().SetKeyDeriver(
-          [scheme, id](crypto::PeerId peer) {
-            return scheme.LinkKey(static_cast<crypto::PeerId>(id), peer);
-          });
-    }
-  }
-  cryptos_ = &owned_cryptos_;
-}
-
 void IpdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_slices && cryptos_ == nullptr) {
-    ProvisionPairwiseKeys();
-  }
   if (config_.encrypt_slices) {
-    // Tree setup is where the neighbor set is final: freeze each node's
-    // link keys into dense slots with precomputed XTEA schedules so
-    // per-slice sealing does no hashing and no key expansion.
-    for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    if (cryptos_ == nullptr) {
+      // Under churn, any pair can become a link mid-round (movers,
+      // joiners), so nodes also derive keys for non-neighbours on first
+      // contact rather than hold all N(N-1)/2 up front.
+      owned_cryptos_ = ProvisionPairwiseKeys(
+          network_->topology(),
+          crypto::PairwiseKeyScheme(
+              util::Mix64(network_->sim().seed(), 0x697044414b455953ULL)),
+          config_.cipher,
+          config_.churn_response == ChurnResponse::kNone
+              ? crypto::KeyStore::DeriveScope::kProvisionedPeers
+              : crypto::KeyStore::DeriveScope::kAnyPeer);
+      cryptos_ = &owned_cryptos_;
+    } else {
+      // Keys set by hand (EG predistribution, tests) densify here.
+      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    }
   }
 
   for (net::NodeId id = 0; id < network_->size(); ++id) {

@@ -192,7 +192,6 @@ class IpdaProtocol {
     bool reported = false;  // Phase III partial already transmitted.
   };
 
-  void ProvisionPairwiseKeys();
   void OnPacket(net::NodeId self, const net::Packet& packet);
   void OnSendFailure(net::NodeId self, const net::Packet& packet);
   void RetargetSlice(net::NodeId self, net::NodeId dead_target);

@@ -1,5 +1,6 @@
 #include "agg/ipda/tree_construction.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -24,28 +25,27 @@ void TreeBuilder::ForceRole(NodeRole role) {
 }
 
 void TreeBuilder::OnHello(net::NodeId src, const HelloMsg& msg) {
-  auto [it, inserted] = heard_.try_emplace(
-      src, HeardEntry{msg.color, msg.hop, /*conflicted=*/false});
-  if (inserted) {
-    heard_order_.push_back(src);
+  const auto it =
+      std::find_if(heard_.begin(), heard_.end(),
+                   [src](const HeardEntry& e) { return e.id == src; });
+  if (it == heard_.end()) {
+    heard_.push_back(HeardEntry{src, msg.hop, msg.color});
   } else {
-    if (it->second.conflicted) return;
-    if (it->second.color != msg.color) {
+    if (it->conflicted) return;
+    if (it->color != msg.color) {
       // Double-color advertisement: neighbors detect this over the shared
       // medium and exclude the sender from both trees (§III-B).
-      if (it->second.color == TreeColor::kRed ||
-          it->second.color == TreeColor::kBoth) {
+      if (it->color == TreeColor::kRed || it->color == TreeColor::kBoth) {
         --n_red_;
       }
-      if (it->second.color == TreeColor::kBlue ||
-          it->second.color == TreeColor::kBoth) {
+      if (it->color == TreeColor::kBlue || it->color == TreeColor::kBoth) {
         --n_blue_;
       }
-      it->second.conflicted = true;
+      it->conflicted = true;
       return;
     }
     // Duplicate HELLO with consistent color: keep the better hop.
-    if (msg.hop < it->second.hop) it->second.hop = msg.hop;
+    if (msg.hop < it->hop) it->hop = msg.hop;
     return;
   }
 
@@ -80,23 +80,12 @@ void TreeBuilder::ImpatientDecide() {
   if (n_red_ == 0 && n_blue_ == 0) return;  // Heard nothing: stay out.
   const TreeColor color =
       n_red_ > 0 ? TreeColor::kRed : TreeColor::kBlue;
-  net::NodeId best = net::kBroadcastId;
-  uint32_t best_hop = UINT32_MAX;
-  for (net::NodeId src : heard_order_) {
-    const HeardEntry& entry = heard_.at(src);
-    if (entry.conflicted) continue;
-    const bool matches =
-        entry.color == color || entry.color == TreeColor::kBoth;
-    if (matches && entry.hop < best_hop) {
-      best = src;
-      best_hop = entry.hop;
-    }
-  }
-  if (best == net::kBroadcastId) return;
+  const HeardEntry* best = BestParent(color);
+  if (best == nullptr) return;
   role_ = color == TreeColor::kRed ? NodeRole::kRedAggregator
                                    : NodeRole::kBlueAggregator;
-  parent_ = best;
-  hop_ = best_hop + 1;
+  parent_ = best->id;
+  hop_ = best->hop + 1;
   joined_(HelloMsg{color, hop_, std::nullopt});
 }
 
@@ -164,24 +153,13 @@ void TreeBuilder::Decide() {
   }
 
   // Parent: lowest-hop heard aggregator of our color; first-heard on ties.
-  net::NodeId best = net::kBroadcastId;
-  uint32_t best_hop = UINT32_MAX;
-  for (net::NodeId src : heard_order_) {
-    const HeardEntry& entry = heard_.at(src);
-    if (entry.conflicted) continue;
-    const bool matches =
-        entry.color == color || entry.color == TreeColor::kBoth;
-    if (matches && entry.hop < best_hop) {
-      best = src;
-      best_hop = entry.hop;
-    }
-  }
-  IPDA_CHECK_NE(best, net::kBroadcastId);
+  const HeardEntry* best = BestParent(color);
+  IPDA_CHECK(best != nullptr);
 
   role_ = color == TreeColor::kRed ? NodeRole::kRedAggregator
                                    : NodeRole::kBlueAggregator;
-  parent_ = best;
-  hop_ = best_hop + 1;
+  parent_ = best->id;
+  hop_ = best->hop + 1;
   joined_(HelloMsg{color, hop_, std::nullopt});
 }
 
@@ -198,15 +176,25 @@ uint32_t TreeBuilder::hop() const {
   return hop_;
 }
 
+const TreeBuilder::HeardEntry* TreeBuilder::BestParent(
+    TreeColor color) const {
+  const HeardEntry* best = nullptr;
+  uint32_t best_hop = UINT32_MAX;
+  for (const HeardEntry& entry : heard_) {
+    if (entry.Serves(color) && entry.hop < best_hop) {
+      best = &entry;
+      best_hop = entry.hop;
+    }
+  }
+  return best;
+}
+
 std::vector<net::NodeId> TreeBuilder::AggregatorNeighbors(
     TreeColor color) const {
   std::vector<net::NodeId> out;
-  for (net::NodeId src : heard_order_) {
-    const HeardEntry& entry = heard_.at(src);
-    if (entry.conflicted) continue;
-    if (entry.color == color || entry.color == TreeColor::kBoth) {
-      out.push_back(src);
-    }
+  out.reserve(heard_.size());
+  for (const HeardEntry& entry : heard_) {
+    if (entry.Serves(color)) out.push_back(entry.id);
   }
   return out;
 }
@@ -214,11 +202,9 @@ std::vector<net::NodeId> TreeBuilder::AggregatorNeighbors(
 std::vector<NeighborAggregator> TreeBuilder::AggregatorNeighborInfos(
     TreeColor color) const {
   std::vector<NeighborAggregator> out;
-  for (net::NodeId src : heard_order_) {
-    const HeardEntry& entry = heard_.at(src);
-    if (entry.conflicted) continue;
-    if (entry.color == color || entry.color == TreeColor::kBoth) {
-      out.push_back(NeighborAggregator{src, entry.color, entry.hop});
+  for (const HeardEntry& entry : heard_) {
+    if (entry.Serves(color)) {
+      out.push_back(NeighborAggregator{entry.id, entry.color, entry.hop});
     }
   }
   return out;

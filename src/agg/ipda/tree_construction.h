@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/ipda/config.h"
@@ -120,13 +119,24 @@ class TreeBuilder {
   net::NodeId parent_ = net::kBroadcastId;
   uint32_t hop_ = 0;
 
-  struct HeardEntry {
-    TreeColor color;
+  struct HeardEntry {  // Field order packs it into 12 bytes.
+    net::NodeId id;
     uint32_t hop;
+    TreeColor color;
     bool conflicted = false;  // Sent HELLOs with different colors.
+
+    bool Serves(TreeColor c) const {
+      return !conflicted && (color == c || color == TreeColor::kBoth);
+    }
   };
-  std::unordered_map<net::NodeId, HeardEntry> heard_;
-  std::vector<net::NodeId> heard_order_;  // First-heard tiebreaking.
+  // One entry per distinct sender, in first-heard order (the parent
+  // tie-break). A node hears a few dozen senders, so a linear scan of
+  // this contiguous table beats hashing.
+  std::vector<HeardEntry> heard_;
+
+  // Lowest-hop entry serving `color`; the earlier sender wins a tie.
+  // nullptr if none does.
+  const HeardEntry* BestParent(TreeColor color) const;
 };
 
 }  // namespace ipda::agg

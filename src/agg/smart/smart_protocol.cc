@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "agg/ipda/slicing.h"
+#include "agg/link_keys.h"
 #include "agg/partial.h"
 #include "crypto/pairwise.h"
 #include "net/packet.h"
@@ -77,24 +78,6 @@ void SmartProtocol::SetSliceObserver(SliceObserver observer) {
   slice_observer_ = std::move(observer);
 }
 
-void SmartProtocol::ProvisionPairwiseKeys() {
-  owned_cryptos_.reserve(network_->size());
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    owned_cryptos_.emplace_back(id, config_.cipher);
-  }
-  std::vector<crypto::Link> links;
-  const net::Topology& topology = network_->topology();
-  for (net::NodeId a = 0; a < topology.node_count(); ++a) {
-    for (net::NodeId b : topology.neighbors(a)) {
-      if (a < b) links.emplace_back(a, b);
-    }
-  }
-  const crypto::PairwiseKeyScheme scheme(
-      util::Mix64(network_->sim().seed(), 0x534d415254ULL));  // "SMART".
-  scheme.Provision(links, owned_cryptos_);
-  cryptos_ = &owned_cryptos_;
-}
-
 sim::SimTime SmartProtocol::Duration() const {
   const sim::SimTime report_start =
       config_.build_window + config_.slice_window + sim::Milliseconds(200);
@@ -106,13 +89,18 @@ sim::SimTime SmartProtocol::Duration() const {
 void SmartProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_slices && cryptos_ == nullptr) {
-    ProvisionPairwiseKeys();
-  }
   if (config_.encrypt_slices) {
-    // Freeze link keys into dense slots (precomputed schedules) before
-    // the slicing hot path starts sealing.
-    for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    if (cryptos_ == nullptr) {
+      owned_cryptos_ = ProvisionPairwiseKeys(
+          network_->topology(),
+          crypto::PairwiseKeyScheme(util::Mix64(
+              network_->sim().seed(), 0x534d415254ULL)),  // "SMART".
+          config_.cipher, crypto::KeyStore::DeriveScope::kProvisionedPeers);
+      cryptos_ = &owned_cryptos_;
+    } else {
+      // Keys set by hand densify before the slicing hot path seals.
+      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
+    }
   }
   for (net::NodeId id = 0; id < network_->size(); ++id) {
     network_->node(id).SetReceiveHandler(

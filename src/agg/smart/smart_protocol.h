@@ -85,7 +85,6 @@ class SmartProtocol {
     bool participated = false;
   };
 
-  void ProvisionPairwiseKeys();
   void OnPacket(net::NodeId self, const net::Packet& packet);
   void Join(net::NodeId self, net::NodeId parent, uint32_t level);
   void DoSlicing(net::NodeId self);

@@ -1,21 +1,52 @@
 #include "crypto/keystore.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "crypto/ctr.h"
 #include "crypto/stats.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace ipda::crypto {
 
+namespace {
+
+// Every key expansion a store performs, counted for the cost gate.
+void BuildSchedule(const CipherBackend& backend, const Key128& key,
+                   CipherSchedule& out) {
+  backend.build(key, out);
+  ++ThreadCryptoStats().schedules_built;
+}
+
+}  // namespace
+
+void KeyStore::Provision(std::vector<PeerId> peers, KeyDeriver deriver,
+                         DeriveScope scope) {
+  IPDA_CHECK(dense_peers_.empty() && dynamic_.empty());
+  IPDA_CHECK(deriver != nullptr);
+  IPDA_DCHECK(std::adjacent_find(peers.begin(), peers.end(),
+                                 std::greater_equal<PeerId>()) ==
+              peers.end());
+  dense_peers_ = std::move(peers);
+  slots_.assign(dense_peers_.size(), Slot{Key128{}, kDerive});
+  deriver_ = std::move(deriver);
+  derive_any_peer_ = scope == DeriveScope::kAnyPeer;
+}
+
 void KeyStore::SetLinkKey(PeerId peer, const Key128& key) {
   const int slot = FindSlot(peer);
-  if (slot >= 0) {
-    dense_keys_[static_cast<size_t>(slot)] = key;
-    backend_->build(key, dense_schedules_[static_cast<size_t>(slot)]);
+  if (slot < 0) {
+    dynamic_[peer] = key;
     return;
   }
-  dynamic_[peer] = key;
+  Slot& s = slots_[static_cast<size_t>(slot)];
+  s.key = key;
+  if (s.schedule < kKeyed) {
+    BuildSchedule(*backend_, key, schedules_[s.schedule]);
+  } else {
+    s.schedule = kKeyed;
+  }
 }
 
 int KeyStore::FindSlot(PeerId peer) const {
@@ -25,39 +56,58 @@ int KeyStore::FindSlot(PeerId peer) const {
   return static_cast<int>(it - dense_peers_.begin());
 }
 
+const CipherSchedule& KeyStore::SlotSchedule(int slot) {
+  Slot& s = slots_[static_cast<size_t>(slot)];
+  if (s.schedule >= kKeyed) {
+    if (s.schedule == kDerive) {
+      s.key = deriver_(dense_peers_[static_cast<size_t>(slot)]);
+    }
+    s.schedule = static_cast<uint32_t>(schedules_.size());
+    BuildSchedule(*backend_, s.key, schedules_.emplace_back());
+  }
+  return schedules_[s.schedule];
+}
+
 void KeyStore::Compile() {
   if (dynamic_.empty()) return;  // Nothing new to densify.
-  std::vector<std::pair<PeerId, Key128>> merged;
+  // Dense peers never sit in dynamic_ (SetLinkKey updates their slot), so
+  // the merge has no duplicates. Built schedules keep their indices.
+  std::vector<std::pair<PeerId, Slot>> merged;
   merged.reserve(dense_peers_.size() + dynamic_.size());
   for (size_t i = 0; i < dense_peers_.size(); ++i) {
-    merged.emplace_back(dense_peers_[i], dense_keys_[i]);
+    merged.emplace_back(dense_peers_[i], slots_[i]);
   }
-  for (const auto& [peer, key] : dynamic_) merged.emplace_back(peer, key);
+  for (const auto& [peer, key] : dynamic_) {
+    merged.emplace_back(peer, Slot{key, kKeyed});
+  }
   dynamic_.clear();
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  dense_peers_.clear();
-  dense_keys_.clear();
-  dense_schedules_.clear();
-  dense_peers_.reserve(merged.size());
-  dense_keys_.reserve(merged.size());
-  dense_schedules_.reserve(merged.size());
-  for (const auto& [peer, key] : merged) {
-    dense_peers_.push_back(peer);
-    dense_keys_.push_back(key);
-    backend_->build(key, dense_schedules_.emplace_back());
+  dense_peers_.resize(merged.size());
+  slots_.resize(merged.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    dense_peers_[i] = merged[i].first;
+    slots_[i] = merged[i].second;
   }
 }
 
 util::Result<Key128> KeyStore::GetLinkKey(PeerId peer) const {
   const int slot = FindSlot(peer);
-  if (slot >= 0) return dense_keys_[static_cast<size_t>(slot)];
-  const auto it = dynamic_.find(peer);
-  if (it == dynamic_.end()) {
-    if (deriver_) return deriver_(peer);
-    return util::NotFoundError("no link key for peer");
+  if (slot >= 0) {
+    const Slot& s = slots_[static_cast<size_t>(slot)];
+    return s.schedule == kDerive ? deriver_(peer) : s.key;
   }
-  return it->second;
+  const auto it = dynamic_.find(peer);
+  if (it != dynamic_.end()) return it->second;
+  if (derive_any_peer_) return deriver_(peer);
+  return util::NotFoundError("no link key for peer");
+}
+
+util::Result<CipherSchedule> KeyStore::DynamicSchedule(PeerId peer) const {
+  IPDA_ASSIGN_OR_RETURN(const Key128 key, GetLinkKey(peer));
+  CipherSchedule sched;
+  BuildSchedule(*backend_, key, sched);
+  return sched;
 }
 
 std::vector<PeerId> KeyStore::Peers() const {
@@ -92,7 +142,15 @@ void CounterStore::Compile(const KeyStore& store) {
   dense_ = std::move(fresh);
 }
 
+void LinkCrypto::Provision(std::vector<PeerId> peers,
+                           KeyStore::KeyDeriver deriver,
+                           KeyStore::DeriveScope scope) {
+  keystore_.Provision(std::move(peers), std::move(deriver), scope);
+  send_counters_.Compile(keystore_);
+}
+
 void LinkCrypto::Compile() {
+  if (!keystore_.has_uncompiled_keys()) return;
   // Slot indices shift when new peers densify, so counters round-trip
   // through peer-id keys across the layout change.
   send_counters_.Demote(keystore_);
@@ -116,14 +174,13 @@ util::Result<util::Bytes> LinkCrypto::Seal(PeerId peer,
     ++ThreadCryptoStats().keystore_dense_hits;
     const uint64_t counter = send_counters_.NextDense(slot);
     nonce = util::Mix64(static_cast<uint64_t>(self_) << 32 | peer, counter);
-    CtrCrypt(backend, keystore_.slot_schedule(slot), nonce, plaintext);
+    CtrCrypt(backend, keystore_.SlotSchedule(slot), nonce, plaintext);
   } else {
-    IPDA_ASSIGN_OR_RETURN(Key128 key, keystore_.GetLinkKey(peer));
+    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched,
+                          keystore_.DynamicSchedule(peer));
     ++ThreadCryptoStats().keystore_dynamic_hits;
     const uint64_t counter = send_counters_.NextDynamic(peer);
     nonce = util::Mix64(static_cast<uint64_t>(self_) << 32 | peer, counter);
-    CipherSchedule sched;
-    backend.build(key, sched);
     CtrCrypt(backend, sched, nonce, plaintext);
   }
   // Same little-endian layout ByteWriter::WriteU64 emits; prepending into
@@ -145,12 +202,11 @@ util::Result<util::Bytes> LinkCrypto::Open(PeerId peer,
   const int slot = keystore_.FindSlot(peer);
   if (slot >= 0) {
     ++ThreadCryptoStats().keystore_dense_hits;
-    CtrCrypt(backend, keystore_.slot_schedule(slot), nonce, body);
+    CtrCrypt(backend, keystore_.SlotSchedule(slot), nonce, body);
   } else {
-    IPDA_ASSIGN_OR_RETURN(Key128 key, keystore_.GetLinkKey(peer));
+    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched,
+                          keystore_.DynamicSchedule(peer));
     ++ThreadCryptoStats().keystore_dynamic_hits;
-    CipherSchedule sched;
-    backend.build(key, sched);
     CtrCrypt(backend, sched, nonce, body);
   }
   return body;

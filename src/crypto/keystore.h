@@ -6,12 +6,15 @@
 // nonce, and opens it on the other side. Sealing fails cleanly when no key
 // is shared with the peer, which is a real outcome under EG predistribution.
 //
-// Hot-path layout: Compile() freezes the provisioned peer set into sorted
-// dense slot arrays — peer ids, keys, and precomputed cipher schedules
-// side by side — so the per-message work is one binary search over a
-// handful of u32s instead of a hash lookup plus a fresh key schedule.
-// Keys added after Compile() (CPDA cluster keys) land in a dynamic
-// overflow map that behaves exactly like the pre-compile store.
+// Hot-path layout: the provisioned peer set lives in sorted dense slots
+// (peer ids in one array, key + schedule state in a parallel one), so the
+// per-message lookup is one binary search over a handful of u32s. A slot's
+// key and cipher schedule are made on its first Seal/Open, never before:
+// most provisioned links carry no slice in a round, and their key work
+// would be wasted. Slots come from Provision() (pairwise keys derived on
+// demand) or from Compile() (keys set by hand). Keys added after either
+// (CPDA cluster keys) land in a dynamic overflow map that re-derives the
+// schedule per message, exactly like an uncompiled store.
 //
 // Which cipher fills the schedules (XTEA default, AES-NI, ChaCha20 — see
 // crypto/cipher.h) is fixed per store at construction; the wire format
@@ -37,9 +40,15 @@ using PeerId = uint32_t;
 
 class KeyStore {
  public:
-  // On-demand key source for peers outside the provisioned link set,
-  // already bound to the owning node (callee passes only the peer id).
+  // On-demand key source, already bound to the owning node (callee passes
+  // only the peer id).
   using KeyDeriver = std::function<Key128(PeerId peer)>;
+
+  // Which peers a provisioning deriver keys (see Provision()).
+  enum class DeriveScope {
+    kProvisionedPeers,  // Only the provisioned slots.
+    kAnyPeer,           // Also any other peer, on first contact.
+  };
 
   explicit KeyStore(CipherKind cipher = CipherKind::kXtea)
       : backend_(&GetCipherBackend(cipher)) {}
@@ -49,48 +58,64 @@ class KeyStore {
   const CipherBackend& backend() const { return *backend_; }
   CipherKind cipher() const { return backend_->kind; }
 
+  // Makes `peers` (sorted ascending, distinct) this empty store's dense
+  // slots. A slot's key comes from `deriver` on its first Seal/Open (or
+  // GetLinkKey), so unused links cost no key work. With kAnyPeer the
+  // deriver also keys every other peer on the spot: the master-secret
+  // model, where any two nodes agree on their pairwise key at first
+  // contact (churn: movers and joiners link up mid-round), without
+  // materializing all N(N-1)/2 keys. Those peers take the dynamic path.
+  void Provision(std::vector<PeerId> peers, KeyDeriver deriver,
+                 DeriveScope scope);
+
   void SetLinkKey(PeerId peer, const Key128& key);
   bool HasLinkKey(PeerId peer) const {
     return FindSlot(peer) >= 0 || dynamic_.count(peer) > 0 ||
-           deriver_ != nullptr;
+           derive_any_peer_;
   }
-
-  // Installs a fallback deriver: GetLinkKey() for an unprovisioned peer
-  // computes the key on the spot instead of failing, and HasLinkKey()
-  // reports every peer as keyable. This models master-secret schemes where
-  // any two nodes can agree on their pairwise key at first contact, without
-  // materializing all N(N-1)/2 keys up front (quadratic memory at city
-  // scale). Wire bytes are identical to eager provisioning: same derived
-  // key, and per-peer nonce counters start at 0 either way.
-  void SetKeyDeriver(KeyDeriver deriver) { deriver_ = std::move(deriver); }
-  bool has_deriver() const { return deriver_ != nullptr; }
   util::Result<Key128> GetLinkKey(PeerId peer) const;
   size_t link_count() const { return dense_peers_.size() + dynamic_.size(); }
   std::vector<PeerId> Peers() const;
 
-  // Freezes the current peer set into the dense slot arrays (idempotent;
-  // call once links are provisioned, e.g. at tree setup). Later
-  // SetLinkKey() calls for new peers fall back to the dynamic map.
+  // Merges keys set by hand since the last Compile() into the dense slots
+  // (call once links are provisioned, e.g. at tree setup). Builds no
+  // schedule: those still wait for each slot's first use. No-op when no
+  // key is waiting.
   void Compile();
+  bool has_uncompiled_keys() const { return !dynamic_.empty(); }
 
   // Dense slot index for `peer`, or -1 (dynamic or absent). Slots are
-  // stable until the next Compile().
+  // stable until the next Compile() that has keys to merge.
   int FindSlot(PeerId peer) const;
   size_t dense_count() const { return dense_peers_.size(); }
   PeerId slot_peer(size_t slot) const { return dense_peers_[slot]; }
-  const CipherSchedule& slot_schedule(int slot) const {
-    return dense_schedules_[static_cast<size_t>(slot)];
-  }
+  // The slot's cipher schedule, keyed and built on the first call.
+  const CipherSchedule& SlotSchedule(int slot);
+
+  // Per-message schedule for a peer outside the dense slots (dynamic key
+  // or deriver); fails like GetLinkKey().
+  util::Result<CipherSchedule> DynamicSchedule(PeerId peer) const;
 
  private:
+  // Slot::schedule values at or above kKeyed mean "not built yet".
+  static constexpr uint32_t kKeyed = UINT32_MAX - 1;   // Key is in `key`.
+  static constexpr uint32_t kDerive = UINT32_MAX;      // Key from deriver_.
+  struct Slot {
+    Key128 key;
+    uint32_t schedule;  // Index into schedules_, or kKeyed / kDerive.
+  };
+
   const CipherBackend* backend_;
   // Parallel, sorted by peer id.
   std::vector<PeerId> dense_peers_;
-  std::vector<Key128> dense_keys_;
-  std::vector<CipherSchedule> dense_schedules_;
-  // Pre-compile home of every key; post-compile overflow for new peers.
+  std::vector<Slot> slots_;
+  // Built schedules, in first-use order; slots point in by index.
+  std::vector<CipherSchedule> schedules_;
+  // Keys set by hand and not yet compiled, or added after the last
+  // Compile() (cluster keys).
   std::unordered_map<PeerId, Key128> dynamic_;
-  KeyDeriver deriver_;  // Optional lazy fallback (see SetKeyDeriver).
+  KeyDeriver deriver_;  // Provisioned key source (see Provision()).
+  bool derive_any_peer_ = false;
 };
 
 // Per-peer monotone send counters sharing the KeyStore's dense slot
@@ -124,10 +149,14 @@ class LinkCrypto {
   KeyStore& keystore() { return keystore_; }
   const KeyStore& keystore() const { return keystore_; }
 
-  // Resolves the provisioned peer set into dense slots (keys, schedules,
-  // counters). Sealing works before, after, and across Compile() with
-  // byte-identical wire output; compiled links just skip the hash lookup
-  // and the per-message key schedule.
+  // KeyStore::Provision() plus dense send counters for the new slots.
+  void Provision(std::vector<PeerId> peers, KeyStore::KeyDeriver deriver,
+                 KeyStore::DeriveScope scope);
+
+  // Merges keys set by hand into dense slots (keys, counters); schedules
+  // follow on each slot's first use. Sealing works before, after, and
+  // across Compile() with byte-identical wire output; compiled links just
+  // skip the hash lookup and the per-message key schedule.
   void Compile();
 
   // Encrypts `plaintext` for `peer`; wire format [u64 nonce][ciphertext].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
 #include "util/random.h"
 
 namespace ipda::crypto {
@@ -12,17 +11,6 @@ Key128 PairwiseKeyScheme::LinkKey(PeerId a, PeerId b) const {
   const PeerId hi = std::max(a, b);
   const uint64_t pair = (static_cast<uint64_t>(lo) << 32) | hi;
   return Key128::FromSeed(util::Mix64(master_secret_, pair));
-}
-
-void PairwiseKeyScheme::Provision(const std::vector<Link>& links,
-                                  std::vector<LinkCrypto>& cryptos) const {
-  for (const auto& [a, b] : links) {
-    IPDA_CHECK_LT(a, cryptos.size());
-    IPDA_CHECK_LT(b, cryptos.size());
-    const Key128 key = LinkKey(a, b);
-    cryptos[a].keystore().SetLinkKey(b, key);
-    cryptos[b].keystore().SetLinkKey(a, key);
-  }
 }
 
 }  // namespace ipda::crypto

@@ -26,13 +26,9 @@ class PairwiseKeyScheme {
   explicit PairwiseKeyScheme(uint64_t master_secret)
       : master_secret_(master_secret) {}
 
-  // Symmetric in (a, b).
+  // Symmetric in (a, b). Protocols key their links through
+  // agg::ProvisionPairwiseKeys, which calls this on each link's first use.
   Key128 LinkKey(PeerId a, PeerId b) const;
-
-  // Installs LinkKey(a,b) on both endpoints of every edge. `cryptos` is
-  // indexed by PeerId.
-  void Provision(const std::vector<Link>& links,
-                 std::vector<LinkCrypto>& cryptos) const;
 
  private:
   uint64_t master_secret_;

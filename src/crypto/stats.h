@@ -22,12 +22,15 @@ struct CryptoStats {
   uint64_t keystream_bytes = 0;      // Payload bytes CTR-crypted.
   uint64_t keystore_dense_hits = 0;  // Seal/Open resolved via dense slots.
   uint64_t keystore_dynamic_hits = 0;  // Fell back to the overflow map.
+  uint64_t schedules_built = 0;  // Key expansions: one per used dense
+                                 // slot, one per dynamic Seal/Open.
 
   CryptoStats operator-(const CryptoStats& base) const {
     return CryptoStats{ctr_blocks_batched - base.ctr_blocks_batched,
                        keystream_bytes - base.keystream_bytes,
                        keystore_dense_hits - base.keystore_dense_hits,
-                       keystore_dynamic_hits - base.keystore_dynamic_hits};
+                       keystore_dynamic_hits - base.keystore_dynamic_hits,
+                       schedules_built - base.schedules_built};
   }
 };
 

@@ -243,6 +243,12 @@ int Main(int argc, char** argv) {
                  "--faults/--churn are not supported with --sinks > 1\n");
     return 2;
   }
+  if (sinks > 1 && !flags.GetString("metrics").empty()) {
+    // Each shard has its own registry and no merged snapshot exists, so
+    // the file would hold only its header line.
+    std::fprintf(stderr, "--metrics is not supported with --sinks > 1\n");
+    return 2;
+  }
 
   // Every run is shared-nothing (own Simulator, own Network), so the runs
   // fan across the engine; the ordered fold below keeps output identical

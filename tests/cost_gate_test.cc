@@ -1,8 +1,8 @@
-// Deterministic cost gate (ROADMAP item 3): the scheduler and channel work
-// of one round, counted, never timed. For fixed seeds of three configs —
-// the paper's N=600 point, the faulted/churning N=300 sweep cell, and the
-// 4-sink N=2000 sharded round — the counters below must equal the
-// committed baseline in tests/golden/cost_counters.csv.
+// Deterministic cost gate (ROADMAP item 3): the scheduler, channel and
+// key-schedule work of one round, counted, never timed. For fixed seeds of
+// three configs — the paper's N=600 point, the faulted/churning N=300
+// sweep cell, and the 4-sink N=2000 sharded round — the counters below
+// must equal the committed baseline in tests/golden/cost_counters.csv.
 //
 // Any increase fails: the simulator got more expensive. A decrease fails
 // too, so that a change which makes rounds cheaper rewrites the baseline
@@ -45,6 +45,10 @@ const char* const kCounters[] = {"sim.events_run", "net.frames_sent",
                                  "net.frames_collided", "pool.arena_allocs"};
 // A capacity: shards run one after another, so the peak is the max.
 constexpr char kPeakGauge[] = "sim.sched_heap_capacity";
+// Key work, summed over shards: one cipher-schedule expansion per link end
+// that seals or opens (plus one per message on links keyed mid-round), not
+// two per topology edge. The last column, after the gauge.
+constexpr char kKeyCounter[] = "crypto.schedules_built";
 
 using Row = std::map<std::string, uint64_t>;
 
@@ -54,6 +58,7 @@ void AddSnapshot(const obs::Snapshot& snapshot, Row& row) {
   }
   row[kPeakGauge] = std::max(
       row[kPeakGauge], static_cast<uint64_t>(snapshot.GaugeOr(kPeakGauge, 0)));
+  row[kKeyCounter] += static_cast<uint64_t>(snapshot.CounterOr(kKeyCounter, 0));
 }
 
 // The paper's §IV deployment: 400×400 m, 50 m range, 1 Mbps.
@@ -135,6 +140,7 @@ std::vector<std::string> Columns() {
   std::vector<std::string> columns(std::begin(kCounters),
                                    std::end(kCounters));
   columns.push_back(kPeakGauge);
+  columns.push_back(kKeyCounter);
   return columns;
 }
 

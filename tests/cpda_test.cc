@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "agg/cpda/interpolation.h"
+#include "agg/link_keys.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
 
@@ -198,19 +199,11 @@ TEST(CpdaProtocol, ExternalPairwiseKeysWork) {
   ASSERT_TRUE(topology.ok());
   sim::Simulator simulator(config.seed);
   net::Network network(&simulator, std::move(*topology));
-  // Provision every pair (not just edges): co-member relaying included.
-  std::vector<crypto::LinkCrypto> cryptos;
-  for (net::NodeId id = 0; id < network.size(); ++id) {
-    cryptos.emplace_back(id);
-  }
-  crypto::PairwiseKeyScheme scheme(99);
-  std::vector<crypto::Link> links;
-  for (net::NodeId a = 0; a < network.size(); ++a) {
-    for (net::NodeId b : network.topology().neighbors(a)) {
-      if (a < b) links.emplace_back(a, b);
-    }
-  }
-  scheme.Provision(links, cryptos);
+  // Pairwise keys on the topology's edges only.
+  std::vector<crypto::LinkCrypto> cryptos = ProvisionPairwiseKeys(
+      network.topology(), crypto::PairwiseKeyScheme(99),
+      crypto::CipherKind::kXtea,
+      crypto::KeyStore::DeriveScope::kProvisionedPeers);
 
   auto function = MakeCount();
   CpdaProtocol protocol(&network, function.get());

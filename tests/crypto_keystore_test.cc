@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "agg/link_keys.h"
+#include "crypto/ctr.h"
 #include "crypto/pairwise.h"
+#include "crypto/stats.h"
+#include "net/topology.h"
 #include "util/bytes.h"
+#include "util/random.h"
 
 namespace ipda::crypto {
 namespace {
@@ -219,10 +230,12 @@ TEST(PairwiseKeyScheme, DifferentMastersDifferentKeys) {
 }
 
 TEST(PairwiseKeyScheme, ProvisionInstallsBothDirections) {
-  PairwiseKeyScheme scheme(10);
-  std::vector<LinkCrypto> cryptos;
-  for (PeerId id = 0; id < 4; ++id) cryptos.emplace_back(id);
-  scheme.Provision({{0, 1}, {1, 2}, {2, 3}}, cryptos);
+  // Ring 0-1-2-3-0: node 2 is not a neighbour of node 0.
+  auto ring = net::Topology::RegularRing(4, 2);
+  ASSERT_TRUE(ring.ok());
+  std::vector<LinkCrypto> cryptos = agg::ProvisionPairwiseKeys(
+      *ring, PairwiseKeyScheme(10), CipherKind::kXtea,
+      KeyStore::DeriveScope::kProvisionedPeers);
   EXPECT_TRUE(cryptos[0].keystore().HasLinkKey(1));
   EXPECT_TRUE(cryptos[1].keystore().HasLinkKey(0));
   EXPECT_TRUE(cryptos[1].keystore().HasLinkKey(2));
@@ -230,6 +243,284 @@ TEST(PairwiseKeyScheme, ProvisionInstallsBothDirections) {
   // End-to-end over a provisioned link.
   auto wire = cryptos[1].Seal(2, util::Bytes{42});
   EXPECT_EQ(*cryptos[2].Open(1, *wire), util::Bytes{42});
+}
+
+// --- Slots keyed on first use -------------------------------------------
+
+KeyStore::KeyDeriver DeriverFor(const PairwiseKeyScheme& scheme,
+                                PeerId self) {
+  return [scheme, self](PeerId peer) { return scheme.LinkKey(self, peer); };
+}
+
+TEST(LazyKeyStore, ProvisioningBuildsNoSchedule) {
+  const PairwiseKeyScheme scheme(5);
+  const uint64_t before = ThreadCryptoStats().schedules_built;
+  LinkCrypto node(1);
+  node.Provision({2, 5, 9}, DeriverFor(scheme, 1),
+                 KeyStore::DeriveScope::kProvisionedPeers);
+  EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
+  EXPECT_EQ(node.keystore().dense_count(), 3u);
+  EXPECT_EQ(node.keystore().Peers(), (std::vector<PeerId>{2, 5, 9}));
+  // Reading a key derives it without building its schedule.
+  EXPECT_EQ(*node.keystore().GetLinkKey(5), scheme.LinkKey(1, 5));
+  EXPECT_FALSE(node.keystore().HasLinkKey(4));
+  EXPECT_FALSE(node.keystore().GetLinkKey(4).ok());
+  EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
+}
+
+TEST(LazyKeyStore, SlotScheduleBuiltOnceAndNeverForAnUnusedLink) {
+  const PairwiseKeyScheme scheme(6);
+  LinkCrypto alice(1);
+  LinkCrypto bob(2);
+  alice.Provision({2, 5, 9}, DeriverFor(scheme, 1),
+                  KeyStore::DeriveScope::kProvisionedPeers);
+  bob.Provision({1, 3}, DeriverFor(scheme, 2),
+                KeyStore::DeriveScope::kProvisionedPeers);
+  const CryptoStats base = ThreadCryptoStats();
+  for (int i = 0; i < 5; ++i) {
+    const util::Bytes plaintext(3 + i, static_cast<uint8_t>(i));
+    auto to_bob = alice.Seal(2, plaintext);
+    ASSERT_TRUE(to_bob.ok());
+    EXPECT_EQ(*bob.Open(1, *to_bob), plaintext);
+    auto to_alice = bob.Seal(1, plaintext);
+    ASSERT_TRUE(to_alice.ok());
+    EXPECT_EQ(*alice.Open(2, *to_alice), plaintext);
+  }
+  const CryptoStats used = ThreadCryptoStats() - base;
+  // One per used link end, not per use, and none for the three unused
+  // slots (alice: 5, 9; bob: 3).
+  EXPECT_EQ(used.schedules_built, 2u);
+  EXPECT_EQ(used.keystore_dense_hits, 20u);
+  EXPECT_EQ(used.keystore_dynamic_hits, 0u);
+}
+
+TEST(LazyKeyStore, HandSetKeysAlsoWaitForFirstUse) {
+  LinkCrypto alice(1);
+  alice.keystore().SetLinkKey(2, Key128::FromSeed(42));
+  alice.keystore().SetLinkKey(7, Key128::FromSeed(43));
+  const uint64_t before = ThreadCryptoStats().schedules_built;
+  alice.Compile();
+  EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
+  ASSERT_TRUE(alice.Seal(2, util::Bytes{1}).ok());
+  ASSERT_TRUE(alice.Seal(2, util::Bytes{2}).ok());
+  EXPECT_EQ(ThreadCryptoStats().schedules_built, before + 1);  // Not 7's.
+}
+
+TEST(LazyKeyStore, HasLinkKeyIsTopologyAdjacency) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    net::DeploymentConfig deployment;
+    deployment.area = net::Area{200.0, 200.0};
+    deployment.node_count = 80;
+    util::Rng rng(seed);
+    auto topology = net::Topology::RandomGeometric(deployment, 40.0, rng);
+    ASSERT_TRUE(topology.ok());
+    const uint64_t before = ThreadCryptoStats().schedules_built;
+    std::vector<LinkCrypto> cryptos = agg::ProvisionPairwiseKeys(
+        *topology, PairwiseKeyScheme(seed), CipherKind::kXtea,
+        KeyStore::DeriveScope::kProvisionedPeers);
+    EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
+    ASSERT_EQ(cryptos.size(), topology->node_count());
+    for (net::NodeId a = 0; a < topology->node_count(); ++a) {
+      EXPECT_EQ(cryptos[a].keystore().dense_count(), topology->degree(a));
+      for (net::NodeId b = 0; b < topology->node_count(); ++b) {
+        EXPECT_EQ(cryptos[a].keystore().HasLinkKey(b),
+                  topology->AreNeighbors(a, b))
+            << "seed " << seed << " link " << a << "-" << b;
+      }
+    }
+  }
+}
+
+// The pre-lazy store, kept as the differential referee: every provisioned
+// link gets its key and schedule up front; keys set later live in an
+// overflow map (densified by Compile()) and, like peers keyed only by the
+// churn deriver, re-expand their schedule per message.
+class EagerLinkCrypto {
+ public:
+  EagerLinkCrypto(PeerId self, CipherKind cipher)
+      : self_(self), backend_(&GetCipherBackend(cipher)) {}
+
+  void Provision(const std::vector<PeerId>& peers,
+                 const PairwiseKeyScheme& scheme, bool any_peer) {
+    for (PeerId peer : peers) {
+      Install(dense_[peer], scheme.LinkKey(self_, peer));
+    }
+    if (any_peer) deriver_ = scheme;
+  }
+  void SetLinkKey(PeerId peer, const Key128& key) {
+    const auto it = dense_.find(peer);
+    if (it != dense_.end()) {
+      Install(it->second, key);
+    } else {
+      late_[peer] = key;
+    }
+  }
+  void Compile() {
+    for (const auto& [peer, key] : late_) Install(dense_[peer], key);
+    late_.clear();
+  }
+  bool HasLinkKey(PeerId peer) const {
+    return dense_.count(peer) > 0 || late_.count(peer) > 0 ||
+           deriver_.has_value();
+  }
+
+  util::Result<util::Bytes> Seal(PeerId peer, util::Bytes plaintext) {
+    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched, Schedule(peer));
+    const uint64_t nonce = util::Mix64(
+        static_cast<uint64_t>(self_) << 32 | peer, counters_[peer]++);
+    CtrCrypt(*backend_, sched, nonce, plaintext);
+    util::Bytes wire;
+    for (size_t i = 0; i < kSealOverheadBytes; ++i) {
+      wire.push_back(static_cast<uint8_t>(nonce >> (8 * i)));
+    }
+    wire.insert(wire.end(), plaintext.begin(), plaintext.end());
+    return wire;
+  }
+  util::Result<util::Bytes> Open(PeerId peer, const util::Bytes& wire) {
+    if (wire.size() < kSealOverheadBytes) {
+      return util::InvalidArgumentError("short");
+    }
+    uint64_t nonce = 0;
+    for (size_t i = 0; i < kSealOverheadBytes; ++i) {
+      nonce |= static_cast<uint64_t>(wire[i]) << (8 * i);
+    }
+    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched, Schedule(peer));
+    util::Bytes body(wire.begin() + kSealOverheadBytes, wire.end());
+    CtrCrypt(*backend_, sched, nonce, body);
+    return body;
+  }
+
+  uint64_t dense_hits = 0;
+  uint64_t dynamic_hits = 0;
+
+ private:
+  void Install(CipherSchedule& slot, const Key128& key) {
+    backend_->build(key, slot);
+  }
+  util::Result<CipherSchedule> Schedule(PeerId peer) {
+    const auto dense = dense_.find(peer);
+    if (dense != dense_.end()) {
+      ++dense_hits;
+      return dense->second;
+    }
+    std::optional<Key128> key;
+    if (const auto late = late_.find(peer); late != late_.end()) {
+      key = late->second;
+    } else if (deriver_.has_value()) {
+      key = deriver_->LinkKey(self_, peer);
+    }
+    if (!key.has_value()) return util::NotFoundError("no link key");
+    ++dynamic_hits;
+    CipherSchedule sched;
+    backend_->build(*key, sched);
+    return sched;
+  }
+
+  PeerId self_;
+  const CipherBackend* backend_;
+  std::map<PeerId, CipherSchedule> dense_;
+  std::map<PeerId, Key128> late_;
+  std::optional<PairwiseKeyScheme> deriver_;  // Churn fallback.
+  std::map<PeerId, uint64_t> counters_;
+};
+
+// Seeded random graph plus one interleaved script of seals, opens,
+// hand-set keys (CPDA's cluster-key path), Compile() calls and, with
+// `churn`, seals to peers only the deriver can key. The lazy store must
+// match the eager one byte for byte: wire bytes (hence nonces), opened
+// plaintexts, failures, HasLinkKey, and dense/dynamic hit counts.
+void RunDifferential(uint64_t seed, bool churn) {
+  constexpr PeerId kNodes = 24;
+  util::Rng rng(seed);
+  const CipherKind cipher = static_cast<CipherKind>(seed % kCipherKindCount);
+  std::vector<std::vector<PeerId>> adjacency(kNodes);
+  for (PeerId a = 0; a < kNodes; ++a) {
+    for (PeerId b = a + 1; b < kNodes; ++b) {
+      if (rng.Bernoulli(0.2)) {
+        adjacency[a].push_back(b);
+        adjacency[b].push_back(a);
+      }
+    }
+  }
+  const PairwiseKeyScheme scheme(util::Mix64(seed, 0x6c617a79));
+  const KeyStore::DeriveScope scope =
+      churn ? KeyStore::DeriveScope::kAnyPeer
+            : KeyStore::DeriveScope::kProvisionedPeers;
+  std::vector<LinkCrypto> lazy;
+  std::vector<EagerLinkCrypto> eager;
+  for (PeerId id = 0; id < kNodes; ++id) {
+    std::sort(adjacency[id].begin(), adjacency[id].end());
+    lazy.emplace_back(id, cipher).Provision(adjacency[id],
+                                            DeriverFor(scheme, id), scope);
+    eager.emplace_back(id, cipher).Provision(adjacency[id], scheme, churn);
+  }
+
+  const CryptoStats base = ThreadCryptoStats();
+  for (int step = 0; step < 600; ++step) {
+    const auto a = static_cast<PeerId>(rng.UniformUint64(kNodes));
+    const double op = rng.UniformDouble();
+    PeerId b;
+    if (op < 0.7 && !adjacency[a].empty()) {
+      b = adjacency[a][rng.UniformUint64(adjacency[a].size())];
+    } else {
+      b = static_cast<PeerId>(rng.UniformUint64(kNodes));
+      if (b == a) continue;
+    }
+    ASSERT_EQ(lazy[a].keystore().HasLinkKey(b), eager[a].HasLinkKey(b))
+        << "seed " << seed << " step " << step;
+    if (op < 0.85) {
+      const util::Bytes plaintext(1 + rng.UniformUint64(40),
+                                  static_cast<uint8_t>(step));
+      auto lazy_wire = lazy[a].Seal(b, plaintext);
+      auto eager_wire = eager[a].Seal(b, plaintext);
+      ASSERT_EQ(lazy_wire.ok(), eager_wire.ok())
+          << "seed " << seed << " step " << step;
+      if (!lazy_wire.ok()) continue;
+      ASSERT_EQ(*lazy_wire, *eager_wire)
+          << "seed " << seed << " step " << step;
+      if (rng.Bernoulli(0.8)) {
+        auto lazy_open = lazy[b].Open(a, *lazy_wire);
+        auto eager_open = eager[b].Open(a, *eager_wire);
+        ASSERT_EQ(lazy_open.ok(), eager_open.ok());
+        if (lazy_open.ok()) {
+          ASSERT_EQ(*lazy_open, *eager_open)
+              << "seed " << seed << " step " << step;
+        }
+      }
+    } else if (op < 0.97) {
+      // A key negotiated mid-round, installed on both ends; b may or may
+      // not be a provisioned neighbour (then it overwrites the slot).
+      const Key128 key = Key128::Random(rng);
+      lazy[a].keystore().SetLinkKey(b, key);
+      lazy[b].keystore().SetLinkKey(a, key);
+      eager[a].SetLinkKey(b, key);
+      eager[b].SetLinkKey(a, key);
+    } else {
+      lazy[a].Compile();
+      eager[a].Compile();
+    }
+  }
+  const CryptoStats used = ThreadCryptoStats() - base;
+  uint64_t dense_hits = 0;
+  uint64_t dynamic_hits = 0;
+  for (const EagerLinkCrypto& node : eager) {
+    dense_hits += node.dense_hits;
+    dynamic_hits += node.dynamic_hits;
+  }
+  EXPECT_EQ(used.keystore_dense_hits, dense_hits) << "seed " << seed;
+  EXPECT_EQ(used.keystore_dynamic_hits, dynamic_hits) << "seed " << seed;
+  EXPECT_GT(dense_hits, 0u);
+  if (churn) {
+    EXPECT_GT(dynamic_hits, 0u);
+  }
+}
+
+TEST(LazyKeyStore, MatchesEagerStoreOnRandomGraphs) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) RunDifferential(seed, false);
+}
+
+TEST(LazyKeyStore, MatchesEagerStoreUnderChurnDeriver) {
+  for (uint64_t seed = 101; seed <= 112; ++seed) RunDifferential(seed, true);
 }
 
 }  // namespace

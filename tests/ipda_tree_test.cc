@@ -158,6 +158,43 @@ TEST(TreeBuilder, BlueParentIgnoresRedHellos) {
   FAIL() << "no seed decided blue";
 }
 
+TEST(TreeBuilder, EqualHopParentIsFirstHeardSender) {
+  // Ties go to the earlier sender, not the lower id, and a re-heard
+  // HELLO keeps its first-heard place. Blacklisting the better-hop
+  // sender must leave that order intact.
+  for (uint64_t seed = 1; seed < 50; ++seed) {
+    TreeBuilderHarness h(IpdaConfig{}, seed);
+    h.builder_.OnHello(7, {TreeColor::kRed, 1, std::nullopt});
+    h.builder_.OnHello(9, {TreeColor::kRed, 2, std::nullopt});
+    h.builder_.OnHello(4, {TreeColor::kRed, 2, std::nullopt});
+    h.builder_.OnHello(8, {TreeColor::kBlue, 1, std::nullopt});
+    h.builder_.OnHello(4, {TreeColor::kRed, 2, std::nullopt});
+    h.builder_.OnHello(7, {TreeColor::kBlue, 1, std::nullopt});  // Conflict.
+    EXPECT_EQ(h.builder_.AggregatorNeighbors(TreeColor::kRed),
+              (std::vector<net::NodeId>{9, 4}));
+    h.FireTimers();
+    if (h.builder_.role() != NodeRole::kRedAggregator) continue;
+    EXPECT_EQ(h.builder_.parent(), 9u);
+    EXPECT_EQ(h.builder_.hop(), 3u);
+    return;
+  }
+  FAIL() << "no seed decided red";
+}
+
+TEST(TreeBuilder, ImpatientJoinTieGoesToFirstHeardSender) {
+  IpdaConfig config;
+  config.impatient_join = true;
+  TreeBuilderHarness h(config);
+  h.builder_.OnHello(6, {TreeColor::kBlue, 1, std::nullopt});
+  h.builder_.OnHello(9, {TreeColor::kBlue, 3, std::nullopt});
+  h.builder_.OnHello(2, {TreeColor::kBlue, 3, std::nullopt});
+  h.builder_.OnHello(6, {TreeColor::kRed, 1, std::nullopt});  // Conflict.
+  h.FireTimers();
+  ASSERT_EQ(h.builder_.role(), NodeRole::kBlueAggregator);
+  EXPECT_EQ(h.builder_.parent(), 9u);
+  EXPECT_EQ(h.builder_.hop(), 4u);
+}
+
 TEST(TreeBuilder, DuplicateHelloDoesNotDoubleCount) {
   TreeBuilderHarness h;
   h.builder_.OnHello(1, {TreeColor::kRed, 2, std::nullopt});
