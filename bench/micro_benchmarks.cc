@@ -59,7 +59,8 @@ BENCHMARK_CAPTURE(BM_CipherKeystream, chacha20,
 
 void BM_CipherScheduleBuild(benchmark::State& state,
                             crypto::CipherKind kind) {
-  // One-time per-link schedule expansion KeyStore::Compile amortizes.
+  // One-time per-link schedule expansion a key-store slot pays on its
+  // first Seal/Open.
   const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
   const crypto::Key128 key = crypto::Key128::FromSeed(9);
   for (auto _ : state) {
@@ -75,7 +76,7 @@ BENCHMARK_CAPTURE(BM_CipherScheduleBuild, chacha20,
                   crypto::CipherKind::kChaCha20);
 
 void BM_XteaScheduleBuild(benchmark::State& state) {
-  // Cost of the one-time round-key expansion Compile() amortizes away.
+  // Cost of the one-time round-key expansion a slot's first use pays.
   const crypto::Key128 key = crypto::Key128::FromSeed(9);
   for (auto _ : state) {
     crypto::XteaSchedule sched(key);
@@ -85,6 +86,8 @@ void BM_XteaScheduleBuild(benchmark::State& state) {
 BENCHMARK(BM_XteaScheduleBuild);
 
 void BM_LinkCryptoSealOpen(benchmark::State& state) {
+  // Hand-set keys are slots like provisioned ones: after the first
+  // iteration builds both schedules, this times the steady slot path.
   crypto::LinkCrypto alice(1), bob(2);
   const crypto::Key128 key = crypto::Key128::FromSeed(3);
   alice.keystore().SetLinkKey(2, key);

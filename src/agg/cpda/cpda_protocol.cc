@@ -217,20 +217,15 @@ sim::SimTime CpdaProtocol::Duration() const {
 void CpdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_shares) {
-    if (cryptos_ == nullptr) {
-      pairwise_scheme_.emplace(
-          util::Mix64(network_->sim().seed(), 0x43504441ULL));  // "CPDA".
-      owned_cryptos_ = ProvisionPairwiseKeys(
-          network_->topology(), *pairwise_scheme_, config_.cipher,
-          crypto::KeyStore::DeriveScope::kProvisionedPeers);
-      cryptos_ = &owned_cryptos_;
-    } else {
-      // Keys set by hand densify here.
-      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
-    }
-    // Cluster keys negotiated later land in the dynamic overflow map,
-    // which Seal() handles transparently.
+  if (config_.encrypt_shares && cryptos_ == nullptr) {
+    pairwise_scheme_.emplace(
+        util::Mix64(network_->sim().seed(), 0x43504441ULL));  // "CPDA".
+    owned_cryptos_ = ProvisionPairwiseKeys(
+        network_->topology(), *pairwise_scheme_, config_.cipher,
+        crypto::KeyStore::DeriveScope::kProvisionedPeers);
+    cryptos_ = &owned_cryptos_;
+    // Cluster keys for non-neighbour co-members become slots of their
+    // own when EnsurePairKey sets them.
   }
   for (net::NodeId id = 0; id < network_->size(); ++id) {
     network_->node(id).SetReceiveHandler(

@@ -88,24 +88,19 @@ void IpdaProtocol::SetExcludedNodes(const std::vector<net::NodeId>& nodes) {
 void IpdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_slices) {
-    if (cryptos_ == nullptr) {
-      // Under churn, any pair can become a link mid-round (movers,
-      // joiners), so nodes also derive keys for non-neighbours on first
-      // contact rather than hold all N(N-1)/2 up front.
-      owned_cryptos_ = ProvisionPairwiseKeys(
-          network_->topology(),
-          crypto::PairwiseKeyScheme(
-              util::Mix64(network_->sim().seed(), 0x697044414b455953ULL)),
-          config_.cipher,
-          config_.churn_response == ChurnResponse::kNone
-              ? crypto::KeyStore::DeriveScope::kProvisionedPeers
-              : crypto::KeyStore::DeriveScope::kAnyPeer);
-      cryptos_ = &owned_cryptos_;
-    } else {
-      // Keys set by hand (EG predistribution, tests) densify here.
-      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
-    }
+  if (config_.encrypt_slices && cryptos_ == nullptr) {
+    // Under churn, any pair can become a link mid-round (movers,
+    // joiners), so nodes also derive keys for non-neighbours on first
+    // contact rather than hold all N(N-1)/2 up front.
+    owned_cryptos_ = ProvisionPairwiseKeys(
+        network_->topology(),
+        crypto::PairwiseKeyScheme(
+            util::Mix64(network_->sim().seed(), 0x697044414b455953ULL)),
+        config_.cipher,
+        config_.churn_response == ChurnResponse::kNone
+            ? crypto::KeyStore::DeriveScope::kProvisionedPeers
+            : crypto::KeyStore::DeriveScope::kAnyPeer);
+    cryptos_ = &owned_cryptos_;
   }
 
   for (net::NodeId id = 0; id < network_->size(); ++id) {

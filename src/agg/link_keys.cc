@@ -9,7 +9,7 @@ std::vector<crypto::LinkCrypto> ProvisionPairwiseKeys(
   cryptos.reserve(topology.node_count());
   for (net::NodeId id = 0; id < topology.node_count(); ++id) {
     const net::NeighborSpan neighbors = topology.neighbors(id);
-    cryptos.emplace_back(id, cipher).Provision(
+    cryptos.emplace_back(id, cipher).keystore().Provision(
         std::vector<crypto::PeerId>(neighbors.begin(), neighbors.end()),
         [scheme, id](crypto::PeerId peer) { return scheme.LinkKey(id, peer); },
         scope);

@@ -72,7 +72,6 @@ void CollectRunMetrics(sim::Simulator& simulator,
   SetCounter(reg, "crypto.ctr_blocks_batched", d.ctr_blocks_batched);
   SetCounter(reg, "crypto.keystream_bytes", d.keystream_bytes);
   SetCounter(reg, "crypto.keystore_dense_hits", d.keystore_dense_hits);
-  SetCounter(reg, "crypto.keystore_dynamic_hits", d.keystore_dynamic_hits);
   SetCounter(reg, "crypto.schedules_built", d.schedules_built);
   // Gauge name carries the backend so snapshot diffs across cipher
   // choices are self-describing (value is always 1).

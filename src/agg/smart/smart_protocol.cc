@@ -89,18 +89,13 @@ sim::SimTime SmartProtocol::Duration() const {
 void SmartProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  if (config_.encrypt_slices) {
-    if (cryptos_ == nullptr) {
-      owned_cryptos_ = ProvisionPairwiseKeys(
-          network_->topology(),
-          crypto::PairwiseKeyScheme(util::Mix64(
-              network_->sim().seed(), 0x534d415254ULL)),  // "SMART".
-          config_.cipher, crypto::KeyStore::DeriveScope::kProvisionedPeers);
-      cryptos_ = &owned_cryptos_;
-    } else {
-      // Keys set by hand densify before the slicing hot path seals.
-      for (crypto::LinkCrypto& c : *cryptos_) c.Compile();
-    }
+  if (config_.encrypt_slices && cryptos_ == nullptr) {
+    owned_cryptos_ = ProvisionPairwiseKeys(
+        network_->topology(),
+        crypto::PairwiseKeyScheme(util::Mix64(
+            network_->sim().seed(), 0x534d415254ULL)),  // "SMART".
+        config_.cipher, crypto::KeyStore::DeriveScope::kProvisionedPeers);
+    cryptos_ = &owned_cryptos_;
   }
   for (net::NodeId id = 0; id < network_->size(); ++id) {
     network_->node(id).SetReceiveHandler(

@@ -64,8 +64,8 @@ struct CipherBackend {
   const char* impl;  // Resolved engine, e.g. "aes-ni" vs "aes-portable".
   uint32_t block_bytes;  // Keystream granularity.
 
-  // One-time key expansion; called per link on its first Seal/Open (or
-  // per message on the dynamic fallback path).
+  // One-time key expansion; called per link on its first Seal/Open, and
+  // again only when a built link is rekeyed.
   void (*build)(const Key128& key, CipherSchedule& out);
 
   // Writes `blocks` keystream blocks for (schedule, nonce) starting at

@@ -6,15 +6,15 @@
 // nonce, and opens it on the other side. Sealing fails cleanly when no key
 // is shared with the peer, which is a real outcome under EG predistribution.
 //
-// Hot-path layout: the provisioned peer set lives in sorted dense slots
-// (peer ids in one array, key + schedule state in a parallel one), so the
-// per-message lookup is one binary search over a handful of u32s. A slot's
-// key and cipher schedule are made on its first Seal/Open, never before:
-// most provisioned links carry no slice in a round, and their key work
-// would be wasted. Slots come from Provision() (pairwise keys derived on
-// demand) or from Compile() (keys set by hand). Keys added after either
-// (CPDA cluster keys) land in a dynamic overflow map that re-derives the
-// schedule per message, exactly like an uncompiled store.
+// Hot-path layout: every peer the store holds lives in one sorted slot
+// table (peer ids in one array, key + schedule state in a parallel one,
+// send counters in a third), so the per-message lookup is one binary
+// search over a handful of u32s. A slot's key and cipher schedule are
+// made on its first Seal/Open, never before: most provisioned links carry
+// no slice in a round, and their key work would be wasted. Slots come from
+// Provision() (pairwise keys derived on demand), from SetLinkKey() on a
+// peer not yet held (EG predistribution, CPDA cluster keys), and, under
+// DeriveScope::kAnyPeer, from the first Seal/Open to any other peer.
 //
 // Which cipher fills the schedules (XTEA default, AES-NI, ChaCha20 — see
 // crypto/cipher.h) is fixed per store at construction; the wire format
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/cipher.h"
@@ -58,43 +57,39 @@ class KeyStore {
   const CipherBackend& backend() const { return *backend_; }
   CipherKind cipher() const { return backend_->kind; }
 
-  // Makes `peers` (sorted ascending, distinct) this empty store's dense
+  // Makes `peers` (sorted ascending, distinct) this empty store's first
   // slots. A slot's key comes from `deriver` on its first Seal/Open (or
   // GetLinkKey), so unused links cost no key work. With kAnyPeer the
-  // deriver also keys every other peer on the spot: the master-secret
-  // model, where any two nodes agree on their pairwise key at first
-  // contact (churn: movers and joiners link up mid-round), without
-  // materializing all N(N-1)/2 keys. Those peers take the dynamic path.
+  // deriver also keys every other peer, inserting its slot on first
+  // contact: the master-secret model, where any two nodes agree on their
+  // pairwise key at first contact (churn: movers and joiners link up
+  // mid-round), without materializing all N(N-1)/2 keys.
   void Provision(std::vector<PeerId> peers, KeyDeriver deriver,
                  DeriveScope scope);
 
+  // Keys `peer`'s slot, inserting it at its sorted position if the store
+  // does not hold the peer yet. Its schedule still waits for first use.
   void SetLinkKey(PeerId peer, const Key128& key);
   bool HasLinkKey(PeerId peer) const {
-    return FindSlot(peer) >= 0 || dynamic_.count(peer) > 0 ||
-           derive_any_peer_;
+    return FindSlot(peer) >= 0 || derive_any_peer_;
   }
   util::Result<Key128> GetLinkKey(PeerId peer) const;
-  size_t link_count() const { return dense_peers_.size() + dynamic_.size(); }
-  std::vector<PeerId> Peers() const;
+  size_t link_count() const { return peers_.size(); }
+  const std::vector<PeerId>& Peers() const { return peers_; }
 
-  // Merges keys set by hand since the last Compile() into the dense slots
-  // (call once links are provisioned, e.g. at tree setup). Builds no
-  // schedule: those still wait for each slot's first use. No-op when no
-  // key is waiting.
-  void Compile();
-  bool has_uncompiled_keys() const { return !dynamic_.empty(); }
-
-  // Dense slot index for `peer`, or -1 (dynamic or absent). Slots are
-  // stable until the next Compile() that has keys to merge.
+  // Slot index for `peer`, or -1. Inserting a lower peer id shifts the
+  // index, so hold one only within a single Seal/Open.
   int FindSlot(PeerId peer) const;
-  size_t dense_count() const { return dense_peers_.size(); }
-  PeerId slot_peer(size_t slot) const { return dense_peers_[slot]; }
+  // FindSlot(), but a first-contact peer under kAnyPeer gets a slot.
+  int ResolveSlot(PeerId peer);
   // The slot's cipher schedule, keyed and built on the first call.
   const CipherSchedule& SlotSchedule(int slot);
-
-  // Per-message schedule for a peer outside the dense slots (dynamic key
-  // or deriver); fails like GetLinkKey().
-  util::Result<CipherSchedule> DynamicSchedule(PeerId peer) const;
+  // The slot's next send counter, starting at 0 for every peer. The
+  // counter is inserted and shifted together with its slot, so it stays
+  // with its peer and a per-link nonce never repeats.
+  uint64_t NextSendCounter(int slot) {
+    return send_counters_[static_cast<size_t>(slot)]++;
+  }
 
  private:
   // Slot::schedule values at or above kKeyed mean "not built yet".
@@ -105,39 +100,19 @@ class KeyStore {
     uint32_t schedule;  // Index into schedules_, or kKeyed / kDerive.
   };
 
+  // Inserts `peer` (not yet held) at its sorted position in every slot
+  // array, with a fresh send counter; returns the new slot's index.
+  int InsertSlot(PeerId peer, const Slot& slot);
+
   const CipherBackend* backend_;
   // Parallel, sorted by peer id.
-  std::vector<PeerId> dense_peers_;
+  std::vector<PeerId> peers_;
   std::vector<Slot> slots_;
+  std::vector<uint64_t> send_counters_;
   // Built schedules, in first-use order; slots point in by index.
   std::vector<CipherSchedule> schedules_;
-  // Keys set by hand and not yet compiled, or added after the last
-  // Compile() (cluster keys).
-  std::unordered_map<PeerId, Key128> dynamic_;
   KeyDeriver deriver_;  // Provisioned key source (see Provision()).
   bool derive_any_peer_ = false;
-};
-
-// Per-peer monotone send counters sharing the KeyStore's dense slot
-// layout; dynamic peers fall back to a map. Fresh counters start at 0
-// either way, so compiled and uncompiled stores emit identical nonces.
-class CounterStore {
- public:
-  // Spills dense counters back to the map keyed by peer id; call with the
-  // KeyStore's *current* (pre-Compile) slot layout before it changes.
-  void Demote(const KeyStore& store);
-  // Sizes the dense array to `store`'s slots, migrating any counters the
-  // map accumulated for peers that are now dense.
-  void Compile(const KeyStore& store);
-
-  uint64_t NextDense(int slot) {
-    return dense_[static_cast<size_t>(slot)]++;
-  }
-  uint64_t NextDynamic(PeerId peer) { return dynamic_[peer]++; }
-
- private:
-  std::vector<uint64_t> dense_;
-  std::unordered_map<PeerId, uint64_t> dynamic_;
 };
 
 // Stateful sealer/opener bound to one node's KeyStore.
@@ -148,16 +123,6 @@ class LinkCrypto {
 
   KeyStore& keystore() { return keystore_; }
   const KeyStore& keystore() const { return keystore_; }
-
-  // KeyStore::Provision() plus dense send counters for the new slots.
-  void Provision(std::vector<PeerId> peers, KeyStore::KeyDeriver deriver,
-                 KeyStore::DeriveScope scope);
-
-  // Merges keys set by hand into dense slots (keys, counters); schedules
-  // follow on each slot's first use. Sealing works before, after, and
-  // across Compile() with byte-identical wire output; compiled links just
-  // skip the hash lookup and the per-message key schedule.
-  void Compile();
 
   // Encrypts `plaintext` for `peer`; wire format [u64 nonce][ciphertext].
   util::Result<util::Bytes> Seal(PeerId peer, const util::Bytes& plaintext);
@@ -173,7 +138,6 @@ class LinkCrypto {
  private:
   PeerId self_;
   KeyStore keystore_;
-  CounterStore send_counters_;
 };
 
 // Extra bytes Seal() adds on top of the plaintext (the nonce).

@@ -20,16 +20,14 @@ struct CryptoStats {
   uint64_t ctr_blocks_batched = 0;   // Chunked CTR keystream blocks
                                      // (of the active backend's size).
   uint64_t keystream_bytes = 0;      // Payload bytes CTR-crypted.
-  uint64_t keystore_dense_hits = 0;  // Seal/Open resolved via dense slots.
-  uint64_t keystore_dynamic_hits = 0;  // Fell back to the overflow map.
-  uint64_t schedules_built = 0;  // Key expansions: one per used dense
-                                 // slot, one per dynamic Seal/Open.
+  uint64_t keystore_dense_hits = 0;  // Seal/Open resolved to a slot.
+  uint64_t schedules_built = 0;  // Key expansions: one per used slot,
+                                 // one more per rekey of a built slot.
 
   CryptoStats operator-(const CryptoStats& base) const {
     return CryptoStats{ctr_blocks_batched - base.ctr_blocks_batched,
                        keystream_bytes - base.keystream_bytes,
                        keystore_dense_hits - base.keystore_dense_hits,
-                       keystore_dynamic_hits - base.keystore_dynamic_hits,
                        schedules_built - base.schedules_built};
   }
 };

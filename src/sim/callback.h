@@ -2,17 +2,13 @@
 //
 // std::function heap-allocates any capture beyond ~16 bytes, which made
 // every scheduled delivery/timer event a malloc. Callback stores captures
-// up to kInlineBytes directly inside the object; larger captures fall back
-// to a caller-supplied BytePool (or, pool-less, to operator new — counted,
-// so tests can assert the scheduler hot path never takes it). Move-only,
-// like the closures it carries.
+// up to kInlineBytes directly inside the object; larger captures go to the
+// scheduler's BytePool. Move-only, like the closures it carries.
 
 #ifndef IPDA_SIM_CALLBACK_H_
 #define IPDA_SIM_CALLBACK_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -31,14 +27,8 @@ class Callback {
 
   Callback() = default;
 
-  // Pool-less form: oversized captures hit operator new (counted).
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, Callback>>>
-  Callback(F&& fn) : Callback(nullptr, std::forward<F>(fn)) {}  // NOLINT
-
-  // Oversized captures recycle through `pool` (may be null).
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, Callback>>>
+  // Oversized captures recycle through `pool`.
+  template <typename F>
   Callback(util::BytePool* pool, F&& fn) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>,
@@ -49,13 +39,7 @@ class Callback {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
       ops_ = &kInlineOps<Fn>;
     } else {
-      void* mem;
-      if (pool != nullptr) {
-        mem = pool->Allocate(sizeof(Fn));
-      } else {
-        mem = ::operator new(sizeof(Fn));
-        heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      }
+      void* mem = pool->Allocate(sizeof(Fn));
       ::new (mem) Fn(std::forward<F>(fn));
       ::new (static_cast<void*>(buf_)) Outline{mem, pool};
       ops_ = &kOutlineOps<Fn>;
@@ -84,26 +68,15 @@ class Callback {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  // Destroys the held callable (releasing any pool/heap block).
+  // Destroys the held callable (releasing any pool block).
   void Reset() {
     if (ops_ == nullptr) return;
     ops_->destroy(target());
     if (!ops_->inline_stored) {
       Outline& out = outline();
-      if (out.pool != nullptr) {
-        out.pool->Deallocate(out.obj, ops_->size);
-      } else {
-        ::operator delete(out.obj);
-      }
+      out.pool->Deallocate(out.obj, ops_->size);
     }
     ops_ = nullptr;
-  }
-
-  // Times a pool-less Callback construction spilled to operator new.
-  // Scheduler paths always pass a pool, so their steady state keeps this
-  // flat — asserted by the scheduler stress test.
-  static uint64_t heap_fallback_count() {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -157,8 +130,6 @@ class Callback {
     }
     other.ops_ = nullptr;
   }
-
-  inline static std::atomic<uint64_t> heap_fallbacks_{0};
 
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;

@@ -25,9 +25,6 @@ void Simulator::CollectKernelMetrics() {
       ->Set(static_cast<double>(scheduler_.slots_.capacity()));
   metrics_.GetGauge("sim.sched_overflow_slabs")
       ->Set(static_cast<double>(scheduler_.overflow_.slab_count()));
-  // Process-global (thread-local in practice: one run per worker thread).
-  metrics_.GetCounter("sim.callback_heap_fallbacks")
-      ->Set(Callback::heap_fallback_count());
 }
 
 }  // namespace ipda::sim

@@ -292,26 +292,6 @@ TEST(CipherBackend, SealOpenRoundTripsEveryBackend) {
   }
 }
 
-TEST(CipherBackend, CompiledAndDynamicWiresAreIdentical) {
-  // Dense (compiled) sealing caches the schedule; the dynamic path builds
-  // one per message. Same key, same nonce sequence => same wire bytes,
-  // for every backend.
-  for (CipherKind kind : kAllKinds) {
-    LinkCrypto compiled(1, kind), dynamic(1, kind);
-    const Key128 shared = Key128::FromSeed(17);
-    compiled.keystore().SetLinkKey(2, shared);
-    compiled.Compile();
-    dynamic.keystore().SetLinkKey(2, shared);
-    util::Bytes plaintext(40, 0x3c);
-    for (int msg = 0; msg < 3; ++msg) {
-      auto a = compiled.Seal(2, plaintext);
-      auto b = dynamic.Seal(2, plaintext);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(*a, *b) << CipherKindName(kind) << " msg=" << msg;
-    }
-  }
-}
-
 TEST(CipherBackend, BackendsProduceDistinctCiphertext) {
   // Sanity: the cipher knob actually changes the wire (same key, same
   // nonce, different keystreams).

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -121,14 +122,16 @@ TEST_F(LinkCryptoTest, TruncatedWireFails) {
   EXPECT_FALSE(bob_.Open(1, truncated).ok());
 }
 
+// The next four tests keep the names they had when a Compile() pass
+// moved late keys into a dense table; each now checks the same property
+// of the slot table, which is kept sorted on every insert.
+
 TEST(KeyStore, CompileDensifiesAndPreservesLookups) {
+  // Keys set in any order land in dense slots, sorted by peer.
   KeyStore store;
   store.SetLinkKey(9, Key128::FromSeed(1));
   store.SetLinkKey(2, Key128::FromSeed(2));
   store.SetLinkKey(5, Key128::FromSeed(3));
-  EXPECT_EQ(store.dense_count(), 0u);
-  store.Compile();
-  EXPECT_EQ(store.dense_count(), 3u);
   EXPECT_EQ(store.link_count(), 3u);
   EXPECT_EQ(*store.GetLinkKey(2), Key128::FromSeed(2));
   EXPECT_EQ(*store.GetLinkKey(5), Key128::FromSeed(3));
@@ -142,80 +145,77 @@ TEST(KeyStore, CompileDensifiesAndPreservesLookups) {
 }
 
 TEST(KeyStore, KeysAddedAfterCompileStillWork) {
-  KeyStore store;
-  store.SetLinkKey(1, Key128::FromSeed(1));
-  store.Compile();
-  // Late adds land in the dynamic overflow until the next Compile().
-  store.SetLinkKey(8, Key128::FromSeed(8));
-  EXPECT_TRUE(store.HasLinkKey(8));
-  EXPECT_EQ(*store.GetLinkKey(8), Key128::FromSeed(8));
-  EXPECT_EQ(store.FindSlot(8), -1);
-  EXPECT_EQ(store.link_count(), 2u);
-  store.Compile();
-  EXPECT_EQ(store.FindSlot(8), 1);
-  EXPECT_EQ(*store.GetLinkKey(8), Key128::FromSeed(8));
+  // A late key after provisioning lands at its sorted slot at once.
+  KeyStore provisioned;
+  provisioned.Provision({3, 8}, [](PeerId) { return Key128::FromSeed(4); },
+                        KeyStore::DeriveScope::kProvisionedPeers);
+  provisioned.SetLinkKey(5, Key128::FromSeed(5));
+  EXPECT_TRUE(provisioned.HasLinkKey(5));
+  EXPECT_EQ(provisioned.link_count(), 3u);
+  EXPECT_EQ(provisioned.Peers(), (std::vector<PeerId>{3, 5, 8}));
+  EXPECT_EQ(provisioned.FindSlot(5), 1);
+  EXPECT_EQ(provisioned.FindSlot(8), 2);
+  EXPECT_EQ(*provisioned.GetLinkKey(5), Key128::FromSeed(5));
+  EXPECT_EQ(*provisioned.GetLinkKey(8), Key128::FromSeed(4));
 }
 
-TEST(KeyStore, OverwriteAfterCompileUpdatesSlotKey) {
-  KeyStore store;
-  store.SetLinkKey(4, Key128::FromSeed(1));
-  store.Compile();
-  store.SetLinkKey(4, Key128::FromSeed(2));  // Hits the dense slot.
-  EXPECT_EQ(*store.GetLinkKey(4), Key128::FromSeed(2));
-  EXPECT_EQ(store.link_count(), 1u);
+TEST_F(LinkCryptoTest, OverwriteOfAUsedSlotRekeysIt) {
+  // The overwrite hits the existing slot (no second slot for the peer)
+  // and rebuilds its schedule: later seals use the new key.
+  const util::Bytes plaintext(10, 0x42);
+  ASSERT_TRUE(alice_.Seal(2, plaintext).ok());
+  const Key128 fresh = Key128::FromSeed(43);
+  const uint64_t before = ThreadCryptoStats().schedules_built;
+  alice_.keystore().SetLinkKey(2, fresh);
+  EXPECT_EQ(ThreadCryptoStats().schedules_built, before + 1);
+  EXPECT_EQ(alice_.keystore().link_count(), 1u);
+  EXPECT_EQ(*alice_.keystore().GetLinkKey(2), fresh);
+  auto wire = alice_.Seal(2, plaintext);
+  ASSERT_TRUE(wire.ok());
+  EXPECT_NE(*bob_.Open(1, *wire), plaintext);  // Bob still has the old key.
+  bob_.keystore().SetLinkKey(1, fresh);
+  EXPECT_EQ(*bob_.Open(1, *wire), plaintext);
 }
 
-TEST_F(LinkCryptoTest, CompiledWireBytesMatchUncompiled) {
-  // Compile() must be a pure layout change: a compiled sender produces
-  // the exact wire bytes of an uncompiled one with the same counters,
-  // and a compiled receiver opens either.
-  LinkCrypto compiled(1);
-  compiled.keystore().SetLinkKey(2, Key128::FromSeed(42));
-  compiled.Compile();
-  bob_.Compile();
-  for (int round = 0; round < 4; ++round) {
-    const util::Bytes plaintext(7 + 9 * round,
-                                static_cast<uint8_t>(0x30 + round));
-    auto plain_wire = alice_.Seal(2, plaintext);
-    auto compiled_wire = compiled.Seal(2, plaintext);
-    ASSERT_TRUE(plain_wire.ok());
-    ASSERT_TRUE(compiled_wire.ok());
-    EXPECT_EQ(*plain_wire, *compiled_wire) << "round " << round;
-    EXPECT_EQ(*bob_.Open(1, *compiled_wire), plaintext);
-  }
+uint64_t NonceOf(const util::Bytes& wire) {
+  util::ByteReader reader(wire);
+  return *reader.ReadU64();
 }
 
 TEST_F(LinkCryptoTest, CompileMidStreamKeepsNoncesFresh) {
-  // Counters issued before Compile() must carry into the dense layout:
-  // the wire prefix (nonce) never repeats across the boundary.
+  // Inserting a higher-id peer mid-stream leaves peer 2's slot in place;
+  // its counter carries on, so the nonce never repeats.
   const util::Bytes plaintext(16, 0x77);
-  auto before = alice_.Seal(2, plaintext);
+  auto before = alice_.Seal(2, plaintext);  // Slot 0, counter 0.
+  alice_.keystore().SetLinkKey(9, Key128::FromSeed(7));
+  ASSERT_EQ(alice_.keystore().FindSlot(2), 0);
+  auto after = alice_.Seal(2, plaintext);  // Slot 0, counter 1.
   ASSERT_TRUE(before.ok());
-  alice_.Compile();
-  auto after = alice_.Seal(2, plaintext);
   ASSERT_TRUE(after.ok());
-  EXPECT_NE(util::Bytes(before->begin(),
-                        before->begin() + kSealOverheadBytes),
-            util::Bytes(after->begin(), after->begin() + kSealOverheadBytes));
+  EXPECT_EQ(NonceOf(*before), util::Mix64(uint64_t{1} << 32 | 2, 0));
+  EXPECT_EQ(NonceOf(*after), util::Mix64(uint64_t{1} << 32 | 2, 1));
   EXPECT_EQ(*bob_.Open(1, *before), plaintext);
   EXPECT_EQ(*bob_.Open(1, *after), plaintext);
 }
 
 TEST_F(LinkCryptoTest, RecompileAfterNewPeerShiftsSlotsSafely) {
-  // Adding a lower-id peer shifts existing slot indices on recompile;
-  // in-flight counters must follow their peer, not their old slot.
-  alice_.Compile();
+  // Inserting a lower-id peer shifts peer 2's slot index; its send
+  // counter shifts with it, so the nonce sequence continues unbroken.
   const util::Bytes plaintext(12, 0x11);
-  auto w1 = alice_.Seal(2, plaintext);  // Dense slot 0 counter -> 1.
+  auto w1 = alice_.Seal(2, plaintext);  // Slot 0, counter 0.
   alice_.keystore().SetLinkKey(0, Key128::FromSeed(7));
-  alice_.Compile();  // Peer 2 now occupies slot 1.
-  auto w2 = alice_.Seal(2, plaintext);
+  ASSERT_EQ(alice_.keystore().FindSlot(2), 1);
+  auto w2 = alice_.Seal(2, plaintext);  // Slot 1, counter 1.
   ASSERT_TRUE(w1.ok());
   ASSERT_TRUE(w2.ok());
-  EXPECT_NE(util::Bytes(w1->begin(), w1->begin() + kSealOverheadBytes),
-            util::Bytes(w2->begin(), w2->begin() + kSealOverheadBytes));
+  EXPECT_EQ(NonceOf(*w1), util::Mix64(uint64_t{1} << 32 | 2, 0));
+  EXPECT_EQ(NonceOf(*w2), util::Mix64(uint64_t{1} << 32 | 2, 1));
   EXPECT_EQ(*bob_.Open(1, *w1), plaintext);
   EXPECT_EQ(*bob_.Open(1, *w2), plaintext);
+  // The new peer's own counter starts at 0.
+  auto w3 = alice_.Seal(0, plaintext);
+  ASSERT_TRUE(w3.ok());
+  EXPECT_EQ(NonceOf(*w3), util::Mix64(uint64_t{1} << 32 | 0, 0));
 }
 
 TEST(PairwiseKeyScheme, SymmetricInEndpoints) {
@@ -256,10 +256,10 @@ TEST(LazyKeyStore, ProvisioningBuildsNoSchedule) {
   const PairwiseKeyScheme scheme(5);
   const uint64_t before = ThreadCryptoStats().schedules_built;
   LinkCrypto node(1);
-  node.Provision({2, 5, 9}, DeriverFor(scheme, 1),
-                 KeyStore::DeriveScope::kProvisionedPeers);
+  node.keystore().Provision({2, 5, 9}, DeriverFor(scheme, 1),
+                            KeyStore::DeriveScope::kProvisionedPeers);
   EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
-  EXPECT_EQ(node.keystore().dense_count(), 3u);
+  EXPECT_EQ(node.keystore().link_count(), 3u);
   EXPECT_EQ(node.keystore().Peers(), (std::vector<PeerId>{2, 5, 9}));
   // Reading a key derives it without building its schedule.
   EXPECT_EQ(*node.keystore().GetLinkKey(5), scheme.LinkKey(1, 5));
@@ -272,10 +272,10 @@ TEST(LazyKeyStore, SlotScheduleBuiltOnceAndNeverForAnUnusedLink) {
   const PairwiseKeyScheme scheme(6);
   LinkCrypto alice(1);
   LinkCrypto bob(2);
-  alice.Provision({2, 5, 9}, DeriverFor(scheme, 1),
-                  KeyStore::DeriveScope::kProvisionedPeers);
-  bob.Provision({1, 3}, DeriverFor(scheme, 2),
-                KeyStore::DeriveScope::kProvisionedPeers);
+  alice.keystore().Provision({2, 5, 9}, DeriverFor(scheme, 1),
+                             KeyStore::DeriveScope::kProvisionedPeers);
+  bob.keystore().Provision({1, 3}, DeriverFor(scheme, 2),
+                           KeyStore::DeriveScope::kProvisionedPeers);
   const CryptoStats base = ThreadCryptoStats();
   for (int i = 0; i < 5; ++i) {
     const util::Bytes plaintext(3 + i, static_cast<uint8_t>(i));
@@ -291,15 +291,75 @@ TEST(LazyKeyStore, SlotScheduleBuiltOnceAndNeverForAnUnusedLink) {
   // slots (alice: 5, 9; bob: 3).
   EXPECT_EQ(used.schedules_built, 2u);
   EXPECT_EQ(used.keystore_dense_hits, 20u);
-  EXPECT_EQ(used.keystore_dynamic_hits, 0u);
+}
+
+// Five round trips between alice (1) and carol (9), neither of which
+// provisioned the other; returns the schedules built on the way.
+// `hand_set` keys the link on both ends with SetLinkKey first.
+uint64_t SchedulesForFiveRoundTrips(KeyStore::DeriveScope scope,
+                                    bool hand_set) {
+  const PairwiseKeyScheme scheme(8);
+  LinkCrypto alice(1);
+  LinkCrypto carol(9);
+  alice.keystore().Provision({2, 5}, DeriverFor(scheme, 1), scope);
+  carol.keystore().Provision({3}, DeriverFor(scheme, 9), scope);
+  if (hand_set) {
+    alice.keystore().SetLinkKey(9, scheme.LinkKey(1, 9));
+    carol.keystore().SetLinkKey(1, scheme.LinkKey(9, 1));
+  }
+  const uint64_t before = ThreadCryptoStats().schedules_built;
+  for (int i = 0; i < 5; ++i) {
+    const util::Bytes plaintext(4 + i, static_cast<uint8_t>(i));
+    auto to_carol = alice.Seal(9, plaintext);
+    EXPECT_TRUE(to_carol.ok());
+    if (!to_carol.ok()) break;
+    EXPECT_EQ(*carol.Open(1, *to_carol), plaintext);
+    auto to_alice = carol.Seal(1, plaintext);
+    EXPECT_TRUE(to_alice.ok());
+    if (!to_alice.ok()) break;
+    EXPECT_EQ(*alice.Open(9, *to_alice), plaintext);
+  }
+  return ThreadCryptoStats().schedules_built - before;
+}
+
+TEST(LazyKeyStore, KeySetAfterProvisionBuildsOneSchedulePerEnd) {
+  // CPDA's cluster-key path: a non-neighbour keyed by SetLinkKey after
+  // provisioning gets a slot, so five seals and five opens on each end
+  // expand its schedule once, not once per message.
+  EXPECT_EQ(SchedulesForFiveRoundTrips(
+                KeyStore::DeriveScope::kProvisionedPeers, true),
+            2u);
+}
+
+TEST(LazyKeyStore, FirstContactPeerBuildsOneSchedulePerEnd) {
+  // Churn: under kAnyPeer the first Seal/Open to an unprovisioned peer
+  // inserts a derive-on-use slot, which later messages reuse.
+  EXPECT_EQ(
+      SchedulesForFiveRoundTrips(KeyStore::DeriveScope::kAnyPeer, false),
+      2u);
+}
+
+TEST(LazyKeyStore, FirstContactInsertsASlot) {
+  const PairwiseKeyScheme scheme(12);
+  LinkCrypto alice(4);
+  alice.keystore().Provision({2, 6}, DeriverFor(scheme, 4),
+                             KeyStore::DeriveScope::kAnyPeer);
+  ASSERT_TRUE(alice.Seal(6, util::Bytes{1}).ok());
+  ASSERT_TRUE(alice.Seal(3, util::Bytes{2}).ok());  // First contact.
+  EXPECT_EQ(alice.keystore().Peers(), (std::vector<PeerId>{2, 3, 6}));
+  EXPECT_EQ(*alice.keystore().GetLinkKey(3), scheme.LinkKey(4, 3));
+  // Peer 6 kept its counter across the insert in front of it.
+  auto wire = alice.Seal(6, util::Bytes{3});
+  ASSERT_TRUE(wire.ok());
+  util::ByteReader reader(*wire);
+  EXPECT_EQ(*reader.ReadU64(), util::Mix64(uint64_t{4} << 32 | 6, 1));
 }
 
 TEST(LazyKeyStore, HandSetKeysAlsoWaitForFirstUse) {
   LinkCrypto alice(1);
+  const uint64_t before = ThreadCryptoStats().schedules_built;
   alice.keystore().SetLinkKey(2, Key128::FromSeed(42));
   alice.keystore().SetLinkKey(7, Key128::FromSeed(43));
-  const uint64_t before = ThreadCryptoStats().schedules_built;
-  alice.Compile();
   EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
   ASSERT_TRUE(alice.Seal(2, util::Bytes{1}).ok());
   ASSERT_TRUE(alice.Seal(2, util::Bytes{2}).ok());
@@ -321,7 +381,7 @@ TEST(LazyKeyStore, HasLinkKeyIsTopologyAdjacency) {
     EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
     ASSERT_EQ(cryptos.size(), topology->node_count());
     for (net::NodeId a = 0; a < topology->node_count(); ++a) {
-      EXPECT_EQ(cryptos[a].keystore().dense_count(), topology->degree(a));
+      EXPECT_EQ(cryptos[a].keystore().link_count(), topology->degree(a));
       for (net::NodeId b = 0; b < topology->node_count(); ++b) {
         EXPECT_EQ(cryptos[a].keystore().HasLinkKey(b),
                   topology->AreNeighbors(a, b))
@@ -333,8 +393,9 @@ TEST(LazyKeyStore, HasLinkKeyIsTopologyAdjacency) {
 
 // The pre-lazy store, kept as the differential referee: every provisioned
 // link gets its key and schedule up front; keys set later live in an
-// overflow map (densified by Compile()) and, like peers keyed only by the
-// churn deriver, re-expand their schedule per message.
+// overflow map and, like peers keyed only by the churn deriver, re-expand
+// their schedule per message. It also counts the schedules a first-use
+// slot table should build for the same script.
 class EagerLinkCrypto {
  public:
   EagerLinkCrypto(PeerId self, CipherKind cipher)
@@ -348,16 +409,13 @@ class EagerLinkCrypto {
     if (any_peer) deriver_ = scheme;
   }
   void SetLinkKey(PeerId peer, const Key128& key) {
+    if (used_.count(peer) > 0) ++first_use_builds;  // Rekeys a built slot.
     const auto it = dense_.find(peer);
     if (it != dense_.end()) {
       Install(it->second, key);
     } else {
       late_[peer] = key;
     }
-  }
-  void Compile() {
-    for (const auto& [peer, key] : late_) Install(dense_[peer], key);
-    late_.clear();
   }
   bool HasLinkKey(PeerId peer) const {
     return dense_.count(peer) > 0 || late_.count(peer) > 0 ||
@@ -392,12 +450,15 @@ class EagerLinkCrypto {
 
   uint64_t dense_hits = 0;
   uint64_t dynamic_hits = 0;
+  // One per peer's first resolved Seal/Open, one per later rekey.
+  uint64_t first_use_builds = 0;
 
  private:
   void Install(CipherSchedule& slot, const Key128& key) {
     backend_->build(key, slot);
   }
   util::Result<CipherSchedule> Schedule(PeerId peer) {
+    if (HasLinkKey(peer) && used_.insert(peer).second) ++first_use_builds;
     const auto dense = dense_.find(peer);
     if (dense != dense_.end()) {
       ++dense_hits;
@@ -422,13 +483,16 @@ class EagerLinkCrypto {
   std::map<PeerId, Key128> late_;
   std::optional<PairwiseKeyScheme> deriver_;  // Churn fallback.
   std::map<PeerId, uint64_t> counters_;
+  std::set<PeerId> used_;  // Peers with a resolved Seal/Open.
 };
 
 // Seeded random graph plus one interleaved script of seals, opens,
-// hand-set keys (CPDA's cluster-key path), Compile() calls and, with
-// `churn`, seals to peers only the deriver can key. The lazy store must
-// match the eager one byte for byte: wire bytes (hence nonces), opened
-// plaintexts, failures, HasLinkKey, and dense/dynamic hit counts.
+// hand-set keys (CPDA's cluster-key path) and, with `churn`, seals to
+// peers only the deriver can key. The slot table must match the eager
+// store byte for byte: wire bytes (hence nonces), opened plaintexts,
+// failures and HasLinkKey. Its hit count must equal the referee's dense
+// plus dynamic hits, and it must build one schedule per used link end
+// (plus rekeys), never one per message.
 void RunDifferential(uint64_t seed, bool churn) {
   constexpr PeerId kNodes = 24;
   util::Rng rng(seed);
@@ -450,8 +514,8 @@ void RunDifferential(uint64_t seed, bool churn) {
   std::vector<EagerLinkCrypto> eager;
   for (PeerId id = 0; id < kNodes; ++id) {
     std::sort(adjacency[id].begin(), adjacency[id].end());
-    lazy.emplace_back(id, cipher).Provision(adjacency[id],
-                                            DeriverFor(scheme, id), scope);
+    lazy.emplace_back(id, cipher).keystore().Provision(
+        adjacency[id], DeriverFor(scheme, id), scope);
     eager.emplace_back(id, cipher).Provision(adjacency[id], scheme, churn);
   }
 
@@ -487,7 +551,7 @@ void RunDifferential(uint64_t seed, bool churn) {
               << "seed " << seed << " step " << step;
         }
       }
-    } else if (op < 0.97) {
+    } else {
       // A key negotiated mid-round, installed on both ends; b may or may
       // not be a provisioned neighbour (then it overwrites the slot).
       const Key128 key = Key128::Random(rng);
@@ -495,20 +559,20 @@ void RunDifferential(uint64_t seed, bool churn) {
       lazy[b].keystore().SetLinkKey(a, key);
       eager[a].SetLinkKey(b, key);
       eager[b].SetLinkKey(a, key);
-    } else {
-      lazy[a].Compile();
-      eager[a].Compile();
     }
   }
   const CryptoStats used = ThreadCryptoStats() - base;
   uint64_t dense_hits = 0;
   uint64_t dynamic_hits = 0;
+  uint64_t first_use_builds = 0;
   for (const EagerLinkCrypto& node : eager) {
     dense_hits += node.dense_hits;
     dynamic_hits += node.dynamic_hits;
+    first_use_builds += node.first_use_builds;
   }
-  EXPECT_EQ(used.keystore_dense_hits, dense_hits) << "seed " << seed;
-  EXPECT_EQ(used.keystore_dynamic_hits, dynamic_hits) << "seed " << seed;
+  EXPECT_EQ(used.keystore_dense_hits, dense_hits + dynamic_hits)
+      << "seed " << seed;
+  EXPECT_EQ(used.schedules_built, first_use_builds) << "seed " << seed;
   EXPECT_GT(dense_hits, 0u);
   if (churn) {
     EXPECT_GT(dynamic_hits, 0u);

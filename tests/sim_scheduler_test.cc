@@ -284,7 +284,6 @@ struct AllocFootprint {
   double heap_capacity;
   double slot_capacity;
   double overflow_slabs;
-  double callback_heap_fallbacks;
   bool operator==(const AllocFootprint&) const = default;
 };
 
@@ -293,14 +292,13 @@ AllocFootprint CollectFootprint(Simulator& simulator) {
   const obs::Snapshot snapshot = obs::TakeSnapshot(simulator.metrics());
   return AllocFootprint{snapshot.GaugeOr("sim.sched_heap_capacity", -1),
                         snapshot.GaugeOr("sim.sched_slot_capacity", -1),
-                        snapshot.GaugeOr("sim.sched_overflow_slabs", -1),
-                        snapshot.CounterOr("sim.callback_heap_fallbacks", -1)};
+                        snapshot.GaugeOr("sim.sched_overflow_slabs", -1)};
 }
 
 TEST(Scheduler, SteadyStateDispatchDoesNotAllocate) {
   // After warm-up, a schedule/dispatch cycle must reuse the heap array,
-  // the slot free list, and the callback pool: no capacity growth, no
-  // pool slabs, no operator-new fallbacks.
+  // the slot free list, and the callback pool: no capacity growth and no
+  // pool slabs.
   Simulator simulator(/*seed=*/3);
   Scheduler& sched = simulator.scheduler();
   int hits = 0;
@@ -320,7 +318,6 @@ TEST(Scheduler, SteadyStateDispatchDoesNotAllocate) {
   EXPECT_EQ(after.heap_capacity, before.heap_capacity);
   EXPECT_EQ(after.slot_capacity, before.slot_capacity);
   EXPECT_EQ(after.overflow_slabs, before.overflow_slabs);
-  EXPECT_EQ(after.callback_heap_fallbacks, before.callback_heap_fallbacks);
   EXPECT_EQ(hits, 256 * 101);
 }
 

@@ -1,15 +1,12 @@
-// Property tests for the arena/free-list pools (util/pool.h) backing
+// Property tests for the free-list pool (util/pool.h) backing
 // scheduler-event allocation. The randomized interleavings run
-// under the IPDA_SANITIZE=address CI job, so slot reuse bugs (overlap,
-// use-after-recycle, leaked live objects) surface as ASan reports even
+// under the IPDA_SANITIZE=address CI job, so block reuse bugs (overlap,
+// use-after-recycle, leaked live blocks) surface as ASan reports even
 // when the accounting assertions happen to pass.
 
 #include "util/pool.h"
 
-#include <cstdint>
 #include <cstring>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,107 +15,6 @@
 
 namespace ipda::util {
 namespace {
-
-struct Tracked {
-  explicit Tracked(int* counter, uint64_t tag = 0)
-      : counter(counter), tag(tag) {
-    ++*counter;
-  }
-  ~Tracked() { --*counter; }
-  int* counter;
-  uint64_t tag;
-  uint64_t payload[4] = {};  // Big enough to catch slot overlap.
-};
-
-TEST(ObjectPool, RoundTripAndAccounting) {
-  ObjectPool<Tracked> pool(4);
-  int alive = 0;
-  Tracked* a = pool.New(&alive, 1);
-  Tracked* b = pool.New(&alive, 2);
-  EXPECT_EQ(alive, 2);
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(a->tag, 1u);
-  EXPECT_EQ(b->tag, 2u);
-  pool.Delete(a);
-  EXPECT_EQ(alive, 1);
-  EXPECT_EQ(pool.live(), 1u);
-  pool.Delete(b);
-  EXPECT_EQ(alive, 0);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(ObjectPool, RecyclesSlotsInsteadOfGrowing) {
-  ObjectPool<Tracked> pool(8);
-  int alive = 0;
-  std::vector<Tracked*> objects;
-  for (int i = 0; i < 8; ++i) objects.push_back(pool.New(&alive));
-  const size_t capacity = pool.capacity();
-  for (Tracked* t : objects) pool.Delete(t);
-  // Churning through as many again must reuse the freed slots.
-  for (int round = 0; round < 10; ++round) {
-    Tracked* t = pool.New(&alive);
-    pool.Delete(t);
-  }
-  EXPECT_EQ(pool.capacity(), capacity);
-  EXPECT_EQ(alive, 0);
-}
-
-TEST(ObjectPool, DestroysObjectsStillLiveAtTeardown) {
-  // A scheduler torn down with pending events leaks neither memory nor
-  // destructors; the pool sweeps surviving objects.
-  int alive = 0;
-  {
-    ObjectPool<Tracked> pool;
-    pool.New(&alive);
-    pool.New(&alive);
-    EXPECT_EQ(alive, 2);
-  }
-  EXPECT_EQ(alive, 0);
-}
-
-TEST(ObjectPool, RandomizedChurnKeepsObjectsDisjoint) {
-  // Interleave allocs and frees at random; every live object must keep
-  // its distinct tag (catches overlapping or prematurely recycled slots,
-  // and ASan sees any out-of-slot write).
-  ObjectPool<Tracked> pool(2);
-  Rng rng(0xB0071);
-  int alive = 0;
-  std::vector<Tracked*> live;
-  uint64_t next_tag = 1;
-  for (int step = 0; step < 5000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.55)) {
-      Tracked* t = pool.New(&alive, next_tag++);
-      t->payload[0] = t->tag;
-      t->payload[3] = ~t->tag;
-      live.push_back(t);
-    } else {
-      const size_t victim = rng.UniformUint64(live.size());
-      Tracked* t = live[victim];
-      ASSERT_EQ(t->payload[0], t->tag);
-      ASSERT_EQ(t->payload[3], ~t->tag);
-      pool.Delete(t);
-      live[victim] = live.back();
-      live.pop_back();
-    }
-    ASSERT_EQ(pool.live(), live.size());
-    ASSERT_EQ(alive, static_cast<int>(live.size()));
-  }
-  std::set<uint64_t> tags;
-  for (Tracked* t : live) {
-    EXPECT_EQ(t->payload[0], t->tag);
-    EXPECT_TRUE(tags.insert(t->tag).second) << "duplicate live tag";
-    pool.Delete(t);
-  }
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(ObjectPoolDeathTest, DoubleFreeIsACheckFailure) {
-  ObjectPool<Tracked> pool;
-  int alive = 0;
-  Tracked* t = pool.New(&alive);
-  pool.Delete(t);
-  EXPECT_DEATH(pool.Delete(t), "CHECK failed");
-}
 
 TEST(BytePool, SizeClassRoundTrip) {
   BytePool pool;
