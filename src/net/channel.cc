@@ -144,6 +144,12 @@ void Channel::StartTransmission(NodeId sender, const Packet& packet) {
       AddReception(receiver, begin + airtime, airtime, handle, length);
     }
   }
+  std::vector<End>& ends = frames_[frame].ends;
+  if (!ends.empty()) {
+    std::sort(ends.begin(), ends.end(),
+              [](const End& a, const End& b) { return a.key < b.key; });
+    in_flight_.push_back(InFlight{ends.front().key, frame});
+  }
   ReleaseFrame(frame);
 }
 
@@ -153,12 +159,10 @@ void Channel::AddReception(NodeId receiver, sim::SimTime begin_at,
   sim::Scheduler& scheduler = sim_->scheduler();
   Reception rx;
   rx.begin = {begin_at, scheduler.ReserveSeq()};
-  rx.end = {begin_at + airtime, scheduler.next_seq()};
+  rx.end = {begin_at + airtime, scheduler.ReserveSeq()};
   if (frame != kNoFrame) {
-    sim_->At(rx.end.at, [this, receiver] { EndReception(receiver); });
+    frames_[frame].ends.push_back(End{rx.end, receiver});
     frames_[frame].refs += 1;
-  } else {
-    scheduler.ReserveSeq();
   }
   rx.frame = frame;
   rx.bytes = bytes;
@@ -243,6 +247,8 @@ uint32_t Channel::StoreFrame(const Packet& packet) {
   }
   Frame& frame = frames_[index];
   frame.packet = packet;  // Copy-assignment reuses the payload's buffer.
+  frame.ends.clear();
+  frame.next_end = 0;
   frame.refs = 1;
   ++frames_stored_;
   ++frames_live_;
@@ -269,9 +275,34 @@ bool Channel::IsBusy(NodeId id) const {
   return false;
 }
 
+sim::EventKey Channel::NextKey() {
+  sim::EventKey next = sim::kNoEventKey;
+  for (size_t i = 0; i < in_flight_.size(); ++i) {
+    if (in_flight_[i].head < next) {
+      next = in_flight_[i].head;
+      next_in_flight_ = i;
+    }
+  }
+  return next;
+}
+
+void Channel::RunNext() {
+  InFlight& entry = in_flight_[next_in_flight_];
+  Frame& frame = frames_[entry.frame];
+  const NodeId receiver = frame.ends[frame.next_end].receiver;
+  if (++frame.next_end < frame.ends.size()) {
+    entry.head = frame.ends[frame.next_end].key;
+  } else {
+    entry = in_flight_.back();
+    in_flight_.pop_back();
+  }
+  // May send frames, which join in_flight_.
+  EndReception(receiver);
+}
+
 sim::EventKey Channel::ApplyUntil(sim::SimTime deadline) {
-  // Every queued end event due by `deadline` has run, so what ends by then
-  // is unqueued. Runs once per RunUntil: a pass over all receivers is cheap.
+  // Every end event due by `deadline` has run, so what ends by then runs
+  // no code. Runs once per RunUntil: a pass over all receivers is cheap.
   const sim::EventKey horizon{deadline, UINT64_MAX};
   sim::EventKey last;
   for (NodeId receiver = 0; receiver < receptions_.size(); ++receiver) {

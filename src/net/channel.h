@@ -13,10 +13,13 @@
 // when the frame is sent, so a reception's edges sit among the queued
 // events where a begin event and an end event would. Only a reception
 // that runs code at its end — the unicast destination, every neighbor of
-// a broadcast, every neighbor while an overhear tap is installed — gets a
-// queued event. The others are settled (energy, collision and
-// missed-while-transmitting counts) the next time the receiver's list is
-// touched, in end order, or when RunUntil applies them at its deadline.
+// a broadcast, every neighbor while an overhear tap is installed — gets an
+// end event, and it is never queued: the frame keeps its ends in one list
+// sorted by key, and the channel, as the scheduler's UnqueuedEvents
+// source, offers the smallest head among the frames in flight. The others
+// are settled (energy, collision and missed-while-transmitting counts) the
+// next time the receiver's list is touched, in end order, or when
+// RunUntil applies them at its deadline.
 
 #ifndef IPDA_NET_CHANNEL_H_
 #define IPDA_NET_CHANNEL_H_
@@ -136,17 +139,32 @@ class Channel final : private sim::UnqueuedEvents {
     bool failed_at_begin = false;  // Crash state at begin, as known so far.
   };
 
+  // An end event: the reception at `receiver` ending at `key`.
+  struct End {
+    sim::EventKey key;
+    NodeId receiver;
+  };
+
   // A frame that receptions with end events still read. `refs` counts
   // them; runs are single-threaded, so a plain count does.
   struct Frame {
     Packet packet;
+    std::vector<End> ends;  // Sorted by key once the fan-out is done.
+    uint32_t next_end = 0;  // Index of the first end not yet run.
     uint32_t refs = 0;
     uint32_t next_free = kNoFrame;
   };
 
+  // A frame with end events yet to run, and the key of the next one.
+  struct InFlight {
+    sim::EventKey head;
+    uint32_t frame;
+  };
+
   sim::EventKey position() const { return sim_->scheduler().position(); }
   // Adds a reception at `receiver` beginning at `begin_at` and reserves
-  // its keys; when `frame` names a stored frame, also queues its end.
+  // its keys; when `frame` names a stored frame, also appends its end to
+  // the frame's end list.
   void AddReception(NodeId receiver, sim::SimTime begin_at,
                     sim::SimTime airtime, uint32_t frame, uint32_t bytes);
   // Settles the receptions at `receiver` that ended before `before`.
@@ -159,6 +177,8 @@ class Channel final : private sim::UnqueuedEvents {
   void EndReception(NodeId receiver);
   uint32_t StoreFrame(const Packet& packet);
   void ReleaseFrame(uint32_t frame);
+  sim::EventKey NextKey() override;
+  void RunNext() override;
   sim::EventKey ApplyUntil(sim::SimTime deadline) override;
 
   sim::Simulator* sim_;
@@ -174,6 +194,10 @@ class Channel final : private sim::UnqueuedEvents {
   // Frame table: a deque, so a handler reading one frame may store more.
   std::deque<Frame> frames_;
   uint32_t free_frame_ = kNoFrame;
+  // Frames with end events yet to run: a handful at a time (at most 6 on
+  // the paper's N=600 round), so NextKey scans them.
+  std::vector<InFlight> in_flight_;
+  size_t next_in_flight_ = 0;  // Where NextKey found the smallest head.
   uint64_t frames_stored_ = 0;
   size_t frames_live_ = 0;
   size_t frames_high_water_ = 0;

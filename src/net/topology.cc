@@ -47,7 +47,7 @@ util::Result<Topology> Topology::Build(std::vector<Point2D> positions,
   // target's entries ascending by construction — so the sort cost is a
   // per-node insertion-depth sort of ~k/2 ids instead of a per-cell
   // candidate-block sort. The final CSR bytes are exactly the
-  // brute-force build's.
+  // all-pairs scan's (bench/brute_force_topology.h).
   std::vector<uint32_t> candidates;
   std::vector<double> cand_xs, cand_ys;
   std::vector<NodeId> scratch;
@@ -123,23 +123,6 @@ util::Result<Topology> Topology::Build(std::vector<Point2D> positions,
                     std::move(flat));
   topology.grid_ = std::move(grid);
   return topology;
-}
-
-util::Result<Topology> Topology::BuildBruteForce(
-    std::vector<Point2D> positions, double range) {
-  IPDA_RETURN_IF_ERROR(ValidateBuild(positions, range));
-  const size_t n = positions.size();
-  std::vector<std::vector<NodeId>> adjacency(n);
-  const double range_sq = range * range;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (DistanceSquared(positions[i], positions[j]) <= range_sq) {
-        adjacency[i].push_back(static_cast<NodeId>(j));
-        adjacency[j].push_back(static_cast<NodeId>(i));
-      }
-    }
-  }
-  return Topology(std::move(positions), range, adjacency);
 }
 
 util::Result<Topology> Topology::RandomGeometric(

@@ -10,8 +10,8 @@
 // re-links are O(N·k) instead of the old O(N²) all-pairs scan. The grid
 // only prunes candidates; the exact distance predicate is unchanged, so
 // the adjacency (and every golden trace downstream) is byte-identical to
-// the brute-force build, which survives as BuildBruteForce for property
-// tests and the city_scale bench's speedup referee.
+// an all-pairs scan. That scan lives with its users, the property suite
+// and the city_scale bench (bench/brute_force_topology.h).
 
 #ifndef IPDA_NET_TOPOLOGY_H_
 #define IPDA_NET_TOPOLOGY_H_
@@ -54,12 +54,6 @@ class Topology {
   // positive.
   static util::Result<Topology> Build(std::vector<Point2D> positions,
                                       double range);
-
-  // The O(N²) all-pairs reference build. Produces a Topology identical to
-  // Build() (the property suite asserts exactly this); kept for tests and
-  // for the city_scale bench's speedup measurement.
-  static util::Result<Topology> BuildBruteForce(
-      std::vector<Point2D> positions, double range);
 
   // Uniform-random deployment + unit-disk graph in one call.
   static util::Result<Topology> RandomGeometric(
@@ -137,8 +131,8 @@ class Topology {
            std::vector<uint32_t> offsets, std::vector<NodeId> flat);
 
   // Builds the grid over the current coordinates on first churn use
-  // (Build() installs it eagerly; RegularRing and brute-force graphs get
-  // it lazily so the steady state never pays for it).
+  // (Build() installs it eagerly; RegularRing graphs get it lazily so the
+  // steady state never pays for it).
   void EnsureGrid();
 
   // Returns `id`'s mutable patched neighbor list, materializing it from

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 #include "util/json.h"
@@ -259,8 +260,10 @@ class LineReader {
   size_t i_ = 0;
 };
 
-// Parses {"name":number,...} with the given per-entry sink.
-template <typename Sink>
+// Parses {"name":number,...} with the given per-entry sink. Counters
+// (T = uint64_t) parse as exact integers: a 64-bit value such as
+// sim.dispatch_digest would not survive a round trip through double.
+template <typename T, typename Sink>
 bool ParseNumberMap(LineReader& r, std::string* error, Sink&& sink) {
   if (!r.Consume('{')) return r.Fail("expected object", error);
   if (r.Consume('}')) return true;
@@ -268,8 +271,12 @@ bool ParseNumberMap(LineReader& r, std::string* error, Sink&& sink) {
     std::string key;
     if (!r.ParseString(key, error)) return false;
     if (!r.Consume(':')) return r.Fail("expected ':'", error);
-    double value = 0.0;
-    if (!r.ParseDouble(value, error)) return false;
+    T value{};
+    if constexpr (std::is_same_v<T, uint64_t>) {
+      if (!r.ParseU64(value, error)) return false;
+    } else {
+      if (!r.ParseDouble(value, error)) return false;
+    }
     sink(std::move(key), value);
   } while (r.Consume(','));
   if (!r.Consume('}')) return r.Fail("expected '}'", error);
@@ -378,14 +385,14 @@ bool ParseMetricsLine(std::string_view line, ParsedLine& out,
       uint64_t version = 0;
       if (!r.ParseU64(version, error)) return false;
     } else if (key == "counters") {
-      if (!ParseNumberMap(r, error, [&](std::string name, double v) {
-            out.snapshot.counters.emplace_back(
-                std::move(name), static_cast<uint64_t>(v));
+      if (!ParseNumberMap<uint64_t>(r, error,
+                                    [&](std::string name, uint64_t v) {
+            out.snapshot.counters.emplace_back(std::move(name), v);
           })) {
         return false;
       }
     } else if (key == "gauges") {
-      if (!ParseNumberMap(r, error, [&](std::string name, double v) {
+      if (!ParseNumberMap<double>(r, error, [&](std::string name, double v) {
             out.snapshot.gauges.emplace_back(std::move(name), v);
           })) {
         return false;

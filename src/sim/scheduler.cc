@@ -10,6 +10,8 @@ namespace ipda::sim {
 // than binary for the same size, so a sift touches fewer cache lines.
 namespace {
 constexpr size_t kArity = 4;
+// Odd, so the multiply step of the dispatch digest is a bijection.
+constexpr uint64_t kDigestMul = 0x9E3779B97F4A7C15ull;
 }  // namespace
 
 EventId Scheduler::PushEvent(SimTime at, Callback cb) {
@@ -26,8 +28,9 @@ EventId Scheduler::PushEvent(SimTime at, Callback cb) {
   Slot& s = slots_[slot];
   s.fn = std::move(cb);
   s.live = true;
-  heap_.push_back(HeapEntry{at, next_seq_++, slot, s.gen});
-  SiftUp(heap_.size() - 1);
+  Heap& heap = at - now_ >= kFarHorizon ? far_ : near_;
+  heap.push_back(HeapEntry{at, next_seq_++, slot, s.gen});
+  SiftUp(heap, heap.size() - 1);
   ++live_;
   return (static_cast<uint64_t>(s.gen) << 32) |
          static_cast<uint64_t>(slot + 1);
@@ -52,79 +55,110 @@ bool Scheduler::Cancel(EventId id) {
   if (!s.live || s.gen != static_cast<uint32_t>(id >> 32)) return false;
   FreeSlot(slot);
   --live_;
-  const size_t stale = heap_.size() - live_;
-  if (stale >= kPruneThreshold && stale * 2 >= heap_.size()) PruneStale();
+  const size_t stale = cancelled_pending();
+  if (stale >= kPruneThreshold && stale * 2 >= near_.size() + far_.size()) {
+    PruneStale();
+  }
   return true;
 }
 
-void Scheduler::SiftUp(size_t i) {
-  const HeapEntry moving = heap_[i];
+void Scheduler::SiftUp(Heap& heap, size_t i) {
+  const HeapEntry moving = heap[i];
   while (i > 0) {
     const size_t parent = (i - 1) / kArity;
-    if (!Earlier(moving, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!Earlier(moving, heap[parent])) break;
+    heap[i] = heap[parent];
     i = parent;
   }
-  heap_[i] = moving;
+  heap[i] = moving;
 }
 
-void Scheduler::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  const HeapEntry moving = heap_[i];
+void Scheduler::SiftDown(Heap& heap, size_t i) {
+  const size_t n = heap.size();
+  const HeapEntry moving = heap[i];
   for (;;) {
     const size_t first = kArity * i + 1;
     if (first >= n) break;
     size_t best = first;
     const size_t last = first + kArity < n ? first + kArity : n;
     for (size_t c = first + 1; c < last; ++c) {
-      if (Earlier(heap_[c], heap_[best])) best = c;
+      if (Earlier(heap[c], heap[best])) best = c;
     }
-    if (!Earlier(heap_[best], moving)) break;
-    heap_[i] = heap_[best];
+    if (!Earlier(heap[best], moving)) break;
+    heap[i] = heap[best];
     i = best;
   }
-  heap_[i] = moving;
+  heap[i] = moving;
 }
 
-void Scheduler::PopTop() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (heap_.size() > 1) SiftDown(0);
+void Scheduler::PopTop(Heap& heap) {
+  heap.front() = heap.back();
+  heap.pop_back();
+  if (heap.size() > 1) SiftDown(heap, 0);
 }
 
-void Scheduler::DropStaleHead() {
-  while (!heap_.empty() && !EntryLive(heap_.front())) {
-    PopTop();
-    ++stale_skips_;
+void Scheduler::PruneHeap(Heap& heap) {
+  size_t out = 0;
+  for (const HeapEntry& e : heap) {
+    if (EntryLive(e)) heap[out++] = e;
+  }
+  heap.resize(out);
+  if (out > 1) {
+    // Floyd heapify from the last parent down; leaves are already heaps.
+    for (size_t i = (out - 2) / kArity + 1; i-- > 0;) SiftDown(heap, i);
   }
 }
 
 void Scheduler::PruneStale() {
   ++prune_passes_;
-  size_t out = 0;
-  for (const HeapEntry& e : heap_) {
-    if (EntryLive(e)) heap_[out++] = e;
-  }
-  heap_.resize(out);
-  if (out > 1) {
-    // Floyd heapify from the last parent down; leaves are already heaps.
-    for (size_t i = (out - 2) / kArity + 1; i-- > 0;) SiftDown(i);
-  }
-  IPDA_DCHECK(heap_.size() == live_);
+  PruneHeap(near_);
+  PruneHeap(far_);
+  IPDA_DCHECK(near_.size() + far_.size() == live_);
 }
 
-void Scheduler::DispatchTop() {
-  const HeapEntry top = heap_.front();
-  PopTop();
-  IPDA_CHECK_GE(top.at, now_);
-  now_ = top.at;
-  position_seq_ = top.seq;
+Scheduler::Queue Scheduler::Earliest(EventKey& key) {
+  const EventKey source =
+      unqueued_ != nullptr ? unqueued_->NextKey() : kNoEventKey;
+  for (;;) {
+    Heap* heap = nullptr;
+    if (!near_.empty()) heap = &near_;
+    if (!far_.empty() && (heap == nullptr || Earlier(far_[0], near_[0]))) {
+      heap = &far_;
+    }
+    if (heap != nullptr) {
+      const HeapEntry& top = heap->front();
+      if (EventKey{top.at, top.seq} < source) {
+        if (!EntryLive(top)) {
+          PopTop(*heap);
+          ++stale_skips_;
+          continue;
+        }
+        key = {top.at, top.seq};
+        return heap == &near_ ? Queue::kNear : Queue::kFar;
+      }
+    }
+    key = source;
+    return source < kNoEventKey ? Queue::kSource : Queue::kNone;
+  }
+}
+
+void Scheduler::Dispatch(Queue queue, EventKey key) {
+  IPDA_CHECK_GE(key.at, now_);
+  now_ = key.at;
+  position_seq_ = key.seq;
   ++events_run_;
-  Slot& s = slots_[top.slot];
+  digest_ = ((digest_ ^ static_cast<uint64_t>(key.at)) * kDigestMul) ^ key.seq;
+  if (queue == Queue::kSource) {
+    unqueued_->RunNext();
+    return;
+  }
+  Heap& heap = queue == Queue::kNear ? near_ : far_;
+  const uint32_t slot = heap.front().slot;
+  PopTop(heap);
   // Recycle the slot before running: the handler may schedule new events
   // and should find a warm free list.
-  Callback fn = std::move(s.fn);
-  FreeSlot(top.slot);
+  Callback fn = std::move(slots_[slot].fn);
+  FreeSlot(slot);
   --live_;
   fn();
 }
@@ -143,10 +177,11 @@ bool Scheduler::CheckInterrupt() {
 
 bool Scheduler::RunOne() {
   interrupt_cause_ = InterruptCause::kNone;
-  DropStaleHead();
-  if (heap_.empty()) return false;
+  EventKey key;
+  const Queue queue = Earliest(key);
+  if (queue == Queue::kNone) return false;
   if (CheckInterrupt()) return false;
-  DispatchTop();
+  Dispatch(queue, key);
   return true;
 }
 
@@ -154,10 +189,11 @@ size_t Scheduler::RunUntil(SimTime deadline) {
   interrupt_cause_ = InterruptCause::kNone;
   size_t n = 0;
   for (;;) {
-    DropStaleHead();
-    if (heap_.empty() || heap_.front().at > deadline) break;
+    EventKey key;
+    const Queue queue = Earliest(key);
+    if (queue == Queue::kNone || key.at > deadline) break;
     if (CheckInterrupt()) return n;
-    DispatchTop();
+    Dispatch(queue, key);
     ++n;
   }
   if (unqueued_ != nullptr) {

@@ -4,17 +4,25 @@
 // same timestamp run in scheduling order, which makes simulations
 // deterministic. Scheduled events can be cancelled through their EventId.
 //
-// Unqueued events: a component may take sequence numbers from the same
-// counter (ReserveSeq) for events it never queues, and apply them itself
-// when it next looks at its own state, comparing their keys with
-// position(). net::Channel keeps reception records this way. Such a
-// component registers as the UnqueuedEvents source, so that RunUntil
-// applies everything due by its deadline and leaves the clock where a
-// queue holding those events would have left it.
+// Three ordered queues, none of them deep (DESIGN.md §9). Each dispatch
+// runs the smallest key among:
+//   - the near heap: events due within kFarHorizon of when they were
+//     scheduled (MAC backoff, ACK timeouts, SIFS, airtime, HELLO jitter);
+//   - the far heap: events due later (protocol phase timers, deadlines),
+//     which would otherwise sit under every short timer's sift;
+//   - the UnqueuedEvents source: events a component keeps in its own
+//     ordered lists (net::Channel's reception ends). It hands out its
+//     smallest key (NextKey) and runs that event when asked (RunNext).
+// Source events take sequence numbers from the same counter (ReserveSeq),
+// count in events_run() and the dispatch digest, and stop at the same
+// cancel token and event budget as queued events. The source may also
+// keep events that run no code; RunUntil lets it apply those due by the
+// deadline (ApplyUntil) and leaves the clock where a queue holding them
+// would have left it. pending() and empty() count queued events only.
 //
-// Hot-path layout: a flat 4-ary min-heap of 24-byte POD entries (no
-// pointer chasing, sift moves touch one cache line per level) over a slot
-// array holding the closures. EventIds are generation-tagged handles
+// Hot-path layout: flat 4-ary min-heaps of 24-byte POD entries (no
+// pointer chasing, sift moves touch one cache line per level) over one
+// slot array holding the closures. EventIds are generation-tagged handles
 // (slot, generation), so Cancel() is O(1) — bump the generation, free the
 // slot — with no tombstone side tables; a stale heap entry is recognized
 // at pop time by a single integer compare. Steady-state dispatch performs
@@ -47,11 +55,20 @@ struct EventKey {
   friend auto operator<=>(const EventKey&, const EventKey&) = default;
 };
 
-// See "Unqueued events" above.
+// Greater than every key a scheduler hands out: "no event".
+constexpr EventKey kNoEventKey{kSimTimeNever, UINT64_MAX};
+
+// Events a component orders and runs itself; see the header comment.
 class UnqueuedEvents {
  public:
-  // Applies every event of this source at or before `deadline` and
-  // returns the greatest key among them (EventKey{} when there is none).
+  // The smallest key among this source's runnable events, or kNoEventKey.
+  virtual EventKey NextKey() = 0;
+  // Runs the event NextKey() just returned. The scheduler has already set
+  // position() to its key; nothing has changed the source in between.
+  virtual void RunNext() = 0;
+  // Applies every event of this source that runs no code and is due at
+  // or before `deadline`, and returns the greatest key among them
+  // (EventKey{} when there is none).
   virtual EventKey ApplyUntil(SimTime deadline) = 0;
 
  protected:
@@ -89,16 +106,16 @@ class Scheduler {
   // and its closure is destroyed immediately.
   bool Cancel(EventId id);
 
-  // Runs the earliest pending event, advancing the clock. Returns false if
-  // the queue is empty.
+  // Runs the earliest pending event, queued or from the source, advancing
+  // the clock. Returns false if there is none.
   bool RunOne();
 
-  // Runs events until the queue is empty or the clock would pass `deadline`
-  // (events at exactly `deadline` run), then applies the unqueued events
-  // due by `deadline`; the clock stops at the latest event run or applied.
-  // Returns the number of queued events run. The deadline check and the
-  // stale-entry skip share one peek of the heap top — there is no
-  // separate skip pass. An interrupted run applies nothing unqueued.
+  // Runs events until none is left or the clock would pass `deadline`
+  // (events at exactly `deadline` run), then applies the source's events
+  // that run no code due by `deadline`; the clock stops at the latest
+  // event run or applied. Returns the number of events run. The deadline
+  // check and the stale-entry skip share one peek of the queue heads —
+  // there is no separate skip pass. An interrupted run applies nothing.
   size_t RunUntil(SimTime deadline);
 
   // Runs everything. Returns the number of events run.
@@ -131,29 +148,34 @@ class Scheduler {
   // Takes the sequence number the next ScheduleAt would have used, for an
   // unqueued event ordered among the queue's.
   uint64_t ReserveSeq() { return next_seq_++; }
-  // The sequence number the next ScheduleAt or ReserveSeq will use.
-  uint64_t next_seq() const { return next_seq_; }
-  // Sets the source whose events RunUntil applies once every queued event
-  // due by the deadline has run; nullptr clears it. There is at most one
-  // (a simulation has one radio medium). Non-owning: the source must clear
-  // itself before it is destroyed.
+  // Sets the source whose events dispatch alongside the queued ones;
+  // nullptr clears it. There is at most one (a simulation has one radio
+  // medium). Non-owning: the source must clear itself before it is
+  // destroyed.
   void SetUnqueuedEvents(UnqueuedEvents* source);
+  // Queued events only: the source's events are not counted.
   bool empty() const { return live_ == 0; }
   size_t pending() const { return live_; }
-  // Stale heap entries left by Cancel(). Bounded: head entries purge as
-  // the clock reaches them, and Cancel() prunes the heap in one linear
-  // lookup-free pass once stale entries are both >= kPruneThreshold and
-  // at least half the heap.
-  size_t cancelled_pending() const { return heap_.size() - live_; }
+  // Stale entries left by Cancel() in either heap. Bounded: head entries
+  // purge as the clock reaches them, and Cancel() prunes both heaps in one
+  // linear lookup-free pass once stale entries are both >= kPruneThreshold
+  // and at least half of all heap entries.
+  size_t cancelled_pending() const {
+    return near_.size() + far_.size() - live_;
+  }
   uint64_t events_run() const { return events_run_; }
   // Stale (cancelled) heap entries recognized and dropped at pop time.
   uint64_t stale_skips() const { return stale_skips_; }
   // Linear PruneStale() passes triggered by cancel-heavy churn.
   uint64_t prune_passes() const { return prune_passes_; }
+  // Running digest of the (at, seq) keys of every event run, in dispatch
+  // order: two runs that dispatched the same events in the same order
+  // read the same value.
+  uint64_t dispatch_digest() const { return digest_; }
 
  private:
-  // Publishes the heap/slot/overflow capacities (the zero-alloc referee)
-  // into the run's metrics registry (DESIGN.md §11).
+  // Publishes the near/far heap, slot and overflow capacities (the
+  // zero-alloc referee) into the run's metrics registry (DESIGN.md §11).
   friend class Simulator;
 
   // POD heap entry; ordering compares (at, seq) only, so the flat layout
@@ -176,6 +198,18 @@ class Scheduler {
   // up at least half the heap (so pruning stays amortized O(1) per event).
   static constexpr size_t kPruneThreshold = 64;
 
+  // An event due at least this long after it is scheduled goes to the far
+  // heap. Dispatch always takes the smallest (at, seq) over both heaps and
+  // the source, so the order of events does not depend on this constant;
+  // only how the entries split between the heaps, and so the heaps'
+  // capacities, does. 50 ms clears the longest MAC-level delay (HELLO
+  // jitter, <= 40 ms) and sits far below the protocol's phase timers.
+  static constexpr SimTime kFarHorizon = Milliseconds(50);
+
+  using Heap = std::vector<HeapEntry>;
+  // Which queue holds the next event.
+  enum class Queue : uint8_t { kNone, kNear, kFar, kSource };
+
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
@@ -192,17 +226,19 @@ class Scheduler {
   // Sets interrupt_cause_ and returns true when a guard tripped.
   bool CheckInterrupt();
 
-  // Removes heap_[0] and restores the heap property.
-  void PopTop();
-  // Pops stale entries until the top is live (or the heap is empty).
-  void DropStaleHead();
-  // Pops and runs the (live) top entry, advancing the clock.
-  void DispatchTop();
-  // Rebuilds the heap without stale entries, in one linear pass.
+  // Finds the queue holding the smallest pending key and stores the key
+  // in `key`. Stale heap heads met on the way, i.e. ahead of every live
+  // event, are popped and counted, as one merged heap would meet them.
+  Queue Earliest(EventKey& key);
+  // Runs the event at the head of `queue`, whose key is `key`.
+  void Dispatch(Queue queue, EventKey key);
+  // Rebuilds both heaps without stale entries, in one linear pass each.
   void PruneStale();
 
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
+  static void PopTop(Heap& heap);
+  static void SiftUp(Heap& heap, size_t i);
+  static void SiftDown(Heap& heap, size_t i);
+  void PruneHeap(Heap& heap);
 
   SimTime now_ = kSimTimeZero;
   uint64_t position_seq_ = 0;
@@ -210,13 +246,15 @@ class Scheduler {
   uint64_t events_run_ = 0;
   uint64_t stale_skips_ = 0;
   uint64_t prune_passes_ = 0;
+  uint64_t digest_ = 0;
   const CancelToken* cancel_ = nullptr;
   uint64_t event_budget_ = 0;  // 0 = unlimited.
   InterruptCause interrupt_cause_ = InterruptCause::kNone;
   size_t live_ = 0;
   // Declared before slots_: slot teardown returns oversized closures here.
   util::BytePool overflow_;
-  std::vector<HeapEntry> heap_;
+  Heap near_;
+  Heap far_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
   UnqueuedEvents* unqueued_ = nullptr;

@@ -16,11 +16,15 @@ void Simulator::CollectKernelMetrics() {
   metrics_.GetCounter("sim.events_run")->Set(scheduler_.events_run());
   metrics_.GetCounter("sim.sched_stale_skips")->Set(scheduler_.stale_skips());
   metrics_.GetCounter("sim.sched_prunes")->Set(scheduler_.prune_passes());
+  metrics_.GetCounter("sim.dispatch_digest")
+      ->Set(scheduler_.dispatch_digest());
   metrics_.GetGauge("sim.sched_cancelled_pending")
       ->Set(static_cast<double>(scheduler_.cancelled_pending()));
 
   metrics_.GetGauge("sim.sched_heap_capacity")
-      ->Set(static_cast<double>(scheduler_.heap_.capacity()));
+      ->Set(static_cast<double>(scheduler_.near_.capacity()));
+  metrics_.GetGauge("sim.sched_far_capacity")
+      ->Set(static_cast<double>(scheduler_.far_.capacity()));
   metrics_.GetGauge("sim.sched_slot_capacity")
       ->Set(static_cast<double>(scheduler_.slots_.capacity()));
   metrics_.GetGauge("sim.sched_overflow_slabs")

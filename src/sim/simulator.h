@@ -44,8 +44,9 @@ class Simulator {
   const obs::Trace& trace() const { return trace_; }
 
   // Pulls kernel-level health into the registry: scheduler dispatch and
-  // cancellation counters and heap/slot capacities (the zero-alloc
-  // referee). Idempotent; call before taking a snapshot.
+  // cancellation counters, the dispatch-order digest, and near/far heap
+  // and slot capacities (the zero-alloc referee). Idempotent; call before
+  // taking a snapshot.
   void CollectKernelMetrics();
 
   // Convenience passthroughs. Templated so lambdas reach the scheduler's

@@ -8,6 +8,8 @@
 // too, so that a change which makes rounds cheaper rewrites the baseline
 // in the same commit (and records the before/after figures):
 //   IPDA_UPDATE_GOLDEN=1 ./tests/cost_gate_test
+// sim.dispatch_digest is not a cost but a fingerprint of dispatch order;
+// it must match exactly, so a queue change that reorders events fails.
 // Wall-clock time never enters this gate; roundbench measures it.
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,26 +42,50 @@ namespace {
 
 constexpr char kBaseline[] = "cost_counters.csv";
 
-// Summed over shards.
-const char* const kCounters[] = {"sim.events_run", "net.frames_sent",
-                                 "net.frames_delivered",
-                                 "net.frames_collided", "pool.arena_allocs"};
-// A capacity: shards run one after another, so the peak is the max.
-constexpr char kPeakGauge[] = "sim.sched_heap_capacity";
-// Key work, summed over shards: one cipher-schedule expansion per link end
-// that seals or opens (plus one per message on links keyed mid-round), not
-// two per topology edge. The last column, after the gauge.
-constexpr char kKeyCounter[] = "crypto.schedules_built";
+// One column of the gate. Counters sum over shards; gauges are
+// capacities, and shards run one after another, so their peak is the max.
+struct Column {
+  const char* name;
+  bool gauge;
+};
+const Column kColumns[] = {
+    {"sim.events_run", false},
+    {"net.frames_sent", false},
+    {"net.frames_delivered", false},
+    {"net.frames_collided", false},
+    {"pool.arena_allocs", false},
+    // The near heap (MAC timers); the far heap (phase timers) is the last
+    // column.
+    {"sim.sched_heap_capacity", true},
+    // Key work: one cipher-schedule expansion per link end that seals or
+    // opens (plus one per message on links keyed mid-round), not two per
+    // topology edge.
+    {"crypto.schedules_built", false},
+    // Summed mod 2^64 over shards.
+    {"sim.dispatch_digest", false},
+    {"sim.sched_far_capacity", true},
+};
 
 using Row = std::map<std::string, uint64_t>;
 
-void AddSnapshot(const obs::Snapshot& snapshot, Row& row) {
-  for (const char* name : kCounters) {
-    row[name] += static_cast<uint64_t>(snapshot.CounterOr(name, 0.0));
+// Exact: a digest does not survive Snapshot::CounterOr's double.
+uint64_t CounterValue(const obs::Snapshot& snapshot, std::string_view name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) return value;
   }
-  row[kPeakGauge] = std::max(
-      row[kPeakGauge], static_cast<uint64_t>(snapshot.GaugeOr(kPeakGauge, 0)));
-  row[kKeyCounter] += static_cast<uint64_t>(snapshot.CounterOr(kKeyCounter, 0));
+  return 0;
+}
+
+void AddSnapshot(const obs::Snapshot& snapshot, Row& row) {
+  for (const Column& column : kColumns) {
+    uint64_t& cell = row[column.name];
+    if (column.gauge) {
+      cell = std::max(
+          cell, static_cast<uint64_t>(snapshot.GaugeOr(column.name, 0)));
+    } else {
+      cell += CounterValue(snapshot, column.name);
+    }
+  }
 }
 
 // The paper's §IV deployment: 400×400 m, 50 m range, 1 Mbps.
@@ -137,10 +164,8 @@ Row ShardedRow() {
 }
 
 std::vector<std::string> Columns() {
-  std::vector<std::string> columns(std::begin(kCounters),
-                                   std::end(kCounters));
-  columns.push_back(kPeakGauge);
-  columns.push_back(kKeyCounter);
+  std::vector<std::string> columns;
+  for (const Column& column : kColumns) columns.push_back(column.name);
   return columns;
 }
 

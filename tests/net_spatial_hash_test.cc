@@ -13,18 +13,20 @@
 
 #include <gtest/gtest.h>
 
+#include "brute_force_topology.h"
 #include "net/topology.h"
 #include "util/random.h"
 
 namespace ipda::net {
 namespace {
 
-// Asserts both topologies expose identical adjacency, node for node.
-void ExpectSameGraph(const Topology& actual, const Topology& expected) {
-  ASSERT_EQ(actual.node_count(), expected.node_count());
+// Asserts the topology exposes exactly the given adjacency, node for node.
+void ExpectSameGraph(const Topology& actual,
+                     const std::vector<std::vector<NodeId>>& expected) {
+  ASSERT_EQ(actual.node_count(), expected.size());
   for (NodeId id = 0; id < actual.node_count(); ++id) {
     const NeighborSpan a = actual.neighbors(id);
-    const NeighborSpan e = expected.neighbors(id);
+    const std::vector<NodeId>& e = expected[id];
     ASSERT_EQ(a.size(), e.size()) << "degree mismatch at node " << id;
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i], e[i]) << "neighbor list mismatch at node " << id;
@@ -108,10 +110,8 @@ TEST(SpatialHashProperty, BuildEqualsBruteForce) {
                                               static_cast<uint64_t>(side)));
           std::vector<Point2D> positions = RandomPositions(rng, n, side);
           auto fast = Topology::Build(positions, range);
-          auto slow = Topology::BuildBruteForce(positions, range);
           ASSERT_TRUE(fast.ok());
-          ASSERT_TRUE(slow.ok());
-          ExpectSameGraph(*fast, *slow);
+          ExpectSameGraph(*fast, bench::BruteForceAdjacency(positions, range));
         }
       }
     }
@@ -135,10 +135,8 @@ TEST(SpatialHashProperty, CellBoundaryAndExactRangeNodes) {
   positions.push_back(Point2D{75.0, 0.0});  // Exactly 50 from the previous.
   positions.push_back(Point2D{300.0, 300.0});
   auto fast = Topology::Build(positions, range);
-  auto slow = Topology::BuildBruteForce(positions, range);
   ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  ExpectSameGraph(*fast, *slow);
+  ExpectSameGraph(*fast, bench::BruteForceAdjacency(positions, range));
   // Sanity: the lattice neighbors at exactly `range` are linked.
   EXPECT_TRUE(fast->AreNeighbors(0, 1));
 }
@@ -149,10 +147,8 @@ TEST(SpatialHashProperty, DegenerateLayouts) {
   std::vector<Point2D> stacked(40, Point2D{10.0, 10.0});
   stacked.push_back(Point2D{1e6, 1e6});
   auto fast = Topology::Build(stacked, 50.0);
-  auto slow = Topology::BuildBruteForce(stacked, 50.0);
   ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  ExpectSameGraph(*fast, *slow);
+  ExpectSameGraph(*fast, bench::BruteForceAdjacency(stacked, 50.0));
 }
 
 // Churn equivalence: after any sequence of DetachNode/AttachNode/MoveNode,

@@ -1,5 +1,8 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -415,6 +418,241 @@ TEST(Scheduler, InterruptCauseResetsOnNextRun) {
   EXPECT_FALSE(sched.interrupted());
   EXPECT_EQ(sched.interrupt_cause(), Scheduler::InterruptCause::kNone);
   EXPECT_EQ(sched.pending(), 0u);
+}
+
+// An UnqueuedEvents source in its simplest form: events sorted by key,
+// each taking its sequence number from the scheduler when added.
+class FakeSource final : public UnqueuedEvents {
+ public:
+  explicit FakeSource(Scheduler* sched) : sched_(sched) {
+    sched_->SetUnqueuedEvents(this);
+  }
+  ~FakeSource() { sched_->SetUnqueuedEvents(nullptr); }
+
+  void Add(SimTime at, std::function<void()> fn) {
+    events_.push_back({EventKey{at, sched_->ReserveSeq()}, std::move(fn)});
+    std::sort(events_.begin(), events_.end(),
+              [](const Event& a, const Event& b) { return a.key < b.key; });
+  }
+  size_t size() const { return events_.size(); }
+
+  EventKey NextKey() override {
+    return events_.empty() ? kNoEventKey : events_.front().key;
+  }
+  void RunNext() override {
+    const Event event = events_.front();
+    events_.erase(events_.begin());
+    EXPECT_EQ(sched_->position(), event.key);
+    event.fn();
+  }
+  EventKey ApplyUntil(SimTime) override { return {}; }
+
+ private:
+  struct Event {
+    EventKey key;
+    std::function<void()> fn;
+  };
+  Scheduler* sched_;
+  std::vector<Event> events_;
+};
+
+TEST(SchedulerSource, EqualTimesRunInSequenceOrder) {
+  Scheduler sched;
+  FakeSource source(&sched);
+  std::vector<int> order;
+  const auto note = [&order](int i) {
+    return [&order, i] { order.push_back(i); };
+  };
+  sched.ScheduleAt(Milliseconds(5), note(0));
+  source.Add(Milliseconds(5), note(1));
+  source.Add(Milliseconds(5), note(2));
+  sched.ScheduleAt(Milliseconds(5), note(3));
+  source.Add(Milliseconds(5), note(4));
+  sched.ScheduleAt(Milliseconds(4), note(-1));
+  source.Add(Milliseconds(6), note(5));
+  EXPECT_EQ(sched.RunAll(), 7u);  // Source events count as run.
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sched.events_run(), 7u);
+  EXPECT_EQ(sched.now(), Milliseconds(6));
+}
+
+TEST(SchedulerSource, RunUntilDeadlineAtASourceKey) {
+  Scheduler sched;
+  FakeSource source(&sched);
+  int ran = 0;
+  source.Add(Milliseconds(10), [&ran] { ++ran; });
+  EXPECT_EQ(sched.RunUntil(Milliseconds(10) - 1), 0u);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(source.size(), 1u);
+  EXPECT_EQ(sched.RunUntil(Milliseconds(10)), 1u);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sched.position(), (EventKey{Milliseconds(10), 0}));
+}
+
+TEST(SchedulerSource, RunOneWithOnlyTheSourcePending) {
+  Scheduler sched;
+  FakeSource source(&sched);
+  bool ran = false;
+  source.Add(Milliseconds(3), [&ran] { ran = true; });
+  EXPECT_TRUE(sched.empty());  // pending() counts queued events only.
+  EXPECT_TRUE(sched.RunOne());
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sched.now(), Milliseconds(3));
+  EXPECT_FALSE(sched.RunOne());
+}
+
+TEST(SchedulerSource, EventBudgetTripsBetweenSourceAndQueuedEvents) {
+  Scheduler sched;
+  FakeSource source(&sched);
+  std::vector<int> order;
+  source.Add(Milliseconds(1), [&order] { order.push_back(1); });
+  sched.ScheduleAt(Milliseconds(2), [&order] { order.push_back(2); });
+  source.Add(Milliseconds(3), [&order] { order.push_back(3); });
+  sched.SetEventBudget(1);
+  sched.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sched.interrupt_cause(), Scheduler::InterruptCause::kEventBudget);
+  sched.SetEventBudget(2);
+  sched.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.interrupt_cause(), Scheduler::InterruptCause::kEventBudget);
+  EXPECT_EQ(source.size(), 1u);
+  EXPECT_EQ(sched.events_run(), 2u);
+}
+
+TEST(SchedulerSource, CancelTokenTripsBetweenQueuedAndSourceEvents) {
+  Scheduler sched;
+  FakeSource source(&sched);
+  CancelToken token;
+  sched.SetCancelToken(&token);
+  std::vector<int> order;
+  sched.ScheduleAt(Milliseconds(1), [&] {
+    order.push_back(1);
+    token.RequestCancel(CancelReason::kDeadline);
+  });
+  source.Add(Milliseconds(2), [&order] { order.push_back(2); });
+  sched.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sched.interrupt_cause(), Scheduler::InterruptCause::kCancel);
+  EXPECT_EQ(source.size(), 1u);
+  token.Reset();
+  sched.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SchedulerSource, StaleEntriesBehindASourceEventWait) {
+  // A cancelled entry is dropped (and counted in stale_skips) only once
+  // it is the earliest pending key, as in one merged queue: which queue
+  // holds an event must not change sim.sched_stale_skips.
+  Scheduler sched;
+  FakeSource source(&sched);
+  source.Add(Milliseconds(1), [] {});
+  sched.Cancel(sched.ScheduleAt(Milliseconds(2), [] {}));
+  sched.ScheduleAt(Milliseconds(3), [] {});
+  EXPECT_TRUE(sched.RunOne());
+  EXPECT_EQ(sched.stale_skips(), 0u);
+  EXPECT_EQ(sched.cancelled_pending(), 1u);
+  EXPECT_TRUE(sched.RunOne());
+  EXPECT_EQ(sched.stale_skips(), 1u);
+  EXPECT_EQ(sched.now(), Milliseconds(3));
+}
+
+TEST(SchedulerSource, DispatchDigestDependsOnKeysAndOrderOnly) {
+  // The same keys dispatch to the same digest whether they were queued or
+  // came from the source; one swapped pair changes it.
+  Scheduler queued;
+  for (int i = 0; i < 4; ++i) queued.ScheduleAt(Milliseconds(i), [] {});
+  queued.RunAll();
+  Scheduler mixed;
+  FakeSource source(&mixed);
+  for (int i = 0; i < 4; ++i) {
+    if (i % 2 == 0) {
+      source.Add(Milliseconds(i), [] {});
+    } else {
+      mixed.ScheduleAt(Milliseconds(i), [] {});
+    }
+  }
+  mixed.RunAll();
+  EXPECT_EQ(mixed.dispatch_digest(), queued.dispatch_digest());
+  Scheduler swapped;
+  swapped.ScheduleAt(Milliseconds(0), [] {});
+  swapped.ScheduleAt(Milliseconds(2), [] {});
+  swapped.ScheduleAt(Milliseconds(1), [] {});
+  swapped.ScheduleAt(Milliseconds(3), [] {});
+  swapped.RunAll();
+  EXPECT_NE(swapped.dispatch_digest(), queued.dispatch_digest());
+}
+
+// The far heap takes events due at least the scheduler's kFarHorizon
+// (50 ms) after they are scheduled; its capacity gauge shows how many
+// went there.
+double FarCapacity(Simulator& simulator) {
+  simulator.CollectKernelMetrics();
+  return obs::TakeSnapshot(simulator.metrics())
+      .GaugeOr("sim.sched_far_capacity", -1);
+}
+
+TEST(SchedulerFarHeap, EventAtExactlyTheHorizonGoesFar) {
+  constexpr SimTime kHorizon = Milliseconds(50);
+  Simulator simulator(/*seed=*/1);
+  Scheduler& sched = simulator.scheduler();
+  std::vector<int> order;
+  sched.ScheduleAt(Milliseconds(7), [&] {
+    // Relative to now = 7 ms: one just inside the horizon, one exactly at
+    // it, and an earlier-keyed near event at the same time as the far one.
+    sched.ScheduleAfter(kHorizon, [&order] { order.push_back(3); });
+    sched.ScheduleAfter(kHorizon - 1, [&order] { order.push_back(1); });
+    sched.ScheduleAfter(kHorizon, [&order] { order.push_back(4); });
+  });
+  sched.RunUntil(Milliseconds(7));
+  // Two entries, not three (capacity 4) or none: only the events at the
+  // horizon went far.
+  EXPECT_EQ(FarCapacity(simulator), 2.0);
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.ScheduleAt(Milliseconds(57), [&order] { order.push_back(5); });
+  sched.ScheduleAt(Milliseconds(30), [&order] { order.push_back(0); });
+  sched.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5}));
+}
+
+TEST(SchedulerFarHeap, CancelledPendingCountsBothHeaps) {
+  Scheduler sched;
+  const EventId near = sched.ScheduleAt(Milliseconds(1), [] {});
+  const EventId far = sched.ScheduleAt(Seconds(4), [] {});
+  sched.ScheduleAt(Seconds(5), [] {});
+  EXPECT_TRUE(sched.Cancel(near));
+  EXPECT_TRUE(sched.Cancel(far));
+  EXPECT_EQ(sched.cancelled_pending(), 2u);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.RunAll();
+  EXPECT_EQ(sched.cancelled_pending(), 0u);
+  EXPECT_EQ(sched.stale_skips(), 2u);
+  EXPECT_EQ(sched.events_run(), 1u);
+}
+
+TEST(SchedulerFarHeap, PruneCoversBothHeaps) {
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 100; ++i) {
+    // Survivors alternate between the heaps; half the doomed events sit
+    // in each heap.
+    const SimTime at = i % 2 == 0 ? Milliseconds(1 + i) : Seconds(1) + i;
+    sched.ScheduleAt(at, [&order, i] { order.push_back(i); });
+    doomed.push_back(sched.ScheduleAt(Milliseconds(2 + i), [] {}));
+    doomed.push_back(sched.ScheduleAt(Seconds(2) + i, [] {}));
+  }
+  for (EventId id : doomed) EXPECT_TRUE(sched.Cancel(id));
+  EXPECT_GE(sched.prune_passes(), 1u);
+  EXPECT_LT(sched.cancelled_pending(), 64u);
+  EXPECT_EQ(sched.pending(), 100u);
+  sched.RunAll();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(order[i], 2 * i);
+    EXPECT_EQ(order[50 + i], 2 * i + 1);
+  }
+  EXPECT_EQ(sched.cancelled_pending(), 0u);
 }
 
 TEST(CancelTokenTest, FirstReasonWins) {
