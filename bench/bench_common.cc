@@ -8,12 +8,10 @@
 
 #include "exp/agg_store.h"
 #include "exp/engine.h"
-#include "exp/fabric.h"
 #include "exp/resilient.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/io.h"
-#include "util/random.h"
 #include "util/signal.h"
 
 namespace ipda::bench {
@@ -37,143 +35,13 @@ bool ValidFieldName(std::string_view name) {
 // of a cell marks one successful run.
 constexpr char kKeySeparator = '\x1f';
 
-void PrintDrainHint(const char* tool, const BenchOptions& options,
-                    const exp::ResilientReport& report, const char* argv0) {
-  if (options.fabric > 0) {
-    std::fprintf(stderr,
-                 "%s: drained with %zu/%zu runs journaled; re-run the same "
-                 "command (same --fabric-dir %s) to resume the fabric\n",
-                 tool, report.replayed + report.executed,
-                 report.runs.size(), options.fabric_dir.c_str());
-    return;
-  }
-  std::fprintf(stderr,
-               "%s: drained with %zu/%zu runs journaled; resume with: %s "
-               "--resume %s\n",
-               tool, report.replayed + report.executed, report.runs.size(),
-               argv0,
-               report.journal_path.empty() ? "<journal>"
-                                           : report.journal_path.c_str());
-}
-
-// Every sweep is flat for the executor: one run per "point", with
-// base_seed_fn mapping the flat index back to its cell's seed, so cells
-// of uneven run counts need no padding. The engine is gone on return.
-util::Result<exp::ResilientReport> RunInProcess(
-    size_t jobs, size_t total, const exp::ResilientOptions& resilience,
-    const exp::AttemptBody& attempt) {
-  exp::Engine engine(jobs);
-  return exp::RunResilientSweep(engine, std::vector<std::string>(total), 1,
-                                resilience, attempt);
-}
-
-// Fabric worker mode: executes only the leased shard, heartbeats while
-// running, journals to the private shard journal, and exits — the
-// bench's document is printed by the dispatcher, never by a worker.
-[[noreturn]] void RunWorker(const BenchOptions& options, size_t total,
-                            exp::ResilientOptions resilience,
-                            const exp::AttemptBody& attempt) {
-  auto range = exp::ParseShardRange(options.worker_range);
-  if (!range.ok()) {
-    ExitUsage("fabric worker: bad --worker-range: " +
-              range.status().ToString());
-  }
-  resilience.shard_lo = range->lo;
-  resilience.shard_hi = range->hi;
-  resilience.keep_payloads = false;  // They live in the shard journal.
-  int code = 0;
-  {
-    exp::HeartbeatThread heartbeat;
-    if (!options.worker_heartbeat.empty()) {
-      const double interval_s = options.worker_timeout_s > 0.0
-                                    ? options.worker_timeout_s / 4.0
-                                    : 1.0;
-      heartbeat = exp::HeartbeatThread(options.worker_heartbeat,
-                                       std::max(interval_s, 0.05));
-    }
-    const auto swept = RunInProcess(options.jobs, total, resilience, attempt);
-    if (!swept.ok()) {
-      std::fprintf(stderr, "fabric worker (shard %lld): %s\n",
-                   static_cast<long long>(options.worker_shard),
-                   swept.status().ToString().c_str());
-      code = 1;
-    } else if (swept->drained) {
-      code = util::kDrainExitCode;
-    }
-  }
-  std::exit(code);
-}
-
-// Dispatcher mode: leases shards to re-execs of argv0 and returns the
-// merged report, shaped exactly like an in-process one.
-util::Result<exp::ResilientReport> RunDispatcher(
-    const BenchOptions& options, const char* argv0, size_t total,
-    const exp::ResilientOptions& resilience) {
-  if (options.fabric_dir.empty()) ExitUsage("--fabric requires --fabric-dir");
-  exp::FabricOptions fabric;
-  fabric.workers = options.fabric;
-  fabric.dir = options.fabric_dir;
-  fabric.worker_timeout_s = options.worker_timeout_s;
-  fabric.shard_deadline_s = options.shard_deadline_s;
-  fabric.shard_retries = options.shard_retries;
-  fabric.chaos_kill_rate = options.chaos_kill_rate;
-  fabric.merged_journal_path = options.journal;
-
-  exp::JournalHeader header;
-  header.experiment = resilience.experiment;
-  header.config_hash = util::HashLabel(resilience.config_digest);
-  header.sweep_seed = resilience.sweep_seed;
-  header.total_runs = total;
-
-  char timeout_flag[48];
-  std::snprintf(timeout_flag, sizeof(timeout_flag), "--worker-timeout=%g",
-                options.worker_timeout_s);
-  const std::string binary = argv0;
-  const std::vector<std::string> forwarded = options.worker_args;
-  const std::string timeout_arg = timeout_flag;
-  const exp::WorkerCommand command =
-      [binary, forwarded, timeout_arg](const exp::WorkerSpec& spec) {
-        std::vector<std::string> argv;
-        argv.push_back(binary);
-        argv.insert(argv.end(), forwarded.begin(), forwarded.end());
-        // Processes are the parallelism; each worker sweeps serially.
-        argv.push_back("--jobs=1");
-        argv.push_back("--worker-shard=" + std::to_string(spec.shard));
-        argv.push_back("--worker-range=" + std::to_string(spec.lo) + ":" +
-                       std::to_string(spec.hi));
-        argv.push_back("--worker-heartbeat=" + spec.heartbeat);
-        argv.push_back(timeout_arg);
-        argv.push_back("--journal=" + spec.journal);
-        if (!spec.resume.empty()) argv.push_back("--resume=" + spec.resume);
-        return argv;
-      };
-
-  exp::FabricStats stats;
-  auto report = exp::RunFabricSweep(fabric, header, command, &stats);
-  if (report.ok()) {
-    std::fprintf(stderr,
-                 "fabric: %zu shards, %zu workers spawned, %zu deaths, "
-                 "%zu hung, %zu stragglers, %zu chaos kills, %zu shards "
-                 "failed; merge: %zu journals (%zu empty), %zu records, "
-                 "%zu duplicates, %zu corrupt lines\n",
-                 stats.shards, stats.spawned, stats.worker_deaths,
-                 stats.hung_revocations, stats.straggler_revocations,
-                 stats.chaos_kills, stats.failed_shards,
-                 stats.merge.journals, stats.merge.empty_journals,
-                 stats.merge.records, stats.merge.duplicates,
-                 stats.merge.corrupt_lines);
-  }
-  return report;
-}
-
 }  // namespace
 
 // Streaming fold of a sweep's records through the PAO spill store
-// (DESIGN.md §16). Records arrive from pool threads (in-process) or
-// from the dispatcher's merged report (fabric); either way the store
-// ends up holding the same observation multiset, and its canonical
-// (key, seq) order replays every field in flat-index order — so the
-// folds are byte-identical at any --jobs, --fabric, or budget.
+// (DESIGN.md §16). Records arrive from pool threads in any order, but
+// the store's canonical (key, seq) order replays every field in
+// flat-index order — so the folds are byte-identical at any --jobs or
+// budget.
 class SweepFold {
  public:
   SweepFold(const SweepSpec& spec, const CellGrid& grid, uint64_t budget)
@@ -315,37 +183,10 @@ BenchOptions ParseBenchOptions(int argc, const char* const* argv,
                        "xtea | aesni | chacha20");
   }
   if (sweep) {
-    flags.DefineInt("fabric", 0,
-                    "worker processes for the multi-process sweep fabric "
-                    "(0 = run in-process); requires --fabric-dir");
-    flags.DefineString("fabric-dir", "",
-                       "fabric state directory: shard leases, heartbeats, "
-                       "per-attempt shard journals, worker logs");
-    flags.DefineDouble("worker-timeout", 30.0,
-                       "seconds of heartbeat staleness before a fabric "
-                       "worker is declared hung and its lease revoked");
-    flags.DefineDouble("shard-deadline", 0.0,
-                       "wall-clock seconds per shard attempt before a "
-                       "straggler is revoked (0 = no deadline)");
-    flags.DefineInt("shard-retries", 3,
-                    "shard re-dispatches after a worker death before its "
-                    "runs degrade to ok:false records");
-    flags.DefineDouble("chaos-kill-rate", 0.0,
-                       "chaos self-test: expected SIGKILLs injected per "
-                       "shard (capped at --shard-retries)");
     flags.DefineString("agg-memory-budget", "unlimited",
                        "byte budget for the streaming result fold (e.g. "
                        "64k, 256M; 0/unlimited = never spill); output is "
                        "byte-identical at every budget");
-    flags.DefineInt("worker-shard", -1,
-                    "internal (fabric worker mode): shard id this process "
-                    "executes");
-    flags.DefineString("worker-range", "",
-                       "internal (fabric worker mode): lo:hi flat run "
-                       "index range of the leased shard");
-    flags.DefineString("worker-heartbeat", "",
-                       "internal (fabric worker mode): heartbeat file to "
-                       "touch while running");
   }
   flags.DefineBool("help", false, "show usage");
   const util::Status status = flags.Parse(argc - 1, argv + 1);
@@ -376,52 +217,24 @@ BenchOptions ParseBenchOptions(int argc, const char* const* argv,
   }
   options.journal = flags.GetString("journal");
   options.resume = flags.GetString("resume");
-  options.run_deadline_s = flags.GetDouble("run-deadline");
+  const auto run_deadline = flags.GetFinite("run-deadline");
+  if (!run_deadline.ok()) ExitUsage(run_deadline.status().ToString());
+  options.run_deadline_s = *run_deadline;
   options.event_budget = count("event-budget", INT64_MAX);
   options.max_retries =
       static_cast<uint32_t>(count("max-retries", UINT32_MAX));
-  options.fabric = count("fabric", UINT32_MAX);
-  options.fabric_dir = flags.GetString("fabric-dir");
-  options.worker_timeout_s = flags.GetDouble("worker-timeout");
-  options.shard_deadline_s = flags.GetDouble("shard-deadline");
-  options.shard_retries =
-      static_cast<uint32_t>(count("shard-retries", UINT32_MAX));
-  options.chaos_kill_rate = flags.GetDouble("chaos-kill-rate");
   const auto budget =
       util::ParseByteSize(flags.GetString("agg-memory-budget"));
   if (!budget.ok()) {
     ExitUsage("bad --agg-memory-budget: " + budget.status().ToString());
   }
   options.agg_memory_budget = budget.value();
-  options.worker_shard = flags.GetInt("worker-shard");
-  options.worker_range = flags.GetString("worker-range");
-  options.worker_heartbeat = flags.GetString("worker-heartbeat");
-  // Result-affecting flags the dispatcher must forward to workers.
-  if (encrypted && flags.WasSet("cipher")) {
-    options.worker_args.push_back("--cipher=" + flags.GetString("cipher"));
-  }
-  if (flags.WasSet("event-budget")) {
-    options.worker_args.push_back(
-        "--event-budget=" + std::to_string(options.event_budget));
-  }
-  if (flags.WasSet("max-retries")) {
-    options.worker_args.push_back(
-        "--max-retries=" + std::to_string(options.max_retries));
-  }
-  if (flags.WasSet("run-deadline")) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "--run-deadline=%g",
-                  options.run_deadline_s);
-    options.worker_args.push_back(buf);
-  }
-  // Scheduling, IO, and fabric plumbing never enters the config digest:
-  // a fabric sweep, its workers, and a single-process run of the same
-  // grid must agree on the journal identity byte-for-byte.
+  // Scheduling and IO flags never enter the config digest: a sweep and
+  // its resume at another --jobs or budget must agree on the journal
+  // identity byte-for-byte.
   options.canonical = flags.Canonical(
-      {"jobs", "journal", "resume", "run-deadline", "help", "fabric",
-       "fabric-dir", "worker-timeout", "shard-deadline", "shard-retries",
-       "chaos-kill-rate", "agg-memory-budget", "worker-shard",
-       "worker-range", "worker-heartbeat"});
+      {"jobs", "journal", "resume", "run-deadline", "help",
+       "agg-memory-budget"});
   return options;
 }
 
@@ -571,24 +384,19 @@ int Sweep(const BenchOptions& options, const char* argv0,
     return record.Encode();
   };
 
-  if (options.worker_shard >= 0) {
-    RunWorker(options, grid.total(), resilience, attempt);
-  }
-
   SweepFold fold(spec, grid, options.agg_memory_budget);
-  const bool fabric = options.fabric > 0;
-  if (!fabric) {
-    // Records stream into the fold the moment they land and their
-    // payloads are dropped, so the sweep reports in O(budget) RSS.
-    resilience.record_sink = [&fold](size_t flat,
-                                     const exp::RunStatus& slot) {
-      fold.Consume(flat, slot);
-    };
-    resilience.keep_payloads = false;
-  }
-  const auto report =
-      fabric ? RunDispatcher(options, argv0, grid.total(), resilience)
-             : RunInProcess(options.jobs, grid.total(), resilience, attempt);
+  // Records stream into the fold the moment they land and their payloads
+  // are dropped, so the sweep reports in O(budget) RSS.
+  resilience.record_sink = [&fold](size_t flat, const exp::RunStatus& slot) {
+    fold.Consume(flat, slot);
+  };
+  resilience.keep_payloads = false;
+  // Every sweep is flat for the executor: one run per "point", with
+  // base_seed_fn mapping the flat index back to its cell's seed, so cells
+  // of uneven run counts need no padding.
+  exp::Engine engine(options.jobs);
+  const auto report = exp::RunResilientSweep(
+      engine, std::vector<std::string>(grid.total()), 1, resilience, attempt);
   if (!report.ok()) {
     std::fprintf(stderr, "%s: %s\n", tool, report.status().ToString().c_str());
     return 1;
@@ -596,14 +404,14 @@ int Sweep(const BenchOptions& options, const char* argv0,
   if (report->drained) {
     // No partial document on stdout: the resumed invocation prints it
     // whole, byte-identical to an uninterrupted sweep.
-    PrintDrainHint(tool, options, *report, argv0);
+    std::fprintf(stderr,
+                 "%s: drained with %zu/%zu runs journaled; resume with: %s "
+                 "--resume %s\n",
+                 tool, report->replayed + report->executed,
+                 report->runs.size(), argv0,
+                 report->journal_path.empty() ? "<journal>"
+                                              : report->journal_path.c_str());
     return util::kDrainExitCode;
-  }
-  if (fabric) {
-    // The dispatcher's merged report never saw the sink: replay it.
-    for (size_t i = 0; i < report->runs.size(); ++i) {
-      fold.Consume(i, report->runs[i]);
-    }
   }
   auto result = fold.Reduce(report->failed);
   if (!result.ok()) {

@@ -8,10 +8,9 @@
 // (label, run count, optional legacy seed formula) and a per-run body
 // that returns a Record of named numbers. RunSweep owns the rest, the
 // same way for every bench: the journal (--journal/--resume), graceful
-// drain, retries, the multi-process fabric (--fabric), and the streaming
-// fold through the spill store (--agg-memory-budget, DESIGN.md §16). The
-// folded numbers are byte-identical at any --jobs, --fabric split,
-// budget, or kill/resume point.
+// drain, retries, and the streaming fold through the spill store
+// (--agg-memory-budget, DESIGN.md §16). The folded numbers are
+// byte-identical at any --jobs, budget, or kill/resume point.
 
 #ifndef IPDA_BENCH_BENCH_COMMON_H_
 #define IPDA_BENCH_BENCH_COMMON_H_
@@ -43,7 +42,7 @@ size_t RunsPerPoint(size_t default_runs = 5);
 // Which of the shared flags a bench accepts.
 enum class BenchKind {
   kAnalytic,        // --jobs and --help only: no Monte-Carlo sweep.
-  kSweep,           // Plus every sweep flag (journal, fabric, budget...).
+  kSweep,           // Plus every sweep flag (journal, budget...).
   kEncryptedSweep,  // Plus --cipher, routed into every encrypted arm.
 };
 
@@ -57,40 +56,24 @@ struct BenchOptions {
   // --cipher: link cipher for encrypted arms (result-affecting: wire
   // bytes differ per backend, so it enters the canonical digest).
   crypto::CipherKind cipher = crypto::CipherKind::kXtea;
-  // --- Multi-process fabric (exp/fabric.h) ---
-  // --fabric: worker processes to lease shards to (0 = in-process).
-  size_t fabric = 0;
-  std::string fabric_dir;        // --fabric-dir: leases/journals/logs.
-  double worker_timeout_s = 30;  // --worker-timeout: heartbeat staleness.
-  double shard_deadline_s = 0;   // --shard-deadline: straggler cutoff.
-  uint32_t shard_retries = 3;    // --shard-retries: before degradation.
-  double chaos_kill_rate = 0;    // --chaos-kill-rate: self-test SIGKILLs.
-  // Worker mode (set by the dispatcher's re-exec, not by operators):
-  // --worker-shard K --worker-range lo:hi --worker-heartbeat path.
-  int64_t worker_shard = -1;
-  std::string worker_range;
-  std::string worker_heartbeat;
-  // Result-affecting flags explicitly set on this command line, in
-  // --name=value form — the dispatcher forwards them to workers so the
-  // shard journals carry the same config digest as the merge header.
-  std::vector<std::string> worker_args;
   // --agg-memory-budget: byte budget for the streaming result fold
   // (exp::PartialAggStore); 0 = unlimited. Purely a memory/scheduling
   // knob — the folded tables are byte-identical at every budget — so it
   // stays out of the canonical digest, like --jobs.
   uint64_t agg_memory_budget = 0;
   // Canonical flag string minus the scheduling/IO flags that do not
-  // change results (jobs, journal, resume, run-deadline, every fabric
-  // and worker flag); hashed into the journal's config digest.
+  // change results (jobs, journal, resume, run-deadline, budget); hashed
+  // into the journal's config digest.
   std::string canonical;
 };
 
 // Parses the flags of a `kind` bench: --jobs N (0 = all hardware
 // threads; IPDA_BENCH_JOBS is the default when the flag is absent) and,
-// for sweeps, the resilience and fabric flags. Unknown flags, negative
-// or malformed counts (flags and IPDA_BENCH_* variables alike) print a
-// diagnostic and exit(2); --help prints usage and exit(0). Sweep kinds
-// also install the SIGINT/SIGTERM drain handler.
+// for sweeps, the resilience flags. Unknown flags, negative or malformed
+// counts (flags and IPDA_BENCH_* variables alike) and a --run-deadline
+// that is negative, NaN or infinite print a diagnostic and exit(2);
+// --help prints usage and exit(0). Sweep kinds also install the
+// SIGINT/SIGTERM drain handler.
 BenchOptions ParseBenchOptions(int argc, const char* const* argv,
                                BenchKind kind);
 
@@ -204,12 +187,9 @@ class SweepResult {
   size_t failed_runs_ = 0;
 };
 
-// Runs the sweep and returns its folds. Routing: a fabric worker
-// (--worker-shard) runs its leased shard and exits (0 done, 75
-// drained); --fabric N leases shards to re-execs of argv0 and folds the
-// merged journal; otherwise the sweep runs in-process and streams each
-// record into the fold as it lands. Never returns on a drain (prints the
-// resume command, exits 75) or on an error (journal IO, a resume
+// Runs the sweep on --jobs threads and returns its folds; each record
+// streams into the fold as it lands. Never returns on a drain (prints
+// the resume command, exits 75) or on an error (journal IO, a resume
 // mismatch, or a failed run when the spec does not tolerate failures:
 // exits 1). Call before printing anything, so a drained invocation
 // leaves stdout empty and its resume prints the whole document.

@@ -6,9 +6,8 @@
 // specified by the paper, and iPDA with the failure-resilience extensions
 // (slice retargeting + parent failover) switched on.
 //
-// One bench sweep (bench_common.h): journaled, drainable, resumable and
-// fabric-capable, byte-identical for any --jobs value or kill/resume
-// split. A permanently failed run degrades its point (fewer "runs")
+// One bench sweep (bench_common.h): journaled, drainable and resumable,
+// byte-identical for any --jobs value or kill/resume split. A permanently failed run degrades its point (fewer "runs")
 // and is counted in "failed_runs"; it never aborts the grid.
 
 #include <algorithm>

@@ -25,10 +25,6 @@ DOCS=(README.md EXPERIMENTS.md)
 # mention (ctest/cmake/gtest/google-benchmark command lines).
 IGNORE_RE='^--(gtest[a-z_-]*|benchmark[a-z_-]*|build|test-dir|output-on-failure|label-regex|parallel|rerun-failed|version)$'
 
-# Dispatcher-internal worker flags: documented in prose as "not for
-# interactive use", deliberately kept out of the user-facing tables.
-INTERNAL_RE='^--worker-(shard|range|heartbeat)$'
-
 binaries=()
 for bin in "$BUILD_DIR"/src/ipda_sim "$BUILD_DIR"/src/metrics_report \
            "$BUILD_DIR"/bench/*; do
@@ -65,8 +61,7 @@ table_flags="$(
 
 phantom="$(comm -23 <(echo "$doc_flags") <(echo "$live_flags"))"
 undocumented="$(comm -13 <(echo "$doc_flags") <(echo "$live_flags"))"
-not_in_tables="$(comm -13 <(echo "$table_flags") <(echo "$live_flags") |
-  grep -vE "$INTERNAL_RE" || true)"
+not_in_tables="$(comm -13 <(echo "$table_flags") <(echo "$live_flags"))"
 stale_table_rows="$(comm -23 <(echo "$table_flags") <(echo "$live_flags"))"
 
 status=0

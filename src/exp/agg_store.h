@@ -9,12 +9,11 @@
 // the in-memory residue back into that same order and hands values to
 // the caller one at a time.
 //
-// Determinism argument (the same referee discipline as PR 9's
-// MergeShardJournals): the emitted sequence is the sorted multiset of
+// Determinism argument: the emitted sequence is the sorted multiset of
 // everything Added. Thread interleaving, spill timing, and the budget
 // only decide *where* a tuple waits, never where it sorts — so a report
-// folded from ForEachSorted is byte-identical for any --jobs, --fabric,
-// or --agg-memory-budget setting. Aggregators that are order-sensitive
+// folded from ForEachSorted is byte-identical for any --jobs or
+// --agg-memory-budget setting. Aggregators that are order-sensitive
 // in the last ulp (Welford means) therefore reproduce exactly, which no
 // amount of PAO Merge() care could guarantee on its own.
 //

@@ -1,6 +1,5 @@
 #include "exp/journal.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <mutex>
@@ -339,74 +338,6 @@ util::Result<Journal> JournalReader::Load(const std::string& path) {
     journal.torn_header = true;
   }
   return journal;
-}
-
-namespace {
-
-// Dedup rule for duplicate terminal records of one run index: prefer ok
-// over !ok, then fewer attempts, then the smaller attempt seed, then the
-// smaller payload — a total order, so the merge result is independent of
-// the order shard journals are scanned in.
-bool PreferRecord(const JournalRecord& a, const JournalRecord& b) {
-  if (a.ok != b.ok) return a.ok;
-  if (a.attempts != b.attempts) return a.attempts < b.attempts;
-  if (a.seed != b.seed) return a.seed < b.seed;
-  return a.payload < b.payload;
-}
-
-}  // namespace
-
-util::Result<Journal> MergeShardJournals(const std::vector<std::string>& paths,
-                                         const JournalHeader& expect,
-                                         ShardMergeStats* stats) {
-  ShardMergeStats tally;
-  Journal merged;
-  merged.header = expect;
-
-  // Scan in sorted order so `failures` (kept in encounter order for
-  // post-mortems) is deterministic too, not just the deduped runs map.
-  std::vector<std::string> sorted(paths);
-  std::sort(sorted.begin(), sorted.end());
-
-  for (const std::string& path : sorted) {
-    IPDA_ASSIGN_OR_RETURN(Journal shard, JournalReader::Load(path));
-    tally.corrupt_lines += shard.corrupt_lines;
-    if (shard.torn_header) {
-      // The worker died before its header landed; nothing to merge.
-      ++tally.empty_journals;
-      continue;
-    }
-    if (shard.header.experiment != expect.experiment ||
-        shard.header.config_hash != expect.config_hash ||
-        shard.header.sweep_seed != expect.sweep_seed ||
-        shard.header.total_runs != expect.total_runs) {
-      return util::FailedPreconditionError(
-          "shard journal '" + path +
-          "' belongs to a different sweep than the one being merged");
-    }
-    ++tally.journals;
-    for (auto& [index, record] : shard.runs) {
-      if (index >= expect.total_runs) {
-        // Passed the CRC but points outside the grid: corrupt in effect.
-        ++tally.corrupt_lines;
-        continue;
-      }
-      ++tally.records;
-      auto [it, inserted] = merged.runs.try_emplace(index);
-      if (inserted) {
-        it->second = std::move(record);
-      } else {
-        ++tally.duplicates;
-        if (PreferRecord(record, it->second)) it->second = std::move(record);
-      }
-    }
-    for (JournalFailure& failure : shard.failures) {
-      merged.failures.push_back(std::move(failure));
-    }
-  }
-  merged.corrupt_lines = tally.corrupt_lines;
-  if (stats != nullptr) *stats = tally;
-  return merged;
 }
 
 }  // namespace ipda::exp

@@ -112,32 +112,6 @@ class JournalReader {
   static util::Result<Journal> Load(const std::string& path);
 };
 
-// --- Shard-journal merging (multi-process fabric) ----------------------
-
-struct ShardMergeStats {
-  size_t journals = 0;        // Files scanned with a valid header.
-  size_t empty_journals = 0;  // Torn-header/zero-byte files skipped whole.
-  size_t records = 0;         // Terminal records read before dedup.
-  size_t duplicates = 0;      // Records displaced by the dedup rule.
-  size_t corrupt_lines = 0;   // Torn/corrupt lines across all shards.
-};
-
-// Merges the per-shard journals of one fabric sweep into a single
-// Journal keyed by flat run index. Every shard journal must carry the
-// same identity as `expect` (experiment, config hash, sweep seed, total
-// runs) — a mismatch is an error; a torn-header journal (its writer died
-// before the first line was durable) counts as empty and is skipped.
-//
-// Duplicate terminal records for one index — a revoked worker that
-// finished anyway, racing its replacement — are resolved independently
-// of merge order: prefer ok over !ok, then fewer attempts, then the
-// numerically smaller attempt seed, then the lexicographically smaller
-// payload. Identical records (the common case: both attempts computed
-// the same seed-addressed run) collapse silently into one.
-util::Result<Journal> MergeShardJournals(const std::vector<std::string>& paths,
-                                         const JournalHeader& expect,
-                                         ShardMergeStats* stats = nullptr);
-
 // Checksum over a record's canonical fields; writer and reader agree.
 uint64_t JournalChecksum(const JournalRecord& record);
 

@@ -66,13 +66,6 @@ util::Result<ResilientReport> RunResilientSweep(
   ResilientReport report;
   report.runs.resize(total);
 
-  // Shard window (whole grid unless a fabric worker narrowed it).
-  const uint64_t shard_lo =
-      options.shard_lo < total ? options.shard_lo : total;
-  const uint64_t shard_hi =
-      options.shard_hi < total ? options.shard_hi : total;
-  const uint64_t shard_len = shard_hi > shard_lo ? shard_hi - shard_lo : 0;
-
   JournalHeader header;
   header.experiment = options.experiment;
   header.config_hash = util::HashLabel(options.config_digest);
@@ -150,7 +143,7 @@ util::Result<ResilientReport> RunResilientSweep(
   // Prefill replayed slots: their payloads come from the journal, not a
   // re-simulation, so resumed output is byte-identical by construction.
   for (const auto& [index, record] : resumed.runs) {
-    if (index < shard_lo || index >= shard_hi) continue;
+    if (index >= total) continue;
     RunStatus& slot = report.runs[index];
     slot.ok = record.ok;
     slot.replayed = true;
@@ -163,8 +156,7 @@ util::Result<ResilientReport> RunResilientSweep(
   Watchdog watchdog;
   FirstError journal_error;
 
-  engine.ParallelFor(shard_len, [&](size_t offset) {
-    const size_t i = static_cast<size_t>(shard_lo) + offset;
+  engine.ParallelFor(total, [&](size_t i) {
     RunStatus& slot = report.runs[i];
     if (slot.replayed) return;
     if (ShouldDrain(options)) {
@@ -230,8 +222,7 @@ util::Result<ResilientReport> RunResilientSweep(
 
   IPDA_RETURN_IF_ERROR(journal_error.Take());
 
-  for (uint64_t i = shard_lo; i < shard_hi; ++i) {
-    const RunStatus& slot = report.runs[i];
+  for (const RunStatus& slot : report.runs) {
     if (slot.replayed) {
       ++report.replayed;
       if (!slot.ok) ++report.failed;

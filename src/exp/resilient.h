@@ -58,14 +58,6 @@ struct ResilientOptions {
   // installed the handler). Off for library tests that drive drain
   // programmatically via util::RequestDrain().
   bool drain_on_signal = true;
-  // Shard restriction for multi-process fabric workers: only flat
-  // indices in [shard_lo, min(shard_hi, total)) are executed, replayed,
-  // or counted; everything outside stays untouched (default-initialized
-  // RunStatus, not drain-skipped). The journal header still pins the
-  // FULL grid's total_runs, so shard journals of one sweep share an
-  // identity and merge by index (exp/fabric.h). Defaults cover the grid.
-  uint64_t shard_lo = 0;
-  uint64_t shard_hi = UINT64_MAX;
   // Seed of attempt 0 for (point, run). Defaults to DeriveRunSeed; tools
   // with a pre-existing seed scheme override it to keep their output
   // bytes unchanged.

@@ -12,10 +12,21 @@ Watchdog::~Watchdog() {
 }
 
 uint64_t Watchdog::Watch(sim::CancelToken* token, double deadline_seconds) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(deadline_seconds));
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  // A deadline beyond the clock's range (an infinity included) saturates
+  // to never: converting it to integer ticks would overflow and fire at
+  // once. The one-second margin covers the rounding of the double
+  // comparison. A NaN deadline never fires either.
+  const Clock::duration headroom =
+      Clock::time_point::max() - now - std::chrono::seconds(1);
+  const std::chrono::duration<double> wait(deadline_seconds);
+  Clock::time_point deadline = Clock::time_point::max();
+  if (deadline_seconds <= 0.0) {
+    deadline = now;
+  } else if (wait < headroom) {
+    deadline = now + std::chrono::duration_cast<Clock::duration>(wait);
+  }
   uint64_t id;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -37,9 +37,10 @@ class Watchdog {
 
   // Arms a deadline `deadline_seconds` from now for `token`; on expiry
   // the watchdog calls token->RequestCancel(kDeadline). The token must
-  // outlive the watch (Release it before destroying the token). Returns
-  // a handle for Release. Thread-safe; the background thread starts
-  // lazily on the first call.
+  // outlive the watch (Release it before destroying the token). A
+  // deadline past the clock's range (or infinite, or NaN) never fires; a
+  // non-positive one fires at once. Returns a handle for Release.
+  // Thread-safe; the background thread starts lazily on the first call.
   uint64_t Watch(sim::CancelToken* token, double deadline_seconds);
 
   // Disarms a watch; after return the token will not be cancelled by

@@ -16,6 +16,7 @@
 
 #include "agg/aggregate_function.h"
 #include "agg/export.h"
+#include "agg/ipda/config.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
 #include "agg/shard/sharded.h"
@@ -135,6 +136,16 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  // Real-valued flags a CHECK inside the round would otherwise abort on
+  // (area, range), or that NaN/inf would silently disarm (run-deadline).
+  const std::pair<const char*, bool> finite_flags[] = {
+      {"area", true}, {"range", true}, {"run-deadline", false}};
+  for (const auto& [name, positive] : finite_flags) {
+    if (const auto value = flags.GetFinite(name, positive); !value.ok()) {
+      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
+      return 2;
+    }
+  }
 
   const std::string protocol = flags.GetString("protocol");
   auto function = MakeFunction(flags.GetString("function"));
@@ -217,6 +228,14 @@ int Main(int argc, char** argv) {
       protocol != "kipda" && protocol != "ipda") {
     std::fprintf(stderr, "unknown --protocol=%s\n", protocol.c_str());
     return 2;
+  }
+  if (protocol == "ipda") {
+    if (const util::Status status = agg::ValidateIpdaConfig(ipda);
+        !status.ok()) {
+      std::fprintf(stderr, "bad iPDA flags: %s\n",
+                   status.ToString().c_str());
+      return 2;
+    }
   }
   if (protocol == "kipda") {
     const std::string fn = flags.GetString("function");

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -192,6 +193,18 @@ Result<uint64_t> FlagSet::GetCount(const std::string& name,
 
 double FlagSet::GetDouble(const std::string& name) const {
   return std::strtod(Require(name, Type::kDouble).value.c_str(), nullptr);
+}
+
+Result<double> FlagSet::GetFinite(const std::string& name,
+                                  bool positive) const {
+  const std::string& text = Require(name, Type::kDouble).value;
+  const double value = std::strtod(text.c_str(), nullptr);
+  if (!std::isfinite(value) || value < 0.0 || (positive && value == 0.0)) {
+    return InvalidArgumentError("--" + name + " expects a finite number " +
+                                (positive ? "> 0" : ">= 0") + ", got '" +
+                                text + "'");
+  }
+  return value;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {

@@ -51,6 +51,12 @@ class FlagSet {
   Result<uint64_t> GetCount(const std::string& name,
                             uint64_t max = UINT64_MAX) const;
   double GetDouble(const std::string& name) const;
+  // A double flag read as a finite quantity >= 0 (> 0 when `positive`):
+  // InvalidArgument (naming the flag) for NaN, an infinity or a value
+  // out of range, so a bad value fails at parse time instead of tripping
+  // a CHECK inside a run or switching a guard off.
+  Result<double> GetFinite(const std::string& name,
+                           bool positive = false) const;
   bool GetBool(const std::string& name) const;
 
   // True if the flag was explicitly set on the command line.

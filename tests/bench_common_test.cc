@@ -326,10 +326,16 @@ TEST(BenchInputs, MalformedCountsExitTwo) {
        "--max-retries expects a non-negative integer, got '-1'"},
       {nullptr, nullptr, {"--event-budget=-1"}, BenchKind::kSweep,
        "--event-budget expects a non-negative integer"},
-      {nullptr, nullptr, {"--shard-retries=-2"}, BenchKind::kSweep,
-       "--shard-retries expects a non-negative integer"},
-      {nullptr, nullptr, {"--fabric=-1"}, BenchKind::kSweep,
-       "--fabric expects a non-negative integer"},
+      // A removed flag is rejected, not ignored.
+      {nullptr, nullptr, {"--fabric=2"}, BenchKind::kSweep,
+       "unknown flag --fabric"},
+      // NaN and infinity once disarmed or tripped the watchdog.
+      {nullptr, nullptr, {"--run-deadline=-1"}, BenchKind::kSweep,
+       "--run-deadline expects a finite number >= 0, got '-1'"},
+      {nullptr, nullptr, {"--run-deadline=nan"}, BenchKind::kSweep,
+       "--run-deadline expects a finite number >= 0, got 'nan'"},
+      {nullptr, nullptr, {"--run-deadline=inf"}, BenchKind::kSweep,
+       "--run-deadline expects a finite number >= 0, got 'inf'"},
       {nullptr, nullptr, {"--jobs=-4"}, BenchKind::kAnalytic,
        "--jobs expects a non-negative integer"},
       {nullptr, nullptr, {"--max-retries=4294967296"}, BenchKind::kSweep,
@@ -396,12 +402,21 @@ TEST(BenchInputs, WellFormedCountsParse) {
   EXPECT_EQ(options.event_budget, 500u);
   EXPECT_EQ(options.cipher, crypto::CipherKind::kChaCha20);
   EXPECT_EQ(options.agg_memory_budget, 64u * 1024u);
-  // Result-affecting flags are forwarded to fabric workers.
-  EXPECT_EQ(options.worker_args,
-            (std::vector<std::string>{"--cipher=chacha20",
-                                      "--event-budget=500",
-                                      "--max-retries=2"}));
   EXPECT_EQ(EnvCount("IPDA_BENCH_TEST_UNSET_VARIABLE", 7), 7u);
+}
+
+// The canonical flag string is hashed into every journal header, so a
+// change to it strands the journals earlier builds wrote: both literals
+// are the strings those builds hashed. Scheduling and IO flags stay out.
+TEST(BenchInputs, CanonicalFlagStringIsPinned) {
+  EXPECT_EQ(Parse({"--jobs=3", "--journal=j.jsonl", "--run-deadline=5",
+                   "--event-budget=500", "--max-retries=2",
+                   "--cipher=chacha20", "--agg-memory-budget=64k"},
+                  BenchKind::kEncryptedSweep)
+                .canonical,
+            "event-budget=500,max-retries=2,cipher=chacha20");
+  EXPECT_EQ(Parse({}, BenchKind::kEncryptedSweep).canonical,
+            "event-budget=0,max-retries=0,cipher=xtea");
 }
 
 }  // namespace

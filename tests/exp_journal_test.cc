@@ -468,33 +468,6 @@ TEST(ResilientSweep, ResumeFromTornHeaderJournalStartsFresh) {
   EXPECT_EQ(reloaded->runs.size(), swept->runs.size());
 }
 
-TEST(ResilientSweep, ShardWindowRestrictsExecution) {
-  // Fabric workers sweep only their leased [lo, hi) slice; indices
-  // outside stay untouched and uncounted, and the journal still pins the
-  // full grid so shard journals share one identity.
-  util::ResetDrainForTest();
-  const std::string path = TempPath("shard_window");
-  Engine engine(2);
-  ResilientOptions options = BaseOptions(path);
-  options.shard_lo = 3;
-  options.shard_hi = 9;
-  auto report = RunResilientSweep(engine, kLabels, kRuns, options, OkBody);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->executed, 6u);
-  EXPECT_EQ(report->skipped, 0u);
-  EXPECT_FALSE(report->drained);
-  for (size_t i = 0; i < report->runs.size(); ++i) {
-    EXPECT_EQ(report->runs[i].ok, i >= 3 && i < 9) << i;
-  }
-  auto journal = JournalReader::Load(path);
-  ASSERT_TRUE(journal.ok());
-  EXPECT_EQ(journal->header.total_runs, kLabels.size() * kRuns);
-  EXPECT_EQ(journal->runs.size(), 6u);
-  EXPECT_TRUE(journal->runs.count(3));
-  EXPECT_FALSE(journal->runs.count(2));
-  EXPECT_FALSE(journal->runs.count(9));
-}
-
 TEST(ResilientSweep, ForkAttemptSeedContract) {
   EXPECT_EQ(ForkAttemptSeed(123, 0), 123u);  // Attempt 0 = unchanged.
   EXPECT_NE(ForkAttemptSeed(123, 1), 123u);

@@ -3,6 +3,8 @@
 #include "exp/watchdog.h"
 
 #include <chrono>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,25 @@ TEST(Watchdog, ExpiredDeadlineCancelsWithDeadlineReason) {
   ASSERT_TRUE(EventuallyTrue([&] { return token.cancelled(); }));
   EXPECT_EQ(token.reason(), sim::CancelReason::kDeadline);
   EXPECT_TRUE(EventuallyTrue([&] { return dog.trips() == 1; }));
+}
+
+// Deadlines past steady_clock's range once overflowed the integer tick
+// count into the past and cancelled the run at once.
+TEST(Watchdog, DeadlinesBeyondTheClockRangeNeverFire) {
+  Watchdog dog;
+  const double huge[] = {std::numeric_limits<double>::infinity(), 1e300,
+                         std::numeric_limits<double>::max(), 9.3e9,
+                         std::numeric_limits<double>::quiet_NaN()};
+  std::vector<sim::CancelToken> tokens(std::size(huge));
+  for (size_t i = 0; i < tokens.size(); ++i) dog.Watch(&tokens[i], huge[i]);
+  sim::CancelToken prompt;
+  dog.Watch(&prompt, 0.005);
+  ASSERT_TRUE(EventuallyTrue([&] { return prompt.cancelled(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  for (const sim::CancelToken& token : tokens) {
+    EXPECT_FALSE(token.cancelled());
+  }
+  EXPECT_EQ(dog.trips(), 1u);
 }
 
 TEST(Watchdog, ReleasePreventsTrip) {
