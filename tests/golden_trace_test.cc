@@ -21,6 +21,7 @@
 #include "agg/runner.h"
 #include "fault/churn_plan.h"
 #include "fault/fault_plan.h"
+#include "obs/metrics.h"
 
 #ifndef IPDA_GOLDEN_DIR
 #error "IPDA_GOLDEN_DIR must point at tests/golden"
@@ -161,6 +162,67 @@ std::string TagTrace() {
   return csv;
 }
 
+// Exact: a digest does not survive Snapshot::CounterOr's double.
+uint64_t DispatchDigest(const obs::Snapshot& snapshot) {
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name == "sim.dispatch_digest") return value;
+  }
+  return 0;
+}
+
+// One baseline row: the answer and truth to the last bit, tree size,
+// traffic, and the simulator's dispatch digest, which pins the order of
+// every event the round ran.
+template <typename RunResult>
+std::string BaselineRow(uint64_t seed, const RunResult& run, double truth) {
+  char row[256];
+  std::snprintf(row, sizeof(row), "%llu,%.17g,%.17g,%zu,%llu,%llu,%llu\n",
+                static_cast<unsigned long long>(seed), run.result, truth,
+                run.stats.nodes_joined,
+                static_cast<unsigned long long>(run.traffic.frames_sent),
+                static_cast<unsigned long long>(run.traffic.bytes_sent),
+                static_cast<unsigned long long>(DispatchDigest(run.metrics)));
+  return row;
+}
+
+constexpr char kBaselineHeader[] =
+    "seed,result,truth,nodes_joined,frames_sent,bytes_sent,dispatch_digest\n";
+
+std::string SmartTrace() {
+  std::string csv = kBaselineHeader;
+  auto function = agg::MakeSum();
+  auto field = agg::MakeUniformField(15.0, 30.0, 42);
+  for (uint64_t seed : kSeeds) {
+    auto run = agg::RunSmart(GoldenConfig(seed), *function, *field);
+    if (!run.ok()) return "run failed: " + run.status().ToString();
+    csv += BaselineRow(seed, *run, function->Finalize(run->true_acc));
+  }
+  return csv;
+}
+
+std::string CpdaTrace() {
+  std::string csv = kBaselineHeader;
+  auto function = agg::MakeSum();
+  auto field = agg::MakeUniformField(15.0, 30.0, 42);
+  for (uint64_t seed : kSeeds) {
+    auto run = agg::RunCpda(GoldenConfig(seed), *function, *field);
+    if (!run.ok()) return "run failed: " + run.status().ToString();
+    csv += BaselineRow(seed, *run, function->Finalize(run->true_acc));
+  }
+  return csv;
+}
+
+std::string KipdaTrace() {
+  std::string csv = kBaselineHeader;
+  auto field = agg::MakeUniformField(15.0, 30.0, 42);
+  for (uint64_t seed : kSeeds) {
+    auto run = agg::RunKipda(GoldenConfig(seed), *field);
+    if (!run.ok()) return "run failed: " + run.status().ToString();
+    csv += BaselineRow(seed, *run, run->true_acc[0]);
+  }
+  return csv;
+}
+
 void CheckGolden(const std::string& name, const std::string& actual) {
   const std::string path = std::string(IPDA_GOLDEN_DIR) + "/" + name;
   if (std::getenv("IPDA_UPDATE_GOLDEN") != nullptr) {
@@ -196,6 +258,18 @@ TEST(GoldenTrace, IpdaChurnRounds) {
 
 TEST(GoldenTrace, TagCleanRounds) {
   CheckGolden("tag_n60.csv", TagTrace());
+}
+
+TEST(GoldenTrace, SmartCleanRounds) {
+  CheckGolden("smart_n60.csv", SmartTrace());
+}
+
+TEST(GoldenTrace, CpdaCleanRounds) {
+  CheckGolden("cpda_n60.csv", CpdaTrace());
+}
+
+TEST(GoldenTrace, KipdaCleanRounds) {
+  CheckGolden("kipda_n60.csv", KipdaTrace());
 }
 
 }  // namespace
