@@ -1,6 +1,7 @@
 #include "agg/cpda/cpda_protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "agg/cpda/interpolation.h"
@@ -13,7 +14,7 @@
 namespace ipda::agg {
 namespace {
 
-// Control-frame subtypes (first payload byte of kControl / kHello reuse).
+// Control-frame subtypes (first payload byte of kControl).
 enum class CpdaMsg : uint8_t {
   kAnnounce = 1,    // "I am a cluster leader."
   kJoin = 2,        // Member -> leader.
@@ -44,18 +45,6 @@ util::Result<std::pair<net::NodeId, util::Bytes>> DecodeRelay(
   IPDA_ASSIGN_OR_RETURN(uint32_t peer, reader.ReadU32());
   return std::make_pair(peer,
                         util::Bytes(payload.begin() + 4, payload.end()));
-}
-
-util::Bytes EncodeTreeHello(uint32_t level) {
-  util::ByteWriter writer;
-  writer.WriteU16(static_cast<uint16_t>(std::min(level, 0xffffu)));
-  return writer.TakeBytes();
-}
-
-util::Result<uint32_t> DecodeTreeHello(const util::Bytes& payload) {
-  util::ByteReader reader(payload);
-  IPDA_ASSIGN_OR_RETURN(uint16_t level, reader.ReadU16());
-  return static_cast<uint32_t>(level);
 }
 
 util::Bytes Tagged(CpdaMsg msg, const util::Bytes& body = {}) {
@@ -114,25 +103,22 @@ util::Result<Response> DecodeResponse(const util::Bytes& payload) {
   return Response{contributors, std::move(sums)};
 }
 
-sim::SimTime UniformDelay(util::Rng& rng, sim::SimTime max) {
-  return static_cast<sim::SimTime>(
-      rng.UniformUint64(static_cast<uint64_t>(max) + 1));
-}
-
 double PointOf(net::NodeId id) { return static_cast<double>(id); }
 
 }  // namespace
 
 util::Status ValidateCpdaConfig(const CpdaConfig& config) {
-  if (config.leader_probability <= 0.0 ||
-      config.leader_probability >= 1.0) {
+  // Written so that NaN fails every test.
+  if (!(config.leader_probability > 0.0 &&
+        config.leader_probability < 1.0)) {
     return util::InvalidArgumentError("leader_probability must be in (0,1)");
   }
   if (config.poly_degree < 1) {
     return util::InvalidArgumentError("poly_degree must be >= 1");
   }
-  if (config.coeff_range <= 0.0) {
-    return util::InvalidArgumentError("coeff_range must be positive");
+  if (!std::isfinite(config.coeff_range) || config.coeff_range <= 0.0) {
+    return util::InvalidArgumentError(
+        "coeff_range must be finite and positive");
   }
   if (config.build_window <= 0 || config.share_window <= 0 ||
       config.slot <= 0 || config.max_depth == 0) {
@@ -144,7 +130,13 @@ util::Status ValidateCpdaConfig(const CpdaConfig& config) {
 CpdaProtocol::CpdaProtocol(net::Network* network,
                            const AggregateFunction* function,
                            CpdaConfig config)
-    : network_(network), function_(function), config_(config) {
+    : network_(network),
+      function_(function),
+      config_(config),
+      tree_(network, this, &stats_.nodes_joined,
+            {"cpda-start", "cpda-join", config.hello_jitter_max,
+             {ReportStart(), config.slot, config.max_depth,
+              config.report_jitter_max}}) {
   IPDA_CHECK(network != nullptr);
   IPDA_CHECK(function != nullptr);
   IPDA_CHECK(ValidateCpdaConfig(config).ok());
@@ -208,12 +200,6 @@ sim::SimTime CpdaProtocol::ReportStart() const {
          sim::Milliseconds(200);
 }
 
-sim::SimTime CpdaProtocol::Duration() const {
-  return ReportStart() +
-         config_.slot * static_cast<sim::SimTime>(config_.max_depth + 1) +
-         config_.report_jitter_max + sim::Milliseconds(200);
-}
-
 void CpdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
@@ -227,18 +213,7 @@ void CpdaProtocol::Start() {
     // Cluster keys for non-neighbour co-members become slots of their
     // own when EnsurePairKey sets them.
   }
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    network_->node(id).SetReceiveHandler(
-        [this, id](const net::Packet& packet) { OnPacket(id, packet); });
-  }
-  states_[net::kBaseStationId].joined = true;
-  auto& bs = network_->base_station();
-  util::Rng bs_rng = bs.rng().Fork("cpda-start");
-  network_->sim().After(
-      UniformDelay(bs_rng, config_.hello_jitter_max), [this] {
-        network_->base_station().Broadcast(net::PacketType::kHello,
-                                           EncodeTreeHello(0));
-      });
+  tree_.Start();
 
   // Cluster phase schedule for every sensor.
   const sim::SimTime announce_at = config_.build_window;
@@ -269,14 +244,6 @@ void CpdaProtocol::Start() {
 
 void CpdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   switch (packet.type) {
-    case net::PacketType::kHello: {
-      auto level = DecodeTreeHello(packet.payload);
-      if (!level.ok()) return;
-      if (self != net::kBaseStationId && !states_[self].joined) {
-        Join(self, packet.src, *level + 1);
-      }
-      break;
-    }
     case net::PacketType::kControl:
       OnControl(self, packet);
       break;
@@ -385,30 +352,9 @@ void CpdaProtocol::OnControl(net::NodeId self, const net::Packet& packet) {
   }
 }
 
-void CpdaProtocol::Join(net::NodeId self, net::NodeId parent,
-                        uint32_t level) {
-  NodeState& state = states_[self];
-  state.joined = true;
-  state.parent = parent;
-  state.level = level;
-  stats_.nodes_joined += 1;
-  util::Rng rng = network_->node(self).rng().Fork("cpda-join");
-  network_->sim().After(
-      UniformDelay(rng, config_.hello_jitter_max), [this, self, level] {
-        network_->node(self).Broadcast(net::PacketType::kHello,
-                                       EncodeTreeHello(level));
-      });
-  const sim::SimTime slot_time =
-      ReportTime(ReportStart(), config_.slot, config_.max_depth, level) +
-      UniformDelay(rng, config_.report_jitter_max);
-  const sim::SimTime at =
-      std::max(slot_time, network_->sim().now() + sim::Milliseconds(1));
-  network_->sim().At(at, [this, self] { Report(self); });
-}
-
 void CpdaProtocol::AnnounceOrJoin(net::NodeId self) {
   NodeState& state = states_[self];
-  if (!state.joined) return;  // Outside the routing tree.
+  if (!tree_.joined(self)) return;  // Outside the routing tree.
   util::Rng rng = network_->node(self).rng().Fork("cpda-role");
   if (rng.Bernoulli(config_.leader_probability)) {
     state.is_leader = true;
@@ -421,7 +367,7 @@ void CpdaProtocol::AnnounceOrJoin(net::NodeId self) {
 
 void CpdaProtocol::PickLeader(net::NodeId self) {
   NodeState& state = states_[self];
-  if (!state.joined || state.is_leader) return;
+  if (!tree_.joined(self) || state.is_leader) return;
   if (state.heard_leaders.empty()) return;  // Unclustered; fallback later.
   // Uniform random pick among heard leaders (keys permitting) — spreads
   // membership so fewer leaders end up below the privacy threshold.
@@ -578,7 +524,8 @@ void CpdaProtocol::Report(net::NodeId self) {
   if (!counted && config_.fallback_unclustered) {
     AddInto(partial, function_->Contribution(readings_[self]));
   }
-  network_->node(self).Unicast(state.parent, net::PacketType::kAggregate,
+  network_->node(self).Unicast(tree_.parent(self),
+                               net::PacketType::kAggregate,
                                EncodePartial(partial));
 }
 
@@ -600,7 +547,7 @@ const CpdaStats& CpdaProtocol::Finish() {
         state.roster.size() >= config_.poly_degree + 1;
     if (clustered) {
       stats_.clustered += 1;
-    } else if (state.joined && config_.fallback_unclustered) {
+    } else if (tree_.joined(id) && config_.fallback_unclustered) {
       stats_.unprotected += 1;
     }
   }

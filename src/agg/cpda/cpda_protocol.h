@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "agg/aggregate_function.h"
+#include "agg/tag_tree.h"
 #include "crypto/keystore.h"
 #include "crypto/pairwise.h"
 #include "net/network.h"
@@ -70,7 +71,7 @@ struct CpdaStats {
   Vector collected;             // At the base station. No integrity check.
 };
 
-class CpdaProtocol {
+class CpdaProtocol : private TagTree::Client {
  public:
   // Ground-truth tap for every polynomial evaluation a member produces
   // (the kept self-evaluation reports to == from). Collusion analyses
@@ -90,7 +91,7 @@ class CpdaProtocol {
   void SetShareObserver(ShareObserver observer);
 
   void Start();
-  sim::SimTime Duration() const;
+  sim::SimTime Duration() const { return tree_.Duration(); }
   // Finalizes cluster bookkeeping; call after the run. Idempotent.
   const CpdaStats& Finish();
   const CpdaStats& stats() const { return stats_; }
@@ -100,9 +101,6 @@ class CpdaProtocol {
 
  private:
   struct NodeState {
-    bool joined = false;
-    net::NodeId parent = 0;
-    uint32_t level = 0;
     // Cluster bookkeeping.
     bool is_leader = false;
     net::NodeId leader = net::kBroadcastId;  // Chosen cluster.
@@ -121,16 +119,15 @@ class CpdaProtocol {
   // master-key scheme both endpoints derive the pair key independently;
   // with external keys (e.g. EG) a missing key means the share is lost.
   bool EnsurePairKey(net::NodeId self, net::NodeId member);
-  void OnPacket(net::NodeId self, const net::Packet& packet);
+  void OnPacket(net::NodeId self, const net::Packet& packet) override;
   void OnControl(net::NodeId self, const net::Packet& packet);
-  void Join(net::NodeId self, net::NodeId parent, uint32_t level);
   void AnnounceOrJoin(net::NodeId self);
   void PickLeader(net::NodeId self);
   void SendRoster(net::NodeId self);
   void SendShares(net::NodeId self);
   void SendResponse(net::NodeId self);
   void SolveCluster(net::NodeId self);
-  void Report(net::NodeId self);
+  void Report(net::NodeId self) override;
   sim::SimTime ReportStart() const;
   crypto::LinkCrypto& crypto_for(net::NodeId id) { return (*cryptos_)[id]; }
   util::Bytes MaybeSeal(net::NodeId self, net::NodeId to,
@@ -148,6 +145,7 @@ class CpdaProtocol {
   std::optional<crypto::PairwiseKeyScheme> pairwise_scheme_;
   ShareObserver share_observer_;
   CpdaStats stats_;
+  TagTree tree_;
   bool started_ = false;
   bool finished_ = false;
 };

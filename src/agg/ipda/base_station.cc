@@ -32,12 +32,18 @@ IntegrityDecision BaseStationAccumulator::Decide(double threshold) const {
   decision.acc_red = red_;
   decision.acc_blue = blue_;
   decision.threshold = threshold;
+  // Accept only when every component passes the test, so a NaN total
+  // (or inf - inf) fails it instead of vanishing inside a max. A NaN
+  // difference is reported as NaN.
   double diff = 0.0;
+  bool within = true;
   for (size_t i = 0; i < red_.size(); ++i) {
-    diff = std::max(diff, std::fabs(red_[i] - blue_[i]));
+    const double d = std::fabs(red_[i] - blue_[i]);
+    within = within && d <= threshold;
+    if (std::isnan(d) || d > diff) diff = d;
   }
   decision.max_component_diff = diff;
-  decision.accepted = diff <= threshold;
+  decision.accepted = within;
   return decision;
 }
 

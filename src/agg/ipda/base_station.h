@@ -13,7 +13,8 @@ struct IntegrityDecision {
   bool accepted = false;
   Vector acc_red;    // S_red, additive components.
   Vector acc_blue;   // S_blue.
-  double max_component_diff = 0.0;  // max_i |S_red[i] − S_blue[i]|.
+  // max_i |S_red[i] − S_blue[i]|; NaN when any component's is.
+  double max_component_diff = 0.0;
   double threshold = 0.0;
 
   // The value the base station reports when accepted: the red/blue mean,
@@ -31,9 +32,9 @@ class BaseStationAccumulator {
 
   const Vector& acc(TreeColor color) const;
 
-  // Applies the Th test. Pollution on either tree — and only on one, since
-  // the trees are node-disjoint — makes the totals disagree and the result
-  // is rejected.
+  // Applies the Th test to every component. Pollution on either tree —
+  // and only on one, since the trees are node-disjoint — makes the totals
+  // disagree and the result is rejected; so does a non-finite total.
   IntegrityDecision Decide(double threshold) const;
 
   void Reset();

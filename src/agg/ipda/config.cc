@@ -1,5 +1,7 @@
 #include "agg/ipda/config.h"
 
+#include <cmath>
+
 namespace ipda::agg {
 
 util::Status ValidateIpdaConfig(const IpdaConfig& config) {
@@ -9,11 +11,13 @@ util::Status ValidateIpdaConfig(const IpdaConfig& config) {
   if (config.k < 2) {
     return util::InvalidArgumentError("k must be >= 2 (paper: k >= 2)");
   }
-  if (config.threshold < 0.0) {
-    return util::InvalidArgumentError("threshold Th must be non-negative");
+  if (!std::isfinite(config.threshold) || config.threshold < 0.0) {
+    return util::InvalidArgumentError(
+        "threshold Th must be finite and non-negative");
   }
-  if (config.slice_range <= 0.0) {
-    return util::InvalidArgumentError("slice_range must be positive");
+  if (!std::isfinite(config.slice_range) || config.slice_range <= 0.0) {
+    return util::InvalidArgumentError(
+        "slice_range must be finite and positive");
   }
   if (config.phase1_window <= 0 || config.slice_window <= 0 ||
       config.slot <= 0) {

@@ -5,20 +5,13 @@
 
 #include "agg/link_keys.h"
 #include "agg/partial.h"
+#include "agg/tag_tree.h"
 #include "crypto/pairwise.h"
 #include "net/packet.h"
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace ipda::agg {
-namespace {
-
-sim::SimTime UniformDelay(util::Rng& rng, sim::SimTime max) {
-  return static_cast<sim::SimTime>(
-      rng.UniformUint64(static_cast<uint64_t>(max) + 1));
-}
-
-}  // namespace
 
 IpdaProtocol::IpdaProtocol(net::Network* network,
                            const AggregateFunction* function,
@@ -579,13 +572,11 @@ void IpdaProtocol::OnJoined(net::NodeId self, const HelloMsg& hello) {
   rebroadcast.query = states_[self].received_query;
   ScheduleHellos(self, rebroadcast, rng);
   // Aggregators report in Phase III at their depth slot.
-  const sim::SimTime slot_time =
-      ReportTime(IpdaReportStart(config_), config_.slot, config_.max_depth,
-                 hello.hop) +
-      UniformDelay(rng, config_.report_jitter_max);
-  const sim::SimTime at =
-      std::max(slot_time, network_->sim().now() + sim::Milliseconds(1));
-  network_->sim().At(at, [this, self] { Report(self); });
+  const ReportSchedule schedule{IpdaReportStart(config_), config_.slot,
+                                config_.max_depth, config_.report_jitter_max};
+  network_->sim().At(
+      JoinReportTime(schedule, hello.hop, network_->sim().now(), rng),
+      [this, self] { Report(self); });
 }
 
 void IpdaProtocol::DoSlicing(net::NodeId self) {

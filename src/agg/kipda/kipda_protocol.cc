@@ -1,6 +1,7 @@
 #include "agg/kipda/kipda_protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "agg/partial.h"
@@ -9,23 +10,6 @@
 
 namespace ipda::agg {
 namespace {
-
-util::Bytes EncodeKipdaHello(uint32_t level) {
-  util::ByteWriter writer;
-  writer.WriteU16(static_cast<uint16_t>(std::min(level, 0xffffu)));
-  return writer.TakeBytes();
-}
-
-util::Result<uint32_t> DecodeKipdaHello(const util::Bytes& payload) {
-  util::ByteReader reader(payload);
-  IPDA_ASSIGN_OR_RETURN(uint16_t level, reader.ReadU16());
-  return static_cast<uint32_t>(level);
-}
-
-sim::SimTime UniformDelay(util::Rng& rng, sim::SimTime max) {
-  return static_cast<sim::SimTime>(
-      rng.UniformUint64(static_cast<uint64_t>(max) + 1));
-}
 
 // Identity element for the elementwise combine.
 double Identity(const KipdaConfig& config) {
@@ -42,6 +26,10 @@ util::Status ValidateKipdaConfig(const KipdaConfig& config) {
       config.real_positions > config.message_size) {
     return util::InvalidArgumentError(
         "real_positions must be in [1, message_size]");
+  }
+  if (!std::isfinite(config.value_floor) ||
+      !std::isfinite(config.value_ceiling)) {
+    return util::InvalidArgumentError("value range must be finite");
   }
   if (config.value_floor >= config.value_ceiling) {
     return util::InvalidArgumentError("value range must be non-empty");
@@ -109,14 +97,17 @@ double KipdaDecode(const KipdaConfig& config, const Vector& message) {
 }
 
 KipdaProtocol::KipdaProtocol(net::Network* network, KipdaConfig config)
-    : network_(network), config_(config) {
+    : network_(network),
+      config_(config),
+      tree_(network, this, &stats_.nodes_joined,
+            {"kipda-start", "kipda-join", config.hello_jitter_max,
+             {config.build_window, config.slot, config.max_depth,
+              config.report_jitter_max}}) {
   IPDA_CHECK(network != nullptr);
   IPDA_CHECK(ValidateKipdaConfig(config).ok());
   readings_.assign(network_->size(), config.value_floor);
-  states_.resize(network_->size());
-  for (auto& state : states_) {
-    state.acc.assign(config_.message_size, Identity(config_));
-  }
+  acc_.assign(network_->size(),
+              Vector(config_.message_size, Identity(config_)));
   stats_.collected.assign(config_.message_size, Identity(config_));
 }
 
@@ -125,40 +116,14 @@ void KipdaProtocol::SetReadings(std::vector<double> readings) {
   readings_ = std::move(readings);
 }
 
-sim::SimTime KipdaProtocol::Duration() const {
-  return config_.build_window +
-         config_.slot * static_cast<sim::SimTime>(config_.max_depth + 1) +
-         config_.report_jitter_max + sim::Milliseconds(200);
-}
-
 void KipdaProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    network_->node(id).SetReceiveHandler(
-        [this, id](const net::Packet& packet) { OnPacket(id, packet); });
-  }
-  states_[net::kBaseStationId].joined = true;
-  auto& bs = network_->base_station();
-  util::Rng bs_rng = bs.rng().Fork("kipda-start");
-  network_->sim().After(
-      UniformDelay(bs_rng, config_.hello_jitter_max), [this] {
-        network_->base_station().Broadcast(net::PacketType::kHello,
-                                           EncodeKipdaHello(0));
-      });
+  tree_.Start();
 }
 
 void KipdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
-  NodeState& state = states_[self];
   switch (packet.type) {
-    case net::PacketType::kHello: {
-      auto level = DecodeKipdaHello(packet.payload);
-      if (!level.ok()) return;
-      if (self != net::kBaseStationId && !state.joined) {
-        Join(self, packet.src, *level + 1);
-      }
-      break;
-    }
     case net::PacketType::kAggregate: {
       auto message = DecodePartial(packet.payload);
       if (!message.ok() || message->size() != config_.message_size) {
@@ -168,8 +133,7 @@ void KipdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
         KipdaCombine(config_, stats_.collected, *message);
         return;
       }
-      KipdaCombine(config_, state.acc, *message);
-      state.has_children_data = true;
+      KipdaCombine(config_, acc_[self], *message);
       break;
     }
     default:
@@ -177,35 +141,13 @@ void KipdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   }
 }
 
-void KipdaProtocol::Join(net::NodeId self, net::NodeId parent,
-                         uint32_t level) {
-  NodeState& state = states_[self];
-  state.joined = true;
-  state.parent = parent;
-  state.level = level;
-  stats_.nodes_joined += 1;
-  util::Rng rng = network_->node(self).rng().Fork("kipda-join");
-  network_->sim().After(
-      UniformDelay(rng, config_.hello_jitter_max), [this, self, level] {
-        network_->node(self).Broadcast(net::PacketType::kHello,
-                                       EncodeKipdaHello(level));
-      });
-  const sim::SimTime slot_time =
-      ReportTime(config_.build_window, config_.slot, config_.max_depth,
-                 level) +
-      UniformDelay(rng, config_.report_jitter_max);
-  const sim::SimTime at =
-      std::max(slot_time, network_->sim().now() + sim::Milliseconds(1));
-  network_->sim().At(at, [this, self] { Report(self); });
-}
-
 void KipdaProtocol::Report(net::NodeId self) {
-  NodeState& state = states_[self];
   util::Rng rng = network_->node(self).rng().Fork("kipda-encode");
   Vector message = KipdaEncode(config_, readings_[self], rng);
-  KipdaCombine(config_, message, state.acc);
+  KipdaCombine(config_, message, acc_[self]);
   stats_.reports_sent += 1;
-  network_->node(self).Unicast(state.parent, net::PacketType::kAggregate,
+  network_->node(self).Unicast(tree_.parent(self),
+                               net::PacketType::kAggregate,
                                EncodePartial(message));
 }
 

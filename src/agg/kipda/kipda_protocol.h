@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "agg/aggregate_function.h"
+#include "agg/tag_tree.h"
 #include "net/network.h"
 #include "sim/time.h"
 #include "util/random.h"
@@ -71,7 +72,7 @@ struct KipdaStats {
   Vector collected;  // Elementwise-combined message at the base station.
 };
 
-class KipdaProtocol {
+class KipdaProtocol : private TagTree::Client {
  public:
   KipdaProtocol(net::Network* network, KipdaConfig config = {});
 
@@ -80,7 +81,7 @@ class KipdaProtocol {
 
   void SetReadings(std::vector<double> readings);
   void Start();
-  sim::SimTime Duration() const;
+  sim::SimTime Duration() const { return tree_.Duration(); }
   const KipdaStats& stats() const { return stats_; }
   // The MAX (or MIN) answer.
   double FinalizedResult() const {
@@ -88,23 +89,15 @@ class KipdaProtocol {
   }
 
  private:
-  struct NodeState {
-    bool joined = false;
-    net::NodeId parent = 0;
-    uint32_t level = 0;
-    Vector acc;  // Elementwise-combined children messages.
-    bool has_children_data = false;
-  };
-
-  void OnPacket(net::NodeId self, const net::Packet& packet);
-  void Join(net::NodeId self, net::NodeId parent, uint32_t level);
-  void Report(net::NodeId self);
+  void OnPacket(net::NodeId self, const net::Packet& packet) override;
+  void Report(net::NodeId self) override;
 
   net::Network* network_;
   KipdaConfig config_;
   std::vector<double> readings_;
-  std::vector<NodeState> states_;
+  std::vector<Vector> acc_;  // Per node: elementwise-combined children.
   KipdaStats stats_;
+  TagTree tree_;
   bool started_ = false;
 };
 

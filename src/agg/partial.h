@@ -1,5 +1,6 @@
 // Wire codec for intermediate aggregation results and the level-slotted
-// report schedule shared by TAG and iPDA Phase III.
+// report schedule shared by the TAG tree (agg/tag_tree.h, under TAG,
+// SMART, CPDA and KIPDA) and iPDA Phase III.
 
 #ifndef IPDA_AGG_PARTIAL_H_
 #define IPDA_AGG_PARTIAL_H_

@@ -1,6 +1,7 @@
 #include "agg/smart/smart_protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "agg/ipda/slicing.h"
@@ -11,33 +12,13 @@
 #include "util/check.h"
 
 namespace ipda::agg {
-namespace {
-
-util::Bytes EncodeSmartHello(uint32_t level) {
-  util::ByteWriter writer;
-  writer.WriteU16(static_cast<uint16_t>(std::min(level, 0xffffu)));
-  return writer.TakeBytes();
-}
-
-util::Result<uint32_t> DecodeSmartHello(const util::Bytes& payload) {
-  util::ByteReader reader(payload);
-  IPDA_ASSIGN_OR_RETURN(uint16_t level, reader.ReadU16());
-  return static_cast<uint32_t>(level);
-}
-
-sim::SimTime UniformDelay(util::Rng& rng, sim::SimTime max) {
-  return static_cast<sim::SimTime>(
-      rng.UniformUint64(static_cast<uint64_t>(max) + 1));
-}
-
-}  // namespace
-
 util::Status ValidateSmartConfig(const SmartConfig& config) {
   if (config.slice_count == 0) {
     return util::InvalidArgumentError("slice_count (J) must be >= 1");
   }
-  if (config.slice_range <= 0.0) {
-    return util::InvalidArgumentError("slice_range must be positive");
+  if (!std::isfinite(config.slice_range) || config.slice_range <= 0.0) {
+    return util::InvalidArgumentError(
+        "slice_range must be finite and positive");
   }
   if (config.build_window <= 0 || config.slice_window <= 0 ||
       config.slot <= 0 || config.max_depth == 0) {
@@ -49,7 +30,14 @@ util::Status ValidateSmartConfig(const SmartConfig& config) {
 SmartProtocol::SmartProtocol(net::Network* network,
                              const AggregateFunction* function,
                              SmartConfig config)
-    : network_(network), function_(function), config_(config) {
+    : network_(network),
+      function_(function),
+      config_(config),
+      tree_(network, this, &stats_.nodes_joined,
+            {"smart-start", "smart-join", config.hello_jitter_max,
+             {config.build_window + config.slice_window +
+                  sim::Milliseconds(200),
+              config.slot, config.max_depth, config.report_jitter_max}}) {
   IPDA_CHECK(network != nullptr);
   IPDA_CHECK(function != nullptr);
   IPDA_CHECK(ValidateSmartConfig(config).ok());
@@ -78,14 +66,6 @@ void SmartProtocol::SetSliceObserver(SliceObserver observer) {
   slice_observer_ = std::move(observer);
 }
 
-sim::SimTime SmartProtocol::Duration() const {
-  const sim::SimTime report_start =
-      config_.build_window + config_.slice_window + sim::Milliseconds(200);
-  return report_start +
-         config_.slot * static_cast<sim::SimTime>(config_.max_depth + 1) +
-         config_.report_jitter_max + sim::Milliseconds(200);
-}
-
 void SmartProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
@@ -97,18 +77,7 @@ void SmartProtocol::Start() {
         config_.cipher, crypto::KeyStore::DeriveScope::kProvisionedPeers);
     cryptos_ = &owned_cryptos_;
   }
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    network_->node(id).SetReceiveHandler(
-        [this, id](const net::Packet& packet) { OnPacket(id, packet); });
-  }
-  states_[net::kBaseStationId].joined = true;
-  auto& bs = network_->base_station();
-  util::Rng bs_rng = bs.rng().Fork("smart-start");
-  network_->sim().After(
-      UniformDelay(bs_rng, config_.hello_jitter_max), [this] {
-        network_->base_station().Broadcast(net::PacketType::kHello,
-                                           EncodeSmartHello(0));
-      });
+  tree_.Start();
   // Phase 2 slicing for every sensor at a jittered point.
   for (net::NodeId id = 1; id < network_->size(); ++id) {
     util::Rng rng = network_->node(id).rng().Fork("smart-slice-schedule");
@@ -122,14 +91,10 @@ void SmartProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   NodeState& state = states_[self];
   switch (packet.type) {
     case net::PacketType::kHello: {
-      auto level = DecodeSmartHello(packet.payload);
-      if (!level.ok()) return;
+      // The tree has handled it; remember the sender as a slice target.
       if (std::find(state.heard.begin(), state.heard.end(), packet.src) ==
           state.heard.end()) {
         state.heard.push_back(packet.src);
-      }
-      if (self != net::kBaseStationId && !state.joined) {
-        Join(self, packet.src, *level + 1);
       }
       break;
     }
@@ -166,33 +131,9 @@ void SmartProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   }
 }
 
-void SmartProtocol::Join(net::NodeId self, net::NodeId parent,
-                         uint32_t level) {
-  NodeState& state = states_[self];
-  state.joined = true;
-  state.parent = parent;
-  state.level = level;
-  stats_.nodes_joined += 1;
-
-  util::Rng rng = network_->node(self).rng().Fork("smart-join");
-  network_->sim().After(
-      UniformDelay(rng, config_.hello_jitter_max), [this, self, level] {
-        network_->node(self).Broadcast(net::PacketType::kHello,
-                                       EncodeSmartHello(level));
-      });
-  const sim::SimTime report_start =
-      config_.build_window + config_.slice_window + sim::Milliseconds(200);
-  const sim::SimTime slot_time =
-      ReportTime(report_start, config_.slot, config_.max_depth, level) +
-      UniformDelay(rng, config_.report_jitter_max);
-  const sim::SimTime at =
-      std::max(slot_time, network_->sim().now() + sim::Milliseconds(1));
-  network_->sim().At(at, [this, self] { Report(self); });
-}
-
 void SmartProtocol::DoSlicing(net::NodeId self) {
   NodeState& state = states_[self];
-  if (!state.joined) return;  // Outside the tree: data cannot flow up.
+  if (!tree_.joined(self)) return;  // Outside the tree: data cannot flow up.
 
   // Targets: any joined neighbor we heard (keys permitting).
   std::vector<net::NodeId> candidates;
@@ -236,7 +177,8 @@ void SmartProtocol::Report(net::NodeId self) {
   Vector partial = state.mixed;
   AddInto(partial, state.children);
   stats_.reports_sent += 1;
-  network_->node(self).Unicast(state.parent, net::PacketType::kAggregate,
+  network_->node(self).Unicast(tree_.parent(self),
+                               net::PacketType::kAggregate,
                                EncodePartial(partial));
 }
 

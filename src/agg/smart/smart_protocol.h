@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "agg/aggregate_function.h"
+#include "agg/tag_tree.h"
 #include "crypto/keystore.h"
 #include "net/network.h"
 #include "sim/time.h"
@@ -48,7 +49,7 @@ struct SmartStats {
   Vector collected;          // At the base station. No integrity check.
 };
 
-class SmartProtocol {
+class SmartProtocol : private TagTree::Client {
  public:
   // Ground-truth tap with the same shape as IpdaProtocol's: transmitted
   // slices carry the target, the kept slice reports to == from. SMART has
@@ -68,7 +69,7 @@ class SmartProtocol {
   void SetSliceObserver(SliceObserver observer);
 
   void Start();
-  sim::SimTime Duration() const;
+  sim::SimTime Duration() const { return tree_.Duration(); }
   const SmartStats& stats() const { return stats_; }
   double FinalizedResult() const {
     return function_->Finalize(stats_.collected);
@@ -76,19 +77,15 @@ class SmartProtocol {
 
  private:
   struct NodeState {
-    bool joined = false;
-    net::NodeId parent = 0;
-    uint32_t level = 0;
     std::vector<net::NodeId> heard;  // Joined neighbors (slice targets).
     Vector mixed;                    // Kept slice + received slices.
     Vector children;
     bool participated = false;
   };
 
-  void OnPacket(net::NodeId self, const net::Packet& packet);
-  void Join(net::NodeId self, net::NodeId parent, uint32_t level);
+  void OnPacket(net::NodeId self, const net::Packet& packet) override;
   void DoSlicing(net::NodeId self);
-  void Report(net::NodeId self);
+  void Report(net::NodeId self) override;
   crypto::LinkCrypto& crypto_for(net::NodeId id) { return (*cryptos_)[id]; }
 
   net::Network* network_;
@@ -100,6 +97,7 @@ class SmartProtocol {
   std::vector<crypto::LinkCrypto>* cryptos_ = nullptr;
   SliceObserver slice_observer_;
   SmartStats stats_;
+  TagTree tree_;
   bool started_ = false;
 };
 

@@ -1,45 +1,29 @@
 #include "agg/tag/tag_protocol.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "agg/partial.h"
 #include "net/packet.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace ipda::agg {
 namespace {
 
-struct TagHello {
-  uint32_t level = 0;
-  std::optional<Query> query;
-};
-
-util::Bytes EncodeHello(const TagHello& hello) {
+// HELLO trailer: [u8 has_query][query if has_query].
+util::Bytes EncodeQueryTrailer(const std::optional<Query>& query) {
   util::ByteWriter writer;
-  writer.WriteU16(static_cast<uint16_t>(std::min(hello.level, 0xffffu)));
-  writer.WriteU8(hello.query.has_value() ? 1 : 0);
-  util::Bytes out = writer.TakeBytes();
-  if (hello.query.has_value()) {
-    const util::Bytes query = EncodeQuery(*hello.query);
-    out.insert(out.end(), query.begin(), query.end());
-  }
-  return out;
+  writer.WriteU8(query.has_value() ? 1 : 0);
+  if (query.has_value()) EncodeQueryInto(*query, writer);
+  return writer.TakeBytes();
 }
 
-util::Result<TagHello> DecodeHello(const util::Bytes& payload) {
-  util::ByteReader reader(payload);
-  TagHello hello;
-  IPDA_ASSIGN_OR_RETURN(uint16_t level, reader.ReadU16());
-  hello.level = level;
+util::Result<std::optional<Query>> DecodeQueryTrailer(
+    const util::Bytes& trailer) {
+  util::ByteReader reader(trailer);
   IPDA_ASSIGN_OR_RETURN(uint8_t has_query, reader.ReadU8());
-  if (has_query != 0) {
-    util::Bytes rest(payload.begin() + 3, payload.end());
-    IPDA_ASSIGN_OR_RETURN(Query query, DecodeQuery(rest));
-    hello.query = query;
-  }
-  return hello;
+  if (has_query == 0) return std::optional<Query>();
+  IPDA_ASSIGN_OR_RETURN(Query query, DecodeQueryFrom(reader));
+  return std::optional<Query>(query);
 }
 
 }  // namespace
@@ -56,7 +40,13 @@ util::Status ValidateTagConfig(const TagConfig& config) {
 
 TagProtocol::TagProtocol(net::Network* network,
                          const AggregateFunction* function, TagConfig config)
-    : network_(network), function_(function), config_(config) {
+    : network_(network),
+      function_(function),
+      config_(config),
+      tree_(network, this, &stats_.nodes_joined,
+            {"tag-hello", "tag-join", config.hello_jitter_max,
+             {config.build_window, config.slot, config.max_depth,
+              config.report_jitter_max}}) {
   IPDA_CHECK(network != nullptr);
   IPDA_CHECK(function != nullptr);
   IPDA_CHECK(ValidateTagConfig(config).ok());
@@ -81,52 +71,15 @@ void TagProtocol::SetQuery(const Query& query) {
   query_ = query;
 }
 
-util::Bytes TagProtocol::HelloPayload(net::NodeId self,
-                                      uint32_t level) const {
-  return EncodeHello(TagHello{level, states_[self].received_query});
-}
-
-sim::SimTime TagProtocol::Duration() const {
-  // Report phase ends after the level-0 slot plus margin for MAC delays.
-  return config_.build_window +
-         config_.slot * static_cast<sim::SimTime>(config_.max_depth + 1) +
-         config_.report_jitter_max + sim::Milliseconds(200);
-}
-
 void TagProtocol::Start() {
   IPDA_CHECK(!started_);
   started_ = true;
-  for (net::NodeId id = 0; id < network_->size(); ++id) {
-    network_->node(id).SetReceiveHandler(
-        [this, id](const net::Packet& packet) { OnPacket(id, packet); });
-  }
-  // The base station roots the tree and kicks off the flood.
-  states_[net::kBaseStationId].joined = true;
-  states_[net::kBaseStationId].level = 0;
   states_[net::kBaseStationId].received_query = query_;
-  auto& bs = network_->base_station();
-  const sim::SimTime jitter = static_cast<sim::SimTime>(
-      bs.rng().Fork("tag-hello").UniformUint64(
-          static_cast<uint64_t>(config_.hello_jitter_max) + 1));
-  network_->sim().After(jitter, [this] {
-    network_->base_station().Broadcast(
-        net::PacketType::kHello, HelloPayload(net::kBaseStationId, 0));
-  });
+  tree_.Start(EncodeQueryTrailer(query_));
 }
 
 void TagProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   switch (packet.type) {
-    case net::PacketType::kHello: {
-      auto hello = DecodeHello(packet.payload);
-      if (!hello.ok()) return;  // Corrupt payloads are dropped silently.
-      if (self != net::kBaseStationId && !states_[self].joined) {
-        if (hello->query.has_value()) {
-          states_[self].received_query = hello->query;
-        }
-        Join(self, packet.src, hello->level + 1);
-      }
-      break;
-    }
     case net::PacketType::kAggregate: {
       auto partial = DecodePartial(packet.payload);
       if (!partial.ok() || partial->size() != function_->arity()) return;
@@ -142,32 +95,12 @@ void TagProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
   }
 }
 
-void TagProtocol::Join(net::NodeId self, net::NodeId parent, uint32_t level) {
-  NodeState& state = states_[self];
-  state.joined = true;
-  state.parent = parent;
-  state.level = level;
-  stats_.nodes_joined += 1;
-
-  auto& node = network_->node(self);
-  util::Rng rng = node.rng().Fork("tag-join");
-  const sim::SimTime hello_jitter = static_cast<sim::SimTime>(
-      rng.UniformUint64(static_cast<uint64_t>(config_.hello_jitter_max) + 1));
-  network_->sim().After(hello_jitter, [this, self, level] {
-    network_->node(self).Broadcast(net::PacketType::kHello,
-                                   HelloPayload(self, level));
-  });
-
-  const sim::SimTime report_jitter = static_cast<sim::SimTime>(
-      rng.UniformUint64(
-          static_cast<uint64_t>(config_.report_jitter_max) + 1));
-  const sim::SimTime slot_time =
-      ReportTime(config_.build_window, config_.slot, config_.max_depth,
-                 level) +
-      report_jitter;
-  const sim::SimTime at =
-      std::max(slot_time, network_->sim().now() + sim::Milliseconds(1));
-  network_->sim().At(at, [this, self] { Report(self); });
+util::Result<util::Bytes> TagProtocol::JoinTrailer(
+    net::NodeId self, const util::Bytes& heard) {
+  IPDA_ASSIGN_OR_RETURN(std::optional<Query> query,
+                        DecodeQueryTrailer(heard));
+  if (query.has_value()) states_[self].received_query = query;
+  return EncodeQueryTrailer(states_[self].received_query);
 }
 
 void TagProtocol::Report(net::NodeId self) {
@@ -186,7 +119,8 @@ void TagProtocol::Report(net::NodeId self) {
     AddInto(partial, function_->Contribution(readings_[self]));
   }
   stats_.reports_sent += 1;
-  network_->node(self).Unicast(state.parent, net::PacketType::kAggregate,
+  network_->node(self).Unicast(tree_.parent(self),
+                               net::PacketType::kAggregate,
                                EncodePartial(partial));
 }
 

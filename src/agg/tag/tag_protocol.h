@@ -15,6 +15,7 @@
 
 #include "agg/aggregate_function.h"
 #include "agg/query.h"
+#include "agg/tag_tree.h"
 #include "net/network.h"
 #include "sim/time.h"
 #include "util/status.h"
@@ -37,7 +38,7 @@ struct TagStats {
   Vector collected;            // Accumulated at the base station.
 };
 
-class TagProtocol {
+class TagProtocol : private TagTree::Client {
  public:
   // `network` and `function` must outlive the protocol. Readings default
   // to zero; set them before Start().
@@ -59,7 +60,7 @@ class TagProtocol {
   void Start();
 
   // Simulated time from Start() until the base station's answer is final.
-  sim::SimTime Duration() const;
+  sim::SimTime Duration() const { return tree_.Duration(); }
 
   const TagStats& stats() const { return stats_; }
 
@@ -70,17 +71,15 @@ class TagProtocol {
 
  private:
   struct NodeState {
-    bool joined = false;
-    net::NodeId parent = 0;
-    uint32_t level = 0;
     Vector acc;  // Children partials; own contribution added at report.
     std::optional<Query> received_query;
   };
 
-  void OnPacket(net::NodeId self, const net::Packet& packet);
-  void Join(net::NodeId self, net::NodeId parent, uint32_t level);
-  void Report(net::NodeId self);
-  util::Bytes HelloPayload(net::NodeId self, uint32_t level) const;
+  void OnPacket(net::NodeId self, const net::Packet& packet) override;
+  // Adopts the query a joining node heard and returns its HELLO trailer.
+  util::Result<util::Bytes> JoinTrailer(net::NodeId self,
+                                        const util::Bytes& heard) override;
+  void Report(net::NodeId self) override;
 
   net::Network* network_;
   const AggregateFunction* function_;
@@ -89,6 +88,7 @@ class TagProtocol {
   std::vector<double> readings_;
   std::vector<NodeState> states_;
   TagStats stats_;
+  TagTree tree_;
   bool started_ = false;
 };
 

@@ -8,6 +8,7 @@
 // Prints one row per run plus a summary; --csv switches to
 // machine-readable output.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -137,14 +138,26 @@ int Main(int argc, char** argv) {
     }
   }
   // Real-valued flags a CHECK inside the round would otherwise abort on
-  // (area, range), or that NaN/inf would silently disarm (run-deadline).
+  // (area, range), or that NaN/inf would silently disarm (run-deadline)
+  // or turn into a NaN answer (th, slice-range).
   const std::pair<const char*, bool> finite_flags[] = {
-      {"area", true}, {"range", true}, {"run-deadline", false}};
+      {"area", true}, {"range", true}, {"run-deadline", false},
+      {"th", false}, {"slice-range", false}};
   for (const auto& [name, positive] : finite_flags) {
     if (const auto value = flags.GetFinite(name, positive); !value.ok()) {
       std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
       return 2;
     }
+  }
+  // Readings may be negative, but must be finite and ordered: the
+  // uniform field and KIPDA's value range CHECK both.
+  const double reading_lo = flags.GetDouble("reading-lo");
+  const double reading_hi = flags.GetDouble("reading-hi");
+  if (!std::isfinite(reading_lo) || !std::isfinite(reading_hi) ||
+      reading_lo > reading_hi) {
+    std::fprintf(stderr, "--reading-lo=%g --reading-hi=%g: need finite "
+                 "lo <= hi\n", reading_lo, reading_hi);
+    return 2;
   }
 
   const std::string protocol = flags.GetString("protocol");
@@ -158,8 +171,7 @@ int Main(int argc, char** argv) {
   auto field = counting
                    ? agg::MakeConstantField(1.0)
                    : agg::MakeUniformField(
-                         flags.GetDouble("reading-lo"),
-                         flags.GetDouble("reading-hi"),
+                         reading_lo, reading_hi,
                          static_cast<uint64_t>(flags.GetInt("seed")));
 
   agg::RunConfig config;
@@ -218,7 +230,7 @@ int Main(int argc, char** argv) {
   const double slice_range = flags.GetDouble("slice-range");
   ipda.slice_range = slice_range > 0.0
                          ? slice_range
-                         : (counting ? 1.0 : flags.GetDouble("reading-hi"));
+                         : (counting ? 1.0 : reading_hi);
 
   const bool csv = flags.GetBool("csv");
   const size_t runs = static_cast<size_t>(flags.GetInt("runs"));
@@ -229,20 +241,39 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --protocol=%s\n", protocol.c_str());
     return 2;
   }
-  if (protocol == "ipda") {
-    if (const util::Status status = agg::ValidateIpdaConfig(ipda);
-        !status.ok()) {
-      std::fprintf(stderr, "bad iPDA flags: %s\n",
-                   status.ToString().c_str());
-      return 2;
-    }
-  }
   if (protocol == "kipda") {
     const std::string fn = flags.GetString("function");
     if (fn != "max" && fn != "min") {
       std::fprintf(stderr, "kipda computes max or min only\n");
       return 2;
     }
+  }
+  // Baseline configs derive from the same flags; each is validated up
+  // front so a bad value exits 2 instead of tripping the constructor's
+  // CHECK inside a run.
+  agg::SmartConfig smart;
+  smart.slice_count =
+      static_cast<uint32_t>(flags.GetInt("l")) + 1;  // J = l+1 pieces.
+  smart.slice_range = ipda.slice_range;
+  smart.encrypt_slices = ipda.encrypt_slices;
+  smart.cipher = ipda.cipher;
+  agg::CpdaConfig cpda;
+  cpda.encrypt_shares = ipda.encrypt_slices;
+  cpda.cipher = ipda.cipher;
+  agg::KipdaConfig kipda;
+  kipda.maximize = flags.GetString("function") == "max";
+  kipda.value_floor = reading_lo - 1.0;
+  kipda.value_ceiling = reading_hi + 1.0;
+  if (const util::Status status =
+          protocol == "ipda"    ? agg::ValidateIpdaConfig(ipda)
+          : protocol == "smart" ? agg::ValidateSmartConfig(smart)
+          : protocol == "cpda"  ? agg::ValidateCpdaConfig(cpda)
+          : protocol == "kipda" ? agg::ValidateKipdaConfig(kipda)
+                                : util::OkStatus();
+      !status.ok()) {
+    std::fprintf(stderr, "bad %s flags: %s\n", protocol.c_str(),
+                 status.ToString().c_str());
+    return 2;
   }
   const size_t sinks = static_cast<size_t>(flags.GetInt("sinks"));
   if (sinks == 0) {
@@ -343,27 +374,14 @@ int Main(int argc, char** argv) {
                             agg::RunTag(run_config, *function, *field));
       fill(run);
     } else if (protocol == "smart") {
-      agg::SmartConfig smart;
-      smart.slice_count =
-          static_cast<uint32_t>(flags.GetInt("l")) + 1;  // J = l+1 pieces.
-      smart.slice_range = ipda.slice_range;
-      smart.encrypt_slices = ipda.encrypt_slices;
-      smart.cipher = ipda.cipher;
       IPDA_ASSIGN_OR_RETURN(
           const auto run, agg::RunSmart(run_config, *function, *field, smart));
       fill(run);
     } else if (protocol == "cpda") {
-      agg::CpdaConfig cpda;
-      cpda.encrypt_shares = ipda.encrypt_slices;
-      cpda.cipher = ipda.cipher;
       IPDA_ASSIGN_OR_RETURN(
           const auto run, agg::RunCpda(run_config, *function, *field, cpda));
       fill(run);
     } else if (protocol == "kipda") {
-      agg::KipdaConfig kipda;
-      kipda.maximize = flags.GetString("function") == "max";
-      kipda.value_floor = flags.GetDouble("reading-lo") - 1.0;
-      kipda.value_ceiling = flags.GetDouble("reading-hi") + 1.0;
       IPDA_ASSIGN_OR_RETURN(const auto run,
                             agg::RunKipda(run_config, *field, kipda));
       fill(run);

@@ -1,5 +1,7 @@
 #include "attack/pollution.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "agg/aggregate_function.h"
@@ -121,6 +123,31 @@ TEST(PollutionDetection, MultipleIndependentAttackersStillCaught) {
   // Independent attackers land on random trees with random magnitudes:
   // exact cancellation is measure-zero.
   EXPECT_FALSE(result->stats.decision.accepted);
+}
+
+TEST(PollutionDetection, NanInjectingAggregatorIsRejected) {
+  // A polluter that writes NaN makes |S_red - S_blue| NaN; the round must
+  // be rejected (not waved through as "no difference") and must not abort.
+  agg::RunConfig config;
+  config.deployment.node_count = 400;
+  config.seed = 31337;
+  auto function = agg::MakeCount();
+  auto field = agg::MakeConstantField(1.0);
+  agg::IpdaConfig ipda;
+  ipda.slice_range = 1.0;
+  size_t fired = 0;
+  agg::IpdaRunHooks hooks;
+  hooks.pollution = [&fired](net::NodeId node, TreeColor, Vector& partial) {
+    if (node != 50) return;
+    for (double& v : partial) v = std::nan("");
+    fired += 1;
+  };
+  auto result = agg::RunIpda(config, *function, *field, ipda, hooks);
+  ASSERT_TRUE(result.ok());
+  ASSERT_GT(fired, 0u);
+  EXPECT_FALSE(result->stats.decision.accepted);
+  EXPECT_TRUE(std::isnan(result->stats.decision.max_component_diff));
+  EXPECT_EQ(result->metrics.GaugeOr("agg.accepted", -1.0), 0.0);
 }
 
 TEST(PollutionDetection, TagBaselineHasNoDefense) {

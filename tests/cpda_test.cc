@@ -4,6 +4,7 @@
 #include "agg/cpda/cpda_protocol.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -178,6 +179,14 @@ TEST(CpdaProtocol, ConfigValidation) {
   config = CpdaConfig{};
   config.coeff_range = 0.0;
   EXPECT_FALSE(ValidateCpdaConfig(config).ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    config = CpdaConfig{};
+    config.leader_probability = bad;
+    EXPECT_FALSE(ValidateCpdaConfig(config).ok()) << bad;
+    config = CpdaConfig{};
+    config.coeff_range = bad;
+    EXPECT_FALSE(ValidateCpdaConfig(config).ok()) << bad;
+  }
 }
 
 TEST(CpdaProtocol, NoFallbackDropsUnclusteredData) {

@@ -1,5 +1,8 @@
 #include "agg/ipda/base_station.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "agg/ipda/config.h"
@@ -87,6 +90,46 @@ TEST(BaseStation, ZeroThresholdDemandsExactAgreement) {
   EXPECT_FALSE(acc.Decide(0.0).accepted);
 }
 
+TEST(BaseStation, NanTotalRejectedAndReported) {
+  BaseStationAccumulator acc(1);
+  acc.Add(TreeColor::kRed, {std::nan("")});
+  acc.Add(TreeColor::kBlue, {10.0});
+  const auto decision = acc.Decide(5.0);
+  EXPECT_FALSE(decision.accepted);
+  EXPECT_TRUE(std::isnan(decision.max_component_diff));
+}
+
+TEST(BaseStation, NanInOneComponentRejectsAnyOrder) {
+  // NaN must survive whatever finite differences come before or after it.
+  for (size_t nan_at = 0; nan_at < 3; ++nan_at) {
+    BaseStationAccumulator acc(3);
+    Vector red{10.0, 20.0, 30.0};
+    red[nan_at] = std::nan("");
+    acc.Add(TreeColor::kRed, red);
+    acc.Add(TreeColor::kBlue, {10.0, 21.0, 30.0});
+    const auto decision = acc.Decide(5.0);
+    EXPECT_FALSE(decision.accepted) << nan_at;
+    EXPECT_TRUE(std::isnan(decision.max_component_diff)) << nan_at;
+  }
+}
+
+TEST(BaseStation, InfiniteTotalsRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  BaseStationAccumulator both(1);
+  both.Add(TreeColor::kRed, {inf});
+  both.Add(TreeColor::kBlue, {inf});
+  const auto same = both.Decide(5.0);
+  EXPECT_FALSE(same.accepted);  // inf - inf is NaN.
+  EXPECT_TRUE(std::isnan(same.max_component_diff));
+
+  BaseStationAccumulator one(1);
+  one.Add(TreeColor::kRed, {inf});
+  one.Add(TreeColor::kBlue, {10.0});
+  const auto lopsided = one.Decide(5.0);
+  EXPECT_FALSE(lopsided.accepted);
+  EXPECT_EQ(lopsided.max_component_diff, inf);
+}
+
 TEST(BaseStation, AddingBothColorAborts) {
   BaseStationAccumulator acc(1);
   EXPECT_DEATH(acc.Add(TreeColor::kBoth, {1.0}), "CHECK failed");
@@ -109,6 +152,19 @@ TEST(IpdaConfigValidation, CatchesBadParameters) {
   config = IpdaConfig{};
   config.max_depth = 0;
   EXPECT_FALSE(ValidateIpdaConfig(config).ok());
+}
+
+TEST(IpdaConfigValidation, RejectsNonFiniteReals) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    IpdaConfig config;
+    config.threshold = bad;
+    EXPECT_FALSE(ValidateIpdaConfig(config).ok()) << "threshold " << bad;
+    config = IpdaConfig{};
+    config.slice_range = bad;
+    EXPECT_FALSE(ValidateIpdaConfig(config).ok()) << "slice_range " << bad;
+  }
 }
 
 TEST(IpdaConfigTiming, PhasesAreOrdered) {

@@ -3,6 +3,8 @@
 #include "agg/kipda/kipda_protocol.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -115,6 +117,15 @@ TEST(KipdaPrimitives, ConfigValidation) {
   config = KipdaConfig{};
   config.value_floor = config.value_ceiling;
   EXPECT_FALSE(ValidateKipdaConfig(config).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    config = KipdaConfig{};
+    config.value_floor = bad;
+    EXPECT_FALSE(ValidateKipdaConfig(config).ok()) << "floor " << bad;
+    config = KipdaConfig{};
+    config.value_ceiling = bad;
+    EXPECT_FALSE(ValidateKipdaConfig(config).ok()) << "ceiling " << bad;
+  }
 }
 
 TEST(KipdaProtocol, ExactMaxOverRealNetwork) {

@@ -3,6 +3,8 @@
 
 #include "agg/smart/smart_protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -145,6 +147,11 @@ TEST(SmartProtocol, ConfigValidation) {
   config = SmartConfig{};
   config.max_depth = 0;
   EXPECT_FALSE(ValidateSmartConfig(config).ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    config = SmartConfig{};
+    config.slice_range = bad;
+    EXPECT_FALSE(ValidateSmartConfig(config).ok()) << bad;
+  }
 }
 
 TEST(SmartProtocol, JEqualsOneDegeneratesToTagWithPrivacyLoss) {
