@@ -2,9 +2,9 @@
 // scheduler events per (frame, neighbour) — BeginReception when the
 // frame reaches a receiver, EndReception when it has passed — with each
 // receiver's in-flight receptions marked collided, lost-to-transmit or
-// dead as those events run. It is the direct model the channel's
-// reception records must reproduce: tests/net_channel_diff_test.cc drives
-// both with one seeded script and requires identical behaviour.
+// dead as those events run. It is the direct model the channel's air
+// table must reproduce: tests/net_channel_diff_test.cc drives both with
+// one seeded script and requires identical behaviour.
 
 #ifndef IPDA_TESTS_REFERENCE_CHANNEL_H_
 #define IPDA_TESTS_REFERENCE_CHANNEL_H_
@@ -122,10 +122,23 @@ class ReferenceChannel {
     return !active_rx_[id].empty();
   }
 
+  // One finished reception, for tests that check what a script covers.
+  struct Ended {
+    NodeId receiver;
+    uint64_t uid;  // Send order.
+    size_t bytes;
+    sim::SimTime begin;
+    sim::SimTime end;
+    bool addressed;  // Unicast to the receiver, or broadcast.
+  };
+  // Every reception in the order it ended.
+  const std::vector<Ended>& ended() const { return ended_; }
+
  private:
   struct ActiveReception {
     uint64_t uid;
     std::shared_ptr<const Packet> packet;
+    sim::SimTime begin = 0;
     bool collided = false;
     bool lost_to_tx = false;
     bool dead_rx = false;
@@ -134,7 +147,7 @@ class ReferenceChannel {
   void BeginReception(NodeId receiver, uint64_t uid,
                       std::shared_ptr<const Packet> packet) {
     auto& actives = active_rx_[receiver];
-    ActiveReception rx{uid, std::move(packet)};
+    ActiveReception rx{uid, std::move(packet), sim_->now()};
     if (radio_.tx_until[receiver] > sim_->now()) rx.lost_to_tx = true;
     if (radio_.failed[receiver] != 0) rx.dead_rx = true;
     if (!actives.empty()) {
@@ -153,6 +166,10 @@ class ReferenceChannel {
     IPDA_CHECK(it != actives.end());
     ActiveReception rx = std::move(*it);
     actives.erase(it);
+    const Packet& frame = *rx.packet;
+    ended_.push_back(Ended{receiver, uid, frame.size_bytes(), rx.begin,
+                           sim_->now(),
+                           frame.dst == receiver || frame.IsBroadcast()});
     auto rc = counters_->at(receiver);
     rc.energy_rx_j += config_.energy.RxCost(rx.packet->size_bytes());
     if (rx.lost_to_tx) {
@@ -181,6 +198,7 @@ class ReferenceChannel {
   Channel::OverhearHandler overhear_;
   Channel::LinkFaultHook link_fault_;
   std::vector<std::vector<ActiveReception>> active_rx_;
+  std::vector<Ended> ended_;
   RadioBoard radio_;
 };
 
