@@ -14,8 +14,12 @@
 #include "crypto/ctr.h"
 #include "crypto/keystore.h"
 #include "crypto/xtea.h"
+#include "net/channel.h"
+#include "net/counters.h"
+#include "net/deployment.h"
 #include "net/topology.h"
 #include "sim/scheduler.h"
+#include "sim/simulator.h"
 #include "util/random.h"
 
 namespace ipda {
@@ -195,6 +199,53 @@ void BM_TopologyBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyBuild)->Arg(200)->Arg(600);
+
+// The channel's cost per reception on the paper's deployment (N = 600 in
+// 400 x 400 m, 50 m range): one unicast and one broadcast from the node
+// whose degree is nearest 27, each run to its last end event. RunOne, not
+// RunAll: a round applies the receptions that run no code once, at its
+// deadline, not after every frame. Reports ns_per_reception over both
+// frames' receptions.
+void BM_ChannelFanout(benchmark::State& state) {
+  util::Rng rng(600001);
+  net::DeploymentConfig deployment;
+  deployment.node_count = 600;
+  auto positions = net::UniformDeployment(deployment, rng);
+  auto topology = net::Topology::Build(*positions, 50.0);
+  net::NodeId sender = 0;
+  auto off_target = [&](net::NodeId id) {
+    const size_t degree = topology->degree(id);
+    return degree > 27 ? degree - 27 : 27 - degree;
+  };
+  for (net::NodeId id = 1; id < topology->node_count(); ++id) {
+    if (off_target(id) < off_target(sender)) sender = id;
+  }
+  const auto neighbors = topology->neighbors(sender);
+  sim::Simulator simulator(1);
+  net::CounterBoard counters(topology->node_count());
+  net::Channel channel(&simulator, &*topology, net::PhyConfig{}, &counters);
+  net::Packet unicast;
+  unicast.src = sender;
+  unicast.dst = neighbors[0];
+  unicast.payload.assign(32, 0x5a);
+  net::Packet broadcast = unicast;
+  broadcast.dst = net::kBroadcastId;
+  sim::Scheduler& scheduler = simulator.scheduler();
+  for (auto _ : state) {
+    channel.StartTransmission(sender, unicast);
+    while (scheduler.RunOne()) {
+    }
+    channel.StartTransmission(sender, broadcast);
+    while (scheduler.RunOne()) {
+    }
+  }
+  state.counters["degree"] = static_cast<double>(neighbors.size());
+  state.counters["ns_per_reception"] = benchmark::Counter(
+      2.0 * static_cast<double>(neighbors.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChannelFanout);
 
 void BM_FullIpdaRound(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

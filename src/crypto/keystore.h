@@ -71,7 +71,7 @@ class KeyStore {
   // does not hold the peer yet. Its schedule still waits for first use.
   void SetLinkKey(PeerId peer, const Key128& key);
   bool HasLinkKey(PeerId peer) const {
-    return FindSlot(peer) >= 0 || derive_any_peer_;
+    return derive_any_peer_ || FindSlot(peer) >= 0;
   }
   util::Result<Key128> GetLinkKey(PeerId peer) const;
   size_t link_count() const { return peers_.size(); }

@@ -3,6 +3,8 @@
 #ifndef IPDA_NET_GEOMETRY_H_
 #define IPDA_NET_GEOMETRY_H_
 
+#include <cmath>
+
 namespace ipda::net {
 
 struct Point2D {
@@ -14,8 +16,16 @@ struct Point2D {
   }
 };
 
-double DistanceSquared(const Point2D& a, const Point2D& b);
-double Distance(const Point2D& a, const Point2D& b);
+// Inline: the channel computes one per reception.
+inline double DistanceSquared(const Point2D& a, const Point2D& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
+
+inline double Distance(const Point2D& a, const Point2D& b) {
+  return std::sqrt(DistanceSquared(a, b));
+}
 
 // Axis-aligned rectangle with corner at the origin.
 struct Area {

@@ -279,6 +279,7 @@ void Topology::AttachNode(NodeId id) {
 
 void Topology::MoveNode(NodeId id, Point2D to) {
   IPDA_DCHECK(id < node_count());
+  ++moves_;
   if (!grid_.empty()) grid_.Move(id, position(id), to);
   xs_[id] = to.x;
   ys_[id] = to.y;

@@ -104,6 +104,8 @@ class Topology {
   void AttachNode(NodeId id);
   // Updates `id`'s position; if active, refreshes its unit-disk edge set.
   void MoveNode(NodeId id, Point2D to);
+  // MoveNode calls so far: no position changed between two equal readings.
+  uint64_t moves() const { return moves_; }
   // Folds the patch overlay back into CSR form (round boundary). Active
   // flags persist; only the adjacency representation is rebuilt.
   void Compact();
@@ -158,6 +160,7 @@ class Topology {
   std::vector<int32_t> patch_index_;
   std::vector<std::vector<NodeId>> patch_lists_;
   std::vector<uint8_t> active_;  // Empty = everyone active.
+  uint64_t moves_ = 0;
 };
 
 }  // namespace ipda::net

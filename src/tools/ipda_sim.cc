@@ -8,6 +8,7 @@
 // Prints one row per run plus a summary; --csv switches to
 // machine-readable output.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -227,10 +228,15 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --churn-policy=%s\n", policy.c_str());
     return 2;
   }
+  // The automatic range covers the largest reading magnitude, so an
+  // all-negative interval still yields a positive range.
   const double slice_range = flags.GetDouble("slice-range");
+  const double reading_span =
+      std::max(std::fabs(reading_lo), std::fabs(reading_hi));
   ipda.slice_range = slice_range > 0.0
                          ? slice_range
-                         : (counting ? 1.0 : reading_hi);
+                         : (counting || reading_span == 0.0 ? 1.0
+                                                            : reading_span);
 
   const bool csv = flags.GetBool("csv");
   const size_t runs = static_cast<size_t>(flags.GetInt("runs"));
