@@ -17,7 +17,9 @@ class SumFunction : public AggregateFunction {
  public:
   std::string name() const override { return "SUM"; }
   size_t arity() const override { return 1; }
-  Vector Contribution(double reading) const override { return {reading}; }
+  void ContributionInto(double reading, Vector& out) const override {
+    out.assign(1, reading);
+  }
   double Finalize(const Vector& acc) const override { return acc[0]; }
 };
 
@@ -25,7 +27,9 @@ class CountFunction : public AggregateFunction {
  public:
   std::string name() const override { return "COUNT"; }
   size_t arity() const override { return 1; }
-  Vector Contribution(double) const override { return {1.0}; }
+  void ContributionInto(double, Vector& out) const override {
+    out.assign(1, 1.0);
+  }
   double Finalize(const Vector& acc) const override { return acc[0]; }
 };
 
@@ -33,8 +37,8 @@ class AverageFunction : public AggregateFunction {
  public:
   std::string name() const override { return "AVERAGE"; }
   size_t arity() const override { return 2; }
-  Vector Contribution(double reading) const override {
-    return {1.0, reading};
+  void ContributionInto(double reading, Vector& out) const override {
+    out.assign({1.0, reading});
   }
   double Finalize(const Vector& acc) const override {
     return acc[0] > 0.0 ? acc[1] / acc[0] : 0.0;
@@ -45,8 +49,8 @@ class VarianceFunction : public AggregateFunction {
  public:
   std::string name() const override { return "VARIANCE"; }
   size_t arity() const override { return 3; }
-  Vector Contribution(double reading) const override {
-    return {1.0, reading, reading * reading};
+  void ContributionInto(double reading, Vector& out) const override {
+    out.assign({1.0, reading, reading * reading});
   }
   double Finalize(const Vector& acc) const override {
     if (acc[0] <= 0.0) return 0.0;
@@ -60,9 +64,9 @@ class PowerMeanExtremum : public AggregateFunction {
   explicit PowerMeanExtremum(double k) : k_(k) {}
   std::string name() const override { return k_ > 0 ? "MAX~" : "MIN~"; }
   size_t arity() const override { return 1; }
-  Vector Contribution(double reading) const override {
+  void ContributionInto(double reading, Vector& out) const override {
     IPDA_DCHECK(reading > 0.0);
-    return {std::pow(reading, k_)};
+    out.assign(1, std::pow(reading, k_));
   }
   double Finalize(const Vector& acc) const override {
     if (acc[0] <= 0.0) return 0.0;
@@ -82,15 +86,14 @@ class HistogramFunction : public AggregateFunction {
   }
   std::string name() const override { return "HISTOGRAM"; }
   size_t arity() const override { return buckets_; }
-  Vector Contribution(double reading) const override {
-    Vector v(buckets_, 0.0);
+  void ContributionInto(double reading, Vector& out) const override {
+    out.assign(buckets_, 0.0);
     const double span = hi_ - lo_;
     double idx = (reading - lo_) / span * static_cast<double>(buckets_);
     if (idx < 0.0) idx = 0.0;
     size_t bucket = static_cast<size_t>(idx);
     if (bucket >= buckets_) bucket = buckets_ - 1;
-    v[bucket] = 1.0;
-    return v;
+    out[bucket] = 1.0;
   }
   double Finalize(const Vector& acc) const override {
     double total = 0.0;

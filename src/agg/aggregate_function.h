@@ -33,8 +33,15 @@ class AggregateFunction {
   // Number of additive components each sensor contributes.
   virtual size_t arity() const = 0;
 
-  // Maps one sensor reading to its contribution vector (size == arity()).
-  virtual Vector Contribution(double reading) const = 0;
+  // Maps one sensor reading to its contribution vector (size == arity()),
+  // written into `out` (overwritten, its capacity reused).
+  virtual void ContributionInto(double reading, Vector& out) const = 0;
+
+  Vector Contribution(double reading) const {
+    Vector out;
+    ContributionInto(reading, out);
+    return out;
+  }
 
   // Reduces the network-wide accumulated vector to the answer.
   virtual double Finalize(const Vector& accumulated) const = 0;

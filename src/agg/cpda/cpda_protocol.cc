@@ -188,9 +188,9 @@ util::Bytes CpdaProtocol::MaybeSeal(net::NodeId self, net::NodeId to,
 std::optional<util::Bytes> CpdaProtocol::MaybeOpen(
     net::NodeId self, net::NodeId from, const util::Bytes& wire) {
   if (!config_.encrypt_shares) return wire;
-  auto opened = crypto_for(self).Open(from, wire);
-  if (!opened.ok()) return std::nullopt;
-  return std::move(*opened);
+  util::Bytes plaintext;
+  if (!crypto_for(self).Open(from, wire, plaintext).ok()) return std::nullopt;
+  return plaintext;
 }
 
 sim::SimTime CpdaProtocol::ReportStart() const {

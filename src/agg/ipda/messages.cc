@@ -1,5 +1,7 @@
 #include "agg/ipda/messages.h"
 
+#include <iterator>
+
 #include "agg/partial.h"
 
 namespace ipda::agg {
@@ -48,8 +50,14 @@ bool RoleMatchesColor(NodeRole role, TreeColor color) {
   return false;
 }
 
+namespace {
+// Hello body without a query: [u8 color][u16 hop][u8 has-query].
+constexpr size_t kHelloFixedBytes = 4;
+}  // namespace
+
 util::Bytes EncodeHelloMsg(const HelloMsg& msg) {
-  util::ByteWriter writer;
+  // A piggybacked query grows the buffer past the fixed part.
+  util::ByteWriter writer(0, kHelloFixedBytes);
   writer.WriteU8(static_cast<uint8_t>(msg.color));
   writer.WriteU16(static_cast<uint16_t>(msg.hop > 0xffff ? 0xffff : msg.hop));
   writer.WriteU8(msg.query.has_value() ? 1 : 0);
@@ -73,38 +81,46 @@ util::Result<HelloMsg> DecodeHelloMsg(const util::Bytes& payload) {
   return msg;
 }
 
-util::Bytes EncodeSliceMsg(const SliceMsg& msg) {
-  util::ByteWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(msg.color));
-  EncodePartialInto(msg.slice, writer);
+namespace {
+
+util::Bytes EncodeColored(TreeColor color, const Vector& v, size_t headroom) {
+  util::ByteWriter writer(headroom, 1 + PartialBytes(v.size()));
+  writer.WriteU8(static_cast<uint8_t>(color));
+  EncodePartialInto(v, writer);
   return writer.TakeBytes();
 }
 
-util::Result<SliceMsg> DecodeSliceMsg(const util::Bytes& payload) {
+// Red or blue only: both slices and partials feed exactly one tree.
+util::Result<TreeColor> DecodeColored(const util::Bytes& payload, Vector& out,
+                                      const char* bad_color) {
   util::ByteReader reader(payload);
   IPDA_ASSIGN_OR_RETURN(uint8_t color, reader.ReadU8());
   if (color != 1 && color != 2) {
-    return util::InvalidArgumentError("bad SLICE color");
+    return util::InvalidArgumentError(bad_color);
   }
-  IPDA_ASSIGN_OR_RETURN(Vector slice, DecodePartialFrom(reader));
-  return SliceMsg{static_cast<TreeColor>(color), std::move(slice)};
+  IPDA_RETURN_IF_ERROR(DecodePartialFrom(reader, out));
+  return static_cast<TreeColor>(color);
 }
 
-util::Bytes EncodeAggregateMsg(const AggregateMsg& msg) {
-  util::ByteWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(msg.color));
-  EncodePartialInto(msg.partial, writer);
-  return writer.TakeBytes();
+}  // namespace
+
+util::Bytes EncodeSliceMsg(TreeColor color, const Vector& slice,
+                           size_t headroom) {
+  return EncodeColored(color, slice, headroom);
 }
 
-util::Result<AggregateMsg> DecodeAggregateMsg(const util::Bytes& payload) {
-  util::ByteReader reader(payload);
-  IPDA_ASSIGN_OR_RETURN(uint8_t color, reader.ReadU8());
-  if (color != 1 && color != 2) {
-    return util::InvalidArgumentError("bad AGGREGATE color");
-  }
-  IPDA_ASSIGN_OR_RETURN(Vector partial, DecodePartialFrom(reader));
-  return AggregateMsg{static_cast<TreeColor>(color), std::move(partial)};
+util::Result<TreeColor> DecodeSliceMsg(const util::Bytes& payload,
+                                       Vector& out) {
+  return DecodeColored(payload, out, "bad SLICE color");
+}
+
+util::Bytes EncodeAggregateMsg(TreeColor color, const Vector& partial) {
+  return EncodeColored(color, partial, 0);
+}
+
+util::Result<TreeColor> DecodeAggregateMsg(const util::Bytes& payload,
+                                           Vector& out) {
+  return DecodeColored(payload, out, "bad AGGREGATE color");
 }
 
 namespace {
@@ -113,11 +129,7 @@ constexpr uint8_t kJoinMagic[3] = {0x4a, 0x4e, 0x01};
 }  // namespace
 
 util::Bytes EncodeJoinSolicitMsg() {
-  util::ByteWriter writer;
-  writer.WriteU8(kJoinMagic[0]);
-  writer.WriteU8(kJoinMagic[1]);
-  writer.WriteU8(kJoinMagic[2]);
-  return writer.TakeBytes();
+  return util::Bytes(std::begin(kJoinMagic), std::end(kJoinMagic));
 }
 
 bool IsJoinSolicitMsg(const util::Bytes& payload) {
@@ -126,7 +138,7 @@ bool IsJoinSolicitMsg(const util::Bytes& payload) {
 }
 
 util::Bytes EncodeRelayMsg(const RelayMsg& msg) {
-  util::ByteWriter writer;
+  util::ByteWriter writer(0, 1 + 4 + PartialBytes(msg.partial.size()));
   writer.WriteU8(static_cast<uint8_t>(msg.color));
   writer.WriteU32(msg.origin);
   EncodePartialInto(msg.partial, writer);
@@ -140,8 +152,9 @@ util::Result<RelayMsg> DecodeRelayMsg(const util::Bytes& payload) {
     return util::InvalidArgumentError("bad RELAY color");
   }
   IPDA_ASSIGN_OR_RETURN(uint32_t origin, reader.ReadU32());
-  IPDA_ASSIGN_OR_RETURN(Vector partial, DecodePartialFrom(reader));
-  return RelayMsg{static_cast<TreeColor>(color), origin, std::move(partial)};
+  RelayMsg msg{static_cast<TreeColor>(color), origin, {}};
+  IPDA_RETURN_IF_ERROR(DecodePartialFrom(reader, msg.partial));
+  return msg;
 }
 
 }  // namespace ipda::agg

@@ -54,24 +54,24 @@ struct HelloMsg {
 util::Bytes EncodeHelloMsg(const HelloMsg& msg);
 util::Result<HelloMsg> DecodeHelloMsg(const util::Bytes& payload);
 
-// Plaintext slice body (sealed by LinkCrypto before transmission). The
-// color says which tree the slice feeds — receivers of a single color
-// could infer it, but the base station aggregates on both trees.
-struct SliceMsg {
-  TreeColor color = TreeColor::kRed;
-  Vector slice;
-};
+// SLICE and AGGREGATE bodies: [u8 color][partial codec (agg/partial.h)].
+// A slice's color says which tree it feeds — receivers of a single color
+// could infer it, but the base station aggregates on both trees; an
+// aggregate's color lets the base station attribute the partial.
+//
+// Encoders size the buffer exactly. EncodeSliceMsg leaves `headroom` zero
+// bytes in front for LinkCrypto::Seal's nonce (crypto::kSealOverheadBytes
+// when the slice is sealed), so the buffer handed to the MAC is the only
+// allocation a slice costs. Decoders write the vector into the caller's
+// `out`, reusing its capacity, and return the color.
+util::Bytes EncodeSliceMsg(TreeColor color, const Vector& slice,
+                           size_t headroom = 0);
+util::Result<TreeColor> DecodeSliceMsg(const util::Bytes& payload,
+                                       Vector& out);
 
-util::Bytes EncodeSliceMsg(const SliceMsg& msg);
-util::Result<SliceMsg> DecodeSliceMsg(const util::Bytes& payload);
-
-struct AggregateMsg {
-  TreeColor color = TreeColor::kRed;
-  Vector partial;
-};
-
-util::Bytes EncodeAggregateMsg(const AggregateMsg& msg);
-util::Result<AggregateMsg> DecodeAggregateMsg(const util::Bytes& payload);
+util::Bytes EncodeAggregateMsg(TreeColor color, const Vector& partial);
+util::Result<TreeColor> DecodeAggregateMsg(const util::Bytes& payload,
+                                           Vector& out);
 
 // Late-join solicitation (net::PacketType::kJoin): a node that missed the
 // Phase I flood asks decided neighbors to re-advertise their tree

@@ -36,6 +36,7 @@ IpdaProtocol::IpdaProtocol(net::Network* network,
           network_->sim().After(delay, std::move(fn));
         },
         [this, id](const HelloMsg& hello) { OnJoined(id, hello); });
+    state.builder->ReserveSenders(network_->topology().degree(id));
   }
 }
 
@@ -155,37 +156,38 @@ void IpdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
       break;
     }
     case net::PacketType::kSlice: {
-      util::Bytes plaintext;
+      const util::Bytes* plaintext = &packet.payload;
       if (config_.encrypt_slices) {
-        auto opened = crypto_for(self).Open(packet.src, packet.payload);
-        if (!opened.ok()) {
+        if (!crypto_for(self)
+                 .Open(packet.src, packet.payload, scratch_.opened)
+                 .ok()) {
           stats_.slice_decrypt_failures += 1;
           return;
         }
-        plaintext = std::move(*opened);
-      } else {
-        plaintext = packet.payload;
+        plaintext = &scratch_.opened;
       }
-      auto slice = DecodeSliceMsg(plaintext);
-      if (!slice.ok() || slice->slice.size() != function_->arity()) return;
+      Vector& slice = scratch_.decoded;
+      auto color = DecodeSliceMsg(*plaintext, slice);
+      if (!color.ok() || slice.size() != function_->arity()) return;
       if (self == net::kBaseStationId) {
-        bs_acc_.Add(slice->color, slice->slice);
+        bs_acc_.Add(*color, slice);
         return;
       }
       // Only the intended tree may absorb the slice.
-      if (!RoleMatchesColor(state.builder->role(), slice->color)) return;
-      AddInto(state.assembled, slice->slice);
+      if (!RoleMatchesColor(state.builder->role(), *color)) return;
+      AddInto(state.assembled, slice);
       break;
     }
     case net::PacketType::kAggregate: {
-      auto msg = DecodeAggregateMsg(packet.payload);
-      if (!msg.ok() || msg->partial.size() != function_->arity()) return;
+      Vector& partial = scratch_.decoded;
+      auto color = DecodeAggregateMsg(packet.payload, partial);
+      if (!color.ok() || partial.size() != function_->arity()) return;
       if (self == net::kBaseStationId) {
         partial_delivered_[packet.src] = true;
-        bs_acc_.Add(msg->color, msg->partial);
+        bs_acc_.Add(*color, partial);
         return;
       }
-      if (!RoleMatchesColor(state.builder->role(), msg->color)) return;
+      if (!RoleMatchesColor(state.builder->role(), *color)) return;
       if (state.reported) {
         // Our own partial already left; absorbing now would change
         // nothing downstream. Count the orphan instead of hiding it.
@@ -193,7 +195,7 @@ void IpdaProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
         return;
       }
       partial_delivered_[packet.src] = true;
-      AddInto(state.children, msg->partial);
+      AddInto(state.children, partial);
       break;
     }
     case net::PacketType::kJoin: {
@@ -390,8 +392,7 @@ void IpdaProtocol::RepairGraft(net::NodeId self) {
       if (finished_) return;
       network_->node(self).Unicast(
           best, net::PacketType::kAggregate,
-          EncodeAggregateMsg(
-              AggregateMsg{color, states_[self].last_partial}));
+          EncodeAggregateMsg(color, states_[self].last_partial));
       stats_.reports_rerouted += 1;
       stats_.churn_control_msgs += 1;
     });
@@ -486,8 +487,9 @@ void IpdaProtocol::RetargetSlice(net::NodeId self, net::NodeId dead_target) {
 
   net::NodeId chosen = net::kBroadcastId;
   if (it->attempts < config_.slice_retarget_max) {
-    for (net::NodeId cand :
-         state.builder->AggregatorNeighbors(it->color)) {
+    std::vector<net::NodeId> candidates;
+    state.builder->AggregatorNeighbors(it->color, candidates);
+    for (net::NodeId cand : candidates) {
       if (cand == dead_target || IsDeadNeighbor(state, cand)) continue;
       if (config_.encrypt_slices &&
           !crypto_for(self).keystore().HasLinkKey(cand)) {
@@ -544,7 +546,7 @@ void IpdaProtocol::FailoverReport(net::NodeId self) {
   }
   network_->node(self).Unicast(
       best, net::PacketType::kAggregate,
-      EncodeAggregateMsg(AggregateMsg{color, state.last_partial}));
+      EncodeAggregateMsg(color, state.last_partial));
   stats_.reports_rerouted += 1;
 }
 
@@ -579,6 +581,12 @@ void IpdaProtocol::OnJoined(net::NodeId self, const HelloMsg& hello) {
       [this, self] { Report(self); });
 }
 
+bool IpdaProtocol::NeighborsKeyed() const {
+  return cryptos_ == &owned_cryptos_ &&
+         (config_.churn_response != ChurnResponse::kNone ||
+          !network_->topology().mutated());
+}
+
 void IpdaProtocol::DoSlicing(net::NodeId self) {
   NodeState& state = states_[self];
   TreeBuilder& builder = *state.builder;
@@ -588,30 +596,34 @@ void IpdaProtocol::DoSlicing(net::NodeId self) {
     return;  // Uncovered/undecided: sits out (loss factor (a)).
   }
 
-  auto usable = [&](std::vector<net::NodeId> candidates) {
-    if (!config_.encrypt_slices) return candidates;
+  builder.AggregatorNeighbors(TreeColor::kRed, scratch_.red);
+  builder.AggregatorNeighbors(TreeColor::kBlue, scratch_.blue);
+  if (config_.encrypt_slices) {
     // A slice can only go where a link key exists (relevant under EG
-    // predistribution, where some links stay unkeyed).
-    std::vector<net::NodeId> filtered;
-    filtered.reserve(candidates.size());
-    for (net::NodeId id : candidates) {
-      if (crypto_for(self).keystore().HasLinkKey(id)) {
-        filtered.push_back(id);
-      }
+    // predistribution, where some links stay unkeyed, and after churn
+    // moved a node next to peers it holds no key for).
+    const crypto::KeyStore& keys = crypto_for(self).keystore();
+    const auto unkeyed = [&keys](net::NodeId id) {
+      return !keys.HasLinkKey(id);
+    };
+    if (NeighborsKeyed()) {
+      IPDA_DCHECK(std::none_of(scratch_.red.begin(), scratch_.red.end(),
+                               unkeyed) &&
+                  std::none_of(scratch_.blue.begin(), scratch_.blue.end(),
+                               unkeyed));
+    } else {
+      std::erase_if(scratch_.red, unkeyed);
+      std::erase_if(scratch_.blue, unkeyed);
     }
-    return filtered;
-  };
+  }
 
   util::Rng rng = network_->node(self).rng().Fork("slice-plan");
-  auto plan = PlanSlices(role, config_.slice_count,
-                         usable(builder.AggregatorNeighbors(TreeColor::kRed)),
-                         usable(builder.AggregatorNeighbors(TreeColor::kBlue)),
-                         rng);
-  if (!plan.ok()) {
+  if (!PlanSlices(role, config_.slice_count, scratch_.red, scratch_.blue, rng,
+                  scratch_.plan)
+           .ok()) {
     return;  // Target-starved: sits out (loss factor (b)).
   }
 
-  Vector contribution;
   if (query_.has_value()) {
     // Query-driven mode: compute what the *received* query asks for; a
     // node the dissemination missed sits the round out.
@@ -620,21 +632,20 @@ void IpdaProtocol::DoSlicing(net::NodeId self) {
     if (!resolved.ok() || (*resolved)->arity() != function_->arity()) {
       return;
     }
-    contribution = (*resolved)->Contribution(readings_[self]);
+    (*resolved)->ContributionInto(readings_[self], scratch_.contribution);
   } else {
-    contribution = function_->Contribution(readings_[self]);
+    function_->ContributionInto(readings_[self], scratch_.contribution);
   }
-  DeliverSlices(self, TreeColor::kRed, plan->red, contribution, rng);
-  DeliverSlices(self, TreeColor::kBlue, plan->blue, contribution, rng);
+  DeliverSlices(self, TreeColor::kRed, scratch_.plan.red, rng);
+  DeliverSlices(self, TreeColor::kBlue, scratch_.plan.blue, rng);
   state.participated = true;
 }
 
 void IpdaProtocol::DeliverSlices(net::NodeId self, TreeColor color,
-                                 const ColorPlan& plan,
-                                 const Vector& contribution, util::Rng& rng) {
-  const uint32_t l = config_.slice_count;
-  std::vector<Vector> slices =
-      SliceVector(contribution, l, config_.slice_range, rng);
+                                 const ColorPlan& plan, util::Rng& rng) {
+  std::vector<Vector>& slices = scratch_.slices;
+  SliceVector(scratch_.contribution, config_.slice_count, config_.slice_range,
+              rng, slices);
   size_t next = 0;
   if (plan.keep_local) {
     // d_ii never touches the air (§III-C-1, Fig. 2).
@@ -658,11 +669,11 @@ void IpdaProtocol::DeliverSlices(net::NodeId self, TreeColor color,
 void IpdaProtocol::SendSlice(net::NodeId self, net::NodeId target,
                              TreeColor color, const Vector& slice) {
   if (slice_observer_) slice_observer_(self, target, color, slice);
-  util::Bytes wire = EncodeSliceMsg(SliceMsg{color, slice});
+  util::Bytes wire = EncodeSliceMsg(
+      color, slice, config_.encrypt_slices ? crypto::kSealOverheadBytes : 0);
   if (config_.encrypt_slices) {
-    auto sealed = crypto_for(self).Seal(target, std::move(wire));
+    const util::Status sealed = crypto_for(self).SealInPlace(target, wire);
     IPDA_CHECK(sealed.ok());  // Targets were filtered for key presence.
-    wire = std::move(*sealed);
   }
   network_->node(self).Unicast(target, net::PacketType::kSlice,
                                std::move(wire));
@@ -679,15 +690,18 @@ void IpdaProtocol::Report(net::NodeId self) {
   const TreeColor color = role == NodeRole::kRedAggregator
                               ? TreeColor::kRed
                               : TreeColor::kBlue;
-  Vector partial = state.assembled;
+  // Failover and graft repair resend exactly what we sent, so only a round
+  // that may resend keeps a copy per node.
+  const bool may_resend = config_.parent_failover ||
+                          config_.churn_response == ChurnResponse::kRepair;
+  Vector& partial = may_resend ? state.last_partial : scratch_.partial;
+  partial = state.assembled;
   AddInto(partial, state.children);
   if (pollution_hook_) pollution_hook_(self, color, partial);
-  // Failover resends exactly what we sent.
-  state.last_partial = std::move(partial);
   state.reported = true;
-  network_->node(self).Unicast(
-      state.builder->parent(), net::PacketType::kAggregate,
-      EncodeAggregateMsg(AggregateMsg{color, state.last_partial}));
+  network_->node(self).Unicast(state.builder->parent(),
+                               net::PacketType::kAggregate,
+                               EncodeAggregateMsg(color, partial));
   stats_.reports_sent += 1;
 }
 

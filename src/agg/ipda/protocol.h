@@ -177,7 +177,8 @@ class IpdaProtocol {
     std::unique_ptr<TreeBuilder> builder;
     Vector assembled;  // r(j): kept slice + received slices.
     Vector children;   // Partials folded in from tree children.
-    Vector last_partial;  // What Report() sent (resent on failover).
+    // What Report() sent, kept when it may be resent (failover, repair).
+    Vector last_partial;
     std::optional<Query> received_query;
     std::vector<PendingSlice> pending_slices;
     std::vector<net::NodeId> dead_neighbors;  // Declared dead by ARQ.
@@ -215,9 +216,13 @@ class IpdaProtocol {
                       util::Rng& rng);
   void OnJoined(net::NodeId self, const HelloMsg& hello);
   void DoSlicing(net::NodeId self);
+  // True when every heard aggregator holds a link key by construction,
+  // so DoSlicing may skip the per-candidate keystore search: the protocol
+  // provisioned the keys itself over the topology's edges, and either it
+  // derives a key for any peer on contact or no edge has changed since.
+  bool NeighborsKeyed() const;
   void DeliverSlices(net::NodeId self, TreeColor color,
-                     const ColorPlan& plan, const Vector& contribution,
-                     util::Rng& rng);
+                     const ColorPlan& plan, util::Rng& rng);
   void SendSlice(net::NodeId self, net::NodeId target, TreeColor color,
                  const Vector& slice);
   void Report(net::NodeId self);
@@ -241,6 +246,20 @@ class IpdaProtocol {
   std::vector<GraftRecord> grafts_;
   sim::SimTime last_rebuild_ = -1;
   bool rebuild_pending_ = false;
+  // Message-path scratch, reused by every node (handlers and slicing run
+  // one at a time), so the only allocation a sent slice or partial costs
+  // is the payload buffer handed to the MAC.
+  struct Scratch {
+    std::vector<net::NodeId> red;   // Slice candidates per color.
+    std::vector<net::NodeId> blue;
+    SlicePlan plan;
+    Vector contribution;
+    std::vector<Vector> slices;
+    util::Bytes opened;  // Plaintext of the slice being received.
+    Vector decoded;      // Its slice, or a received partial.
+    Vector partial;      // The partial being reported.
+  };
+  Scratch scratch_;
   IpdaStats stats_;
   bool started_ = false;
   bool finished_ = false;

@@ -5,44 +5,42 @@
 namespace ipda::agg {
 namespace {
 
-std::vector<net::NodeId> PickTargets(const std::vector<net::NodeId>& pool,
-                                     size_t count, util::Rng& rng) {
-  std::vector<net::NodeId> out;
-  out.reserve(count);
-  for (size_t idx : rng.SampleWithoutReplacement(pool.size(), count)) {
-    out.push_back(pool[idx]);
-  }
-  return out;
+// The sampled candidate indices are written into `out` and then replaced
+// by the candidates they name.
+void PickTargets(const std::vector<net::NodeId>& pool, size_t count,
+                 util::Rng& rng, std::vector<net::NodeId>& out) {
+  rng.SampleWithoutReplacement(pool.size(), count, out);
+  for (net::NodeId& target : out) target = pool[target];
 }
 
 }  // namespace
 
-std::vector<Vector> SliceVector(const Vector& value, uint32_t l, double range,
-                                util::Rng& rng) {
+void SliceVector(const Vector& value, uint32_t l, double range,
+                 util::Rng& rng, std::vector<Vector>& slices) {
   IPDA_CHECK_GE(l, 1u);
   IPDA_CHECK_GT(range, 0.0);
-  std::vector<Vector> slices;
-  slices.reserve(l);
-  Vector remainder = value;
+  slices.resize(l);
+  Vector& remainder = slices[l - 1];
+  remainder = value;
   for (uint32_t i = 0; i + 1 < l; ++i) {
-    Vector slice(value.size());
+    Vector& slice = slices[i];
+    slice.resize(value.size());
     for (size_t c = 0; c < value.size(); ++c) {
       slice[c] = rng.UniformDouble(-range, range);
       remainder[c] -= slice[c];
     }
-    slices.push_back(std::move(slice));
   }
-  slices.push_back(std::move(remainder));
-  return slices;
 }
 
-util::Result<SlicePlan> PlanSlices(
-    NodeRole role, uint32_t l, const std::vector<net::NodeId>& red_candidates,
-    const std::vector<net::NodeId>& blue_candidates, util::Rng& rng) {
+util::Status PlanSlices(NodeRole role, uint32_t l,
+                        const std::vector<net::NodeId>& red_candidates,
+                        const std::vector<net::NodeId>& blue_candidates,
+                        util::Rng& rng, SlicePlan& plan) {
   IPDA_CHECK_GE(l, 1u);
   size_t red_remote = l;
   size_t blue_remote = l;
-  SlicePlan plan;
+  plan.red.keep_local = false;
+  plan.blue.keep_local = false;
   switch (role) {
     case NodeRole::kRedAggregator:
       plan.red.keep_local = true;
@@ -66,9 +64,9 @@ util::Result<SlicePlan> PlanSlices(
     return util::FailedPreconditionError(
         "not enough blue aggregator neighbors for l slices");
   }
-  plan.red.targets = PickTargets(red_candidates, red_remote, rng);
-  plan.blue.targets = PickTargets(blue_candidates, blue_remote, rng);
-  return plan;
+  PickTargets(red_candidates, red_remote, rng, plan.red.targets);
+  PickTargets(blue_candidates, blue_remote, rng, plan.blue.targets);
+  return util::OkStatus();
 }
 
 }  // namespace ipda::agg

@@ -20,9 +20,11 @@
 namespace ipda::agg {
 
 // Splits `value` into `l` slices that sum componentwise to `value`. The
-// first l-1 slices are uniform in [-range, range] per component.
-std::vector<Vector> SliceVector(const Vector& value, uint32_t l, double range,
-                                util::Rng& rng);
+// first l-1 slices are uniform in [-range, range] per component. `slices`
+// is overwritten and its vectors' capacity reused, so a caller that keeps
+// one slice set for every node slices without allocating.
+void SliceVector(const Vector& value, uint32_t l, double range,
+                 util::Rng& rng, std::vector<Vector>& slices);
 
 // Where one node's slices go for a single tree color.
 struct ColorPlan {
@@ -40,14 +42,16 @@ struct SlicePlan {
   }
 };
 
-// Chooses slice targets per §III-C-1. `red_candidates`/`blue_candidates`
-// are the neighbor aggregators the node may send to (already filtered for
-// key availability by the caller); they must not contain the node itself.
+// Chooses slice targets per §III-C-1 into `plan` (overwritten, capacity
+// reused). `red_candidates`/`blue_candidates` are the neighbor aggregators
+// the node may send to (already filtered for key availability by the
+// caller); they must not contain the node itself.
 // Fails with FailedPrecondition when the neighborhood cannot absorb l
 // slices per tree — the node then sits out this round (loss factor (b)).
-util::Result<SlicePlan> PlanSlices(
-    NodeRole role, uint32_t l, const std::vector<net::NodeId>& red_candidates,
-    const std::vector<net::NodeId>& blue_candidates, util::Rng& rng);
+util::Status PlanSlices(NodeRole role, uint32_t l,
+                        const std::vector<net::NodeId>& red_candidates,
+                        const std::vector<net::NodeId>& blue_candidates,
+                        util::Rng& rng, SlicePlan& plan);
 
 }  // namespace ipda::agg
 

@@ -189,14 +189,12 @@ const TreeBuilder::HeardEntry* TreeBuilder::BestParent(
   return best;
 }
 
-std::vector<net::NodeId> TreeBuilder::AggregatorNeighbors(
-    TreeColor color) const {
-  std::vector<net::NodeId> out;
-  out.reserve(heard_.size());
+void TreeBuilder::AggregatorNeighbors(TreeColor color,
+                                      std::vector<net::NodeId>& out) const {
+  out.clear();
   for (const HeardEntry& entry : heard_) {
     if (entry.Serves(color)) out.push_back(entry.id);
   }
-  return out;
 }
 
 std::vector<NeighborAggregator> TreeBuilder::AggregatorNeighborInfos(

@@ -66,6 +66,10 @@ class TreeBuilder {
   // parent_hop + 1; its color is unchanged.
   void Reparent(net::NodeId parent, uint32_t parent_hop);
 
+  // Makes room for `senders` distinct HELLO senders up front (the node's
+  // topology degree), so hearing them allocates nothing. More still fit.
+  void ReserveSenders(size_t senders) { heard_.reserve(senders); }
+
   // Feeds one received HELLO. A node advertising two different colors is a
   // protocol violation (§III-B); it is blacklisted from neighbor lists.
   void OnHello(net::NodeId src, const HelloMsg& msg);
@@ -82,8 +86,10 @@ class TreeBuilder {
   uint32_t hop() const;
 
   // Neighbor aggregators of `color` heard so far (excludes blacklisted
-  // double-color senders; includes the base station for either color).
-  std::vector<net::NodeId> AggregatorNeighbors(TreeColor color) const;
+  // double-color senders; includes the base station for either color),
+  // written into `out` (overwritten, its capacity reused).
+  void AggregatorNeighbors(TreeColor color,
+                           std::vector<net::NodeId>& out) const;
 
   // Same set with each neighbor's advertised hop, in first-heard order.
   // Parent failover needs hops to re-route partials strictly rootward.

@@ -9,26 +9,29 @@ void EncodePartialInto(const Vector& acc, util::ByteWriter& writer) {
   for (double v : acc) writer.WriteF64(v);
 }
 
-util::Result<Vector> DecodePartialFrom(util::ByteReader& reader) {
+util::Status DecodePartialFrom(util::ByteReader& reader, Vector& out) {
   IPDA_ASSIGN_OR_RETURN(uint8_t count, reader.ReadU8());
-  Vector acc;
-  acc.reserve(count);
-  for (uint8_t i = 0; i < count; ++i) {
-    IPDA_ASSIGN_OR_RETURN(double v, reader.ReadF64());
-    acc.push_back(v);
+  if (reader.remaining() < 8 * size_t{count}) {
+    return util::OutOfRangeError("byte reader underflow");
   }
-  return acc;
+  out.resize(count);
+  for (double& v : out) {
+    IPDA_ASSIGN_OR_RETURN(v, reader.ReadF64());
+  }
+  return util::OkStatus();
 }
 
-util::Bytes EncodePartial(const Vector& acc) {
-  util::ByteWriter writer;
+util::Bytes EncodePartial(const Vector& acc, size_t headroom) {
+  util::ByteWriter writer(headroom, PartialBytes(acc.size()));
   EncodePartialInto(acc, writer);
   return writer.TakeBytes();
 }
 
 util::Result<Vector> DecodePartial(const util::Bytes& payload) {
   util::ByteReader reader(payload);
-  return DecodePartialFrom(reader);
+  Vector acc;
+  IPDA_RETURN_IF_ERROR(DecodePartialFrom(reader, acc));
+  return acc;
 }
 
 sim::SimTime ReportTime(sim::SimTime start, sim::SimTime slot,

@@ -262,8 +262,10 @@ double AccuracyRatio(const Vector& collected, const Vector& truth) {
 Vector TrueAccumulator(const AggregateFunction& function,
                        const std::vector<double>& readings) {
   Vector total(function.arity(), 0.0);
+  Vector contribution;
   for (size_t id = 1; id < readings.size(); ++id) {
-    AddInto(total, function.Contribution(readings[id]));
+    function.ContributionInto(readings[id], contribution);
+    AddInto(total, contribution);
   }
   return total;
 }

@@ -99,15 +99,14 @@ void SmartProtocol::OnPacket(net::NodeId self, const net::Packet& packet) {
       break;
     }
     case net::PacketType::kSlice: {
-      util::Bytes plaintext;
+      const util::Bytes* plaintext = &packet.payload;
       if (config_.encrypt_slices) {
-        auto opened = crypto_for(self).Open(packet.src, packet.payload);
-        if (!opened.ok()) return;
-        plaintext = std::move(*opened);
-      } else {
-        plaintext = packet.payload;
+        if (!crypto_for(self).Open(packet.src, packet.payload, opened_).ok()) {
+          return;
+        }
+        plaintext = &opened_;
       }
-      auto slice = DecodePartial(plaintext);
+      auto slice = DecodePartial(*plaintext);
       if (!slice.ok() || slice->size() != function_->arity()) return;
       if (self == net::kBaseStationId) {
         AddInto(stats_.collected, *slice);
@@ -148,8 +147,8 @@ void SmartProtocol::DoSlicing(net::NodeId self) {
 
   util::Rng rng = network_->node(self).rng().Fork("smart-slice");
   const Vector contribution = function_->Contribution(readings_[self]);
-  std::vector<Vector> slices =
-      SliceVector(contribution, j, config_.slice_range, rng);
+  std::vector<Vector> slices;
+  SliceVector(contribution, j, config_.slice_range, rng, slices);
   // Keep slices[0]; send the rest to distinct random neighbors.
   if (slice_observer_) slice_observer_(self, self, slices[0]);
   AddInto(state.mixed, slices[0]);
@@ -158,11 +157,12 @@ void SmartProtocol::DoSlicing(net::NodeId self) {
   for (uint32_t i = 0; i + 1 < j; ++i) {
     const net::NodeId target = candidates[picks[i]];
     if (slice_observer_) slice_observer_(self, target, slices[i + 1]);
-    util::Bytes wire = EncodePartial(slices[i + 1]);
+    util::Bytes wire = EncodePartial(
+        slices[i + 1],
+        config_.encrypt_slices ? crypto::kSealOverheadBytes : 0);
     if (config_.encrypt_slices) {
-      auto sealed = crypto_for(self).Seal(target, std::move(wire));
+      const util::Status sealed = crypto_for(self).SealInPlace(target, wire);
       IPDA_CHECK(sealed.ok());
-      wire = std::move(*sealed);
     }
     network_->node(self).Unicast(target, net::PacketType::kSlice,
                                  std::move(wire));

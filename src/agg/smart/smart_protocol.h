@@ -96,6 +96,7 @@ class SmartProtocol : private TagTree::Client {
   std::vector<crypto::LinkCrypto> owned_cryptos_;
   std::vector<crypto::LinkCrypto>* cryptos_ = nullptr;
   SliceObserver slice_observer_;
+  util::Bytes opened_;  // Plaintext of the slice being received (reused).
   SmartStats stats_;
   TagTree tree_;
   bool started_ = false;

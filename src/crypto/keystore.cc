@@ -77,6 +77,12 @@ const CipherSchedule& KeyStore::SlotSchedule(int slot) {
     if (s.schedule == kDerive) {
       s.key = deriver_(peers_[static_cast<size_t>(slot)]);
     }
+    if (schedules_.empty()) {
+      // One reservation per store: a node uses a handful of its links in
+      // a round (its slice targets and senders), so growing 1, 2, 4, 8
+      // would cost an allocation per doubling on the message path.
+      schedules_.reserve(std::min(peers_.size(), kScheduleReserve));
+    }
     s.schedule = static_cast<uint32_t>(schedules_.size());
     BuildSchedule(*backend_, s.key, schedules_.emplace_back());
   }
@@ -93,13 +99,8 @@ util::Result<Key128> KeyStore::GetLinkKey(PeerId peer) const {
   return util::NotFoundError("no link key for peer");
 }
 
-util::Result<util::Bytes> LinkCrypto::Seal(PeerId peer,
-                                           const util::Bytes& plaintext) {
-  return Seal(peer, util::Bytes(plaintext));
-}
-
-util::Result<util::Bytes> LinkCrypto::Seal(PeerId peer,
-                                           util::Bytes&& plaintext) {
+util::Status LinkCrypto::SealInPlace(PeerId peer, util::Bytes& wire) {
+  IPDA_CHECK_GE(wire.size(), kSealOverheadBytes);
   const int slot = keystore_.ResolveSlot(peer);
   if (slot < 0) return util::NotFoundError("no link key for peer");
   ++ThreadCryptoStats().keystore_dense_hits;
@@ -109,27 +110,35 @@ util::Result<util::Bytes> LinkCrypto::Seal(PeerId peer,
       static_cast<uint64_t>(self_) << 32 | peer,
       keystore_.NextSendCounter(slot));
   CtrCrypt(keystore_.backend(), keystore_.SlotSchedule(slot), nonce,
-           plaintext);
-  // Same little-endian layout ByteWriter::WriteU64 emits; prepending into
-  // the ciphertext buffer keeps the whole seal allocation-free.
-  uint8_t prefix[kSealOverheadBytes];
+           wire.data() + kSealOverheadBytes,
+           wire.size() - kSealOverheadBytes);
+  // Same little-endian layout ByteWriter::WriteU64 emits.
   for (size_t i = 0; i < kSealOverheadBytes; ++i) {
-    prefix[i] = static_cast<uint8_t>(nonce >> (8 * i));
+    wire[i] = static_cast<uint8_t>(nonce >> (8 * i));
   }
-  plaintext.insert(plaintext.begin(), prefix, prefix + kSealOverheadBytes);
-  return std::move(plaintext);
+  return util::OkStatus();
 }
 
-util::Result<util::Bytes> LinkCrypto::Open(PeerId peer,
-                                           const util::Bytes& wire) {
+util::Result<util::Bytes> LinkCrypto::Seal(PeerId peer,
+                                           const util::Bytes& plaintext) {
+  util::Bytes wire(kSealOverheadBytes + plaintext.size());
+  std::copy(plaintext.begin(), plaintext.end(),
+            wire.begin() + kSealOverheadBytes);
+  IPDA_RETURN_IF_ERROR(SealInPlace(peer, wire));
+  return wire;
+}
+
+util::Status LinkCrypto::Open(PeerId peer, const util::Bytes& wire,
+                              util::Bytes& plaintext) {
   util::ByteReader reader(wire);
   IPDA_ASSIGN_OR_RETURN(uint64_t nonce, reader.ReadU64());
   const int slot = keystore_.ResolveSlot(peer);
   if (slot < 0) return util::NotFoundError("no link key for peer");
   ++ThreadCryptoStats().keystore_dense_hits;
-  util::Bytes body(wire.begin() + kSealOverheadBytes, wire.end());
-  CtrCrypt(keystore_.backend(), keystore_.SlotSchedule(slot), nonce, body);
-  return body;
+  plaintext.assign(wire.begin() + kSealOverheadBytes, wire.end());
+  CtrCrypt(keystore_.backend(), keystore_.SlotSchedule(slot), nonce,
+           plaintext);
+  return util::OkStatus();
 }
 
 }  // namespace ipda::crypto

@@ -95,6 +95,8 @@ class KeyStore {
   // Slot::schedule values at or above kKeyed mean "not built yet".
   static constexpr uint32_t kKeyed = UINT32_MAX - 1;   // Key is in `key`.
   static constexpr uint32_t kDerive = UINT32_MAX;      // Key from deriver_.
+  // Schedules the first build reserves room for (see SlotSchedule).
+  static constexpr size_t kScheduleReserve = 8;
   struct Slot {
     Key128 key;
     uint32_t schedule;  // Index into schedules_, or kKeyed / kDerive.
@@ -124,16 +126,23 @@ class LinkCrypto {
   KeyStore& keystore() { return keystore_; }
   const KeyStore& keystore() const { return keystore_; }
 
-  // Encrypts `plaintext` for `peer`; wire format [u64 nonce][ciphertext].
+  // Seals a message for `peer` in place. `wire` holds kSealOverheadBytes
+  // of headroom (left there by the encoder) followed by the plaintext; on
+  // success it holds [u64 nonce][ciphertext]. The nonce goes into the
+  // headroom, so sealing allocates nothing. On an error `wire` is left as
+  // it was.
+  util::Status SealInPlace(PeerId peer, util::Bytes& wire);
+
+  // Copying form for callers holding a bare plaintext: puts it behind
+  // fresh headroom and seals that. Same bytes as SealInPlace.
   util::Result<util::Bytes> Seal(PeerId peer, const util::Bytes& plaintext);
 
-  // Move form: encrypts in place inside the caller's buffer and prepends
-  // the nonce there, so sealing a message costs zero extra allocations.
-  // Produces bytes identical to the copying overload.
-  util::Result<util::Bytes> Seal(PeerId peer, util::Bytes&& plaintext);
-
-  // Decrypts a Seal()ed message from `peer`.
-  util::Result<util::Bytes> Open(PeerId peer, const util::Bytes& wire);
+  // Decrypts a sealed `wire` from `peer` into `plaintext`, overwriting it
+  // and reusing its capacity: a receiver that keeps one buffer for every
+  // open allocates nothing once the buffer has grown. On an error the
+  // contents of `plaintext` are unspecified.
+  util::Status Open(PeerId peer, const util::Bytes& wire,
+                    util::Bytes& plaintext);
 
  private:
   PeerId self_;

@@ -64,43 +64,50 @@ uint64_t XteaDecryptBlock(const XteaSchedule& sched, uint64_t block) {
   return static_cast<uint64_t>(v0) | (static_cast<uint64_t>(v1) << 32);
 }
 
+namespace {
+
+// Encrypts `Lanes` independent blocks with their rounds interleaved: XTEA
+// is serial within a block, so the lanes are what keeps the ALUs fed.
+template <size_t Lanes>
+inline void EncryptLanes(const uint32_t k[2 * kXteaRounds],
+                         const uint64_t* in, uint64_t* out) {
+  uint32_t v0[Lanes];
+  uint32_t v1[Lanes];
+  for (size_t j = 0; j < Lanes; ++j) {
+    v0[j] = static_cast<uint32_t>(in[j]);
+    v1[j] = static_cast<uint32_t>(in[j] >> 32);
+  }
+  for (int r = 0; r < kXteaRounds; ++r) {
+    const uint32_t k0 = k[2 * r];
+    const uint32_t k1 = k[2 * r + 1];
+    for (size_t j = 0; j < Lanes; ++j) v0[j] += Mix(v1[j]) ^ k0;
+    for (size_t j = 0; j < Lanes; ++j) v1[j] += Mix(v0[j]) ^ k1;
+  }
+  for (size_t j = 0; j < Lanes; ++j) {
+    out[j] =
+        static_cast<uint64_t>(v0[j]) | (static_cast<uint64_t>(v1[j]) << 32);
+  }
+}
+
+}  // namespace
+
 void XteaEncryptBlocks(const uint32_t k[2 * kXteaRounds], const uint64_t* in,
                        uint64_t* out, size_t n) {
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32_t a0 = static_cast<uint32_t>(in[i]);
-    uint32_t a1 = static_cast<uint32_t>(in[i] >> 32);
-    uint32_t b0 = static_cast<uint32_t>(in[i + 1]);
-    uint32_t b1 = static_cast<uint32_t>(in[i + 1] >> 32);
-    uint32_t c0 = static_cast<uint32_t>(in[i + 2]);
-    uint32_t c1 = static_cast<uint32_t>(in[i + 2] >> 32);
-    uint32_t d0 = static_cast<uint32_t>(in[i + 3]);
-    uint32_t d1 = static_cast<uint32_t>(in[i + 3] >> 32);
-    for (int r = 0; r < kXteaRounds; ++r) {
-      const uint32_t k0 = k[2 * r];
-      const uint32_t k1 = k[2 * r + 1];
-      a0 += Mix(a1) ^ k0;
-      b0 += Mix(b1) ^ k0;
-      c0 += Mix(c1) ^ k0;
-      d0 += Mix(d1) ^ k0;
-      a1 += Mix(a0) ^ k1;
-      b1 += Mix(b0) ^ k1;
-      c1 += Mix(c0) ^ k1;
-      d1 += Mix(d0) ^ k1;
-    }
-    out[i] = static_cast<uint64_t>(a0) | (static_cast<uint64_t>(a1) << 32);
-    out[i + 1] = static_cast<uint64_t>(b0) | (static_cast<uint64_t>(b1) << 32);
-    out[i + 2] = static_cast<uint64_t>(c0) | (static_cast<uint64_t>(c1) << 32);
-    out[i + 3] = static_cast<uint64_t>(d0) | (static_cast<uint64_t>(d1) << 32);
-  }
-  for (; i < n; ++i) {
-    uint32_t v0 = static_cast<uint32_t>(in[i]);
-    uint32_t v1 = static_cast<uint32_t>(in[i] >> 32);
-    for (int r = 0; r < kXteaRounds; ++r) {
-      v0 += Mix(v1) ^ k[2 * r];
-      v1 += Mix(v0) ^ k[2 * r + 1];
-    }
-    out[i] = static_cast<uint64_t>(v0) | (static_cast<uint64_t>(v1) << 32);
+  for (; i + 4 <= n; i += 4) EncryptLanes<4>(k, in + i, out + i);
+  // The tail runs as interleaved lanes too: a 10-byte slice is two blocks.
+  switch (n - i) {
+    case 3:
+      EncryptLanes<3>(k, in + i, out + i);
+      break;
+    case 2:
+      EncryptLanes<2>(k, in + i, out + i);
+      break;
+    case 1:
+      EncryptLanes<1>(k, in + i, out + i);
+      break;
+    default:
+      break;
   }
 }
 

@@ -43,9 +43,10 @@ uint64_t XteaDecryptBlock(const Key128& key, uint64_t block);
 uint64_t XteaDecryptBlock(const XteaSchedule& sched, uint64_t block);
 
 // Encrypts `n` independent blocks (`out[i] = E(in[i])`), four lanes in
-// flight. `in` and `out` may alias only if identical. The raw-pointer form
-// takes the 64 expanded round-key words directly (cipher.cc stores them
-// inside a type-erased CipherSchedule blob).
+// flight; a 2- or 3-block remainder runs as that many lanes. `in` and
+// `out` may alias only if identical. The raw-pointer form takes the 64
+// expanded round-key words directly (cipher.cc stores them inside a
+// type-erased CipherSchedule blob).
 void XteaEncryptBlocks(const uint32_t k[2 * kXteaRounds], const uint64_t* in,
                        uint64_t* out, size_t n);
 inline void XteaEncryptBlocks(const XteaSchedule& sched, const uint64_t* in,

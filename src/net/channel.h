@@ -125,6 +125,7 @@ class Channel final : private sim::UnqueuedEvents {
   sim::SimTime PropagationDelay(NodeId a, NodeId b) const;
 
   const PhyConfig& config() const { return config_; }
+  const Topology& topology() const { return *topology_; }
 
   // Publishes the frame table's use as pool.arena_allocs (frames stored)
   // and pool.arena_high_water (most frames held at once).

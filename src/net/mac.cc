@@ -7,6 +7,23 @@
 
 namespace ipda::net {
 
+bool DuplicateFilter::Accept(NodeId src, uint64_t seq) {
+  const auto it = std::lower_bound(
+      last_.begin(), last_.end(), src,
+      [](const Entry& e, NodeId id) { return e.src < id; });
+  if (it != last_.end() && it->src == src) {
+    if (seq <= it->seq) return false;
+    it->seq = seq;
+    return true;
+  }
+  const auto at = it - last_.begin();
+  if (last_.capacity() == 0) {
+    last_.reserve(std::max<size_t>(expected_senders_, 1));
+  }
+  last_.insert(last_.begin() + at, Entry{src, seq});
+  return true;
+}
+
 CsmaMac::CsmaMac(sim::Simulator* sim, Channel* channel,
                  CounterBoard* counters, NodeId id, util::Rng rng,
                  MacConfig config)
@@ -19,6 +36,8 @@ CsmaMac::CsmaMac(sim::Simulator* sim, Channel* channel,
       window_(config.initial_window) {
   IPDA_CHECK(sim != nullptr);
   IPDA_CHECK(channel != nullptr);
+  delivered_ = DuplicateFilter(
+      std::min(channel_->topology().degree(id_), kDedupReserve));
   IPDA_CHECK_GT(config_.max_attempts, 0);
   IPDA_CHECK_GE(config_.max_retries, 0);
   IPDA_CHECK_GE(config_.backoff_max, config_.initial_window);
@@ -73,12 +92,7 @@ void CsmaMac::OnDelivery(const Packet& packet) {
   if (!packet.IsBroadcast() && config_.arq) {
     // Always acknowledge — the previous ACK may have been lost.
     SendAck(packet.src, packet.seq);
-    auto [it, inserted] =
-        last_delivered_seq_.try_emplace(packet.src, packet.seq);
-    if (!inserted) {
-      if (packet.seq <= it->second) return;  // Duplicate retransmission.
-      it->second = packet.seq;
-    }
+    if (!delivered_.Accept(packet.src, packet.seq)) return;
   }
   if (receive_handler_) receive_handler_(packet);
 }

@@ -4,6 +4,11 @@
 
 namespace ipda::util {
 
+ByteWriter::ByteWriter(size_t headroom, size_t body) {
+  out_.reserve(headroom + body);
+  out_.resize(headroom);
+}
+
 void ByteWriter::Append(const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
   out_.insert(out_.end(), p, p + n);

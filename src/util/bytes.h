@@ -22,6 +22,10 @@ using Bytes = std::vector<uint8_t>;
 class ByteWriter {
  public:
   ByteWriter() = default;
+  // Starts the buffer with `headroom` zero bytes, room a later stage fills
+  // in place (LinkCrypto::Seal writes its nonce there), and reserves
+  // `body` bytes more: encoding an exactly sized message allocates once.
+  ByteWriter(size_t headroom, size_t body);
 
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);

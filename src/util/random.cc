@@ -113,21 +113,8 @@ double Rng::Normal(double mean, double stddev) {
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
-  IPDA_CHECK_LE(k, n);
-  // Floyd's algorithm: O(k) expected draws, no O(n) scratch for small k.
   std::vector<size_t> out;
-  out.reserve(k);
-  for (size_t j = n - k; j < n; ++j) {
-    size_t t = static_cast<size_t>(UniformUint64(j + 1));
-    bool seen = false;
-    for (size_t s : out) {
-      if (s == t) {
-        seen = true;
-        break;
-      }
-    }
-    out.push_back(seen ? j : t);
-  }
+  SampleWithoutReplacement(n, k, out);
   return out;
 }
 

@@ -9,9 +9,12 @@
 #ifndef IPDA_UTIL_RANDOM_H_
 #define IPDA_UTIL_RANDOM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
+
+#include "util/check.h"
 
 namespace ipda::util {
 
@@ -69,6 +72,20 @@ class Rng {
 
   // Sample k distinct indices from [0, n) uniformly (k <= n).
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
+  // Same draws and order, written into `out` (overwritten, its capacity
+  // reused). `Index` must represent n - 1.
+  template <typename Index>
+  void SampleWithoutReplacement(size_t n, size_t k, std::vector<Index>& out) {
+    IPDA_CHECK_LE(k, n);
+    // Floyd's algorithm: O(k) expected draws, no O(n) scratch for small k.
+    out.clear();
+    out.reserve(k);
+    for (size_t j = n - k; j < n; ++j) {
+      const auto t = static_cast<Index>(UniformUint64(j + 1));
+      const bool seen = std::find(out.begin(), out.end(), t) != out.end();
+      out.push_back(seen ? static_cast<Index>(j) : t);
+    }
+  }
 
   uint64_t seed() const { return seed_; }
 

@@ -48,9 +48,9 @@ TEST(Partial, IntoAppendsAfterExistingStreamContent) {
 
   util::ByteReader reader(wire);
   ASSERT_TRUE(reader.ReadU8().ok());
-  auto decoded = DecodePartialFrom(reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, acc);
+  Vector decoded;
+  ASSERT_TRUE(DecodePartialFrom(reader, decoded).ok());
+  EXPECT_EQ(decoded, acc);
   // Positional: the reader stops exactly at the trailer.
   auto trailer = reader.ReadU8();
   ASSERT_TRUE(trailer.ok());
@@ -69,7 +69,32 @@ TEST(Partial, FromFailsOnTruncationWithoutConsumingPastEnd) {
   util::Bytes wire = EncodePartial(Vector{1.0, 2.0});
   wire.pop_back();
   util::ByteReader reader(wire);
-  EXPECT_FALSE(DecodePartialFrom(reader).ok());
+  Vector decoded;
+  EXPECT_FALSE(DecodePartialFrom(reader, decoded).ok());
+}
+
+TEST(Partial, HeadroomPrecedesTheEncoding) {
+  const Vector acc{4.0, -0.5};
+  const util::Bytes bare = EncodePartial(acc);
+  const util::Bytes roomy = EncodePartial(acc, 8);
+  ASSERT_EQ(roomy.size(), 8 + bare.size());
+  EXPECT_EQ(util::Bytes(roomy.begin(), roomy.begin() + 8), util::Bytes(8, 0));
+  EXPECT_EQ(util::Bytes(roomy.begin() + 8, roomy.end()), bare);
+  EXPECT_EQ(bare.size(), PartialBytes(acc.size()));
+}
+
+TEST(Partial, FromOverwritesReusedStorage) {
+  // A longer vector left in the caller's storage, and a failed decode
+  // that stopped midway, must not leak into the next decode.
+  Vector scratch{9.0, 9.0, 9.0, 9.0, 9.0};
+  util::Bytes truncated = EncodePartial(Vector{7.0, 7.0, 7.0});
+  truncated.pop_back();
+  util::ByteReader bad(truncated);
+  EXPECT_FALSE(DecodePartialFrom(bad, scratch).ok());
+  const util::Bytes wire = EncodePartial(Vector{1.0, -2.0});
+  util::ByteReader good(wire);
+  ASSERT_TRUE(DecodePartialFrom(good, scratch).ok());
+  EXPECT_EQ(scratch, (Vector{1.0, -2.0}));
 }
 
 TEST(ReportTime, DeeperHopsReportEarlier) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -138,14 +139,15 @@ TEST(Ctr, KeystreamBytesLookUniform) {
   }
 }
 
-TEST(Seal, MoveOverloadMatchesCopyingOverloadOnTheWire) {
-  // Two nodes with identical key material and counter state: one seals
-  // by const&, the other by rvalue. Wire bytes must match exactly, or
-  // the move-based slice assembly would change recorded traffic.
+TEST(Seal, InPlaceMatchesCopyingFormOnTheWire) {
+  // Two nodes with identical key material and counter state: one seals a
+  // bare plaintext by copy, the other seals in place behind the headroom
+  // an encoder leaves. Wire bytes must match exactly, or the in-place
+  // slice path would change recorded traffic.
   const Key128 key = Key128::FromSeed(77);
-  LinkCrypto by_copy(3), by_move(3);
+  LinkCrypto by_copy(3), in_place(3);
   by_copy.keystore().SetLinkKey(9, key);
-  by_move.keystore().SetLinkKey(9, key);
+  in_place.keystore().SetLinkKey(9, key);
   util::Rng rng(7);
   for (int round = 0; round < 8; ++round) {
     util::Bytes plaintext(5 + 13 * round);
@@ -153,35 +155,44 @@ TEST(Seal, MoveOverloadMatchesCopyingOverloadOnTheWire) {
       b = static_cast<uint8_t>(rng.UniformUint64(256));
     }
     auto copied = by_copy.Seal(9, plaintext);
-    auto moved = by_move.Seal(9, util::Bytes(plaintext));
     ASSERT_TRUE(copied.ok());
-    ASSERT_TRUE(moved.ok());
-    EXPECT_EQ(*copied, *moved) << "round " << round;
-    EXPECT_EQ(moved->size(), plaintext.size() + kSealOverheadBytes);
+    util::Bytes wire(kSealOverheadBytes + plaintext.size());
+    std::copy(plaintext.begin(), plaintext.end(),
+              wire.begin() + kSealOverheadBytes);
+    ASSERT_TRUE(in_place.SealInPlace(9, wire).ok());
+    EXPECT_EQ(*copied, wire) << "round " << round;
+    EXPECT_EQ(wire.size(), plaintext.size() + kSealOverheadBytes);
 
-    // And the receiver recovers the plaintext from either.
+    // And the receiver recovers the plaintext.
     LinkCrypto receiver(9);
     receiver.keystore().SetLinkKey(3, key);
-    auto opened = receiver.Open(3, *moved);
-    ASSERT_TRUE(opened.ok());
-    EXPECT_EQ(*opened, plaintext);
+    util::Bytes opened;
+    ASSERT_TRUE(receiver.Open(3, wire, opened).ok());
+    EXPECT_EQ(opened, plaintext);
   }
 }
 
-TEST(Seal, MoveOverloadStillAdvancesTheNonceCounter) {
+TEST(Seal, InPlaceStillAdvancesTheNonceCounter) {
   const Key128 key = Key128::FromSeed(78);
   LinkCrypto crypto(1);
   crypto.keystore().SetLinkKey(2, key);
-  const util::Bytes plaintext(16, 0x5C);
-  auto first = crypto.Seal(2, util::Bytes(plaintext));
-  auto second = crypto.Seal(2, util::Bytes(plaintext));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
+  util::Bytes first(kSealOverheadBytes + 16, 0x5C);
+  util::Bytes second = first;
+  ASSERT_TRUE(crypto.SealInPlace(2, first).ok());
+  ASSERT_TRUE(crypto.SealInPlace(2, second).ok());
   // Same plaintext, fresh nonce: everything after the prefix differs too.
-  EXPECT_NE(*first, *second);
-  EXPECT_NE(util::Bytes(first->begin(), first->begin() + kSealOverheadBytes),
-            util::Bytes(second->begin(),
-                        second->begin() + kSealOverheadBytes));
+  EXPECT_NE(first, second);
+  EXPECT_NE(util::Bytes(first.begin(), first.begin() + kSealOverheadBytes),
+            util::Bytes(second.begin(), second.begin() + kSealOverheadBytes));
+}
+
+TEST(Seal, InPlaceFailureLeavesWireUntouched) {
+  LinkCrypto crypto(1);
+  util::Bytes wire(kSealOverheadBytes + 4, 0x33);
+  const util::Bytes before = wire;
+  EXPECT_EQ(crypto.SealInPlace(2, wire).code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(wire, before);
 }
 
 TEST(Xtea, ScheduleMatchesKeyPaths) {
@@ -199,7 +210,7 @@ TEST(Xtea, ScheduleMatchesKeyPaths) {
 }
 
 TEST(Xtea, BatchedBlocksMatchScalarLoop) {
-  // The interleaved multi-block path (including its scalar tail for
+  // The interleaved multi-block path (including its tail lanes for
   // remainders mod 4) must equal block-at-a-time encryption.
   const Key128 key = Key128::FromSeed(322);
   const XteaSchedule sched(key);
@@ -211,6 +222,30 @@ TEST(Xtea, BatchedBlocksMatchScalarLoop) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(batched[i], XteaEncryptBlock(key, in[i])) << "n=" << n
                                                           << " i=" << i;
+    }
+  }
+}
+
+TEST(Xtea, InterleavedTailLanesMatchPerBlockEncryption) {
+  // Every remainder of the 4-wide body (1, 2 and 3 blocks, the 2-block
+  // case being every slice's seal) runs as its own lane group; each must
+  // equal per-block XteaEncryptBlock, under random schedules and in place.
+  util::Rng rng(11);
+  for (int trial = 0; trial < 50; ++trial) {
+    const XteaSchedule sched(Key128::Random(rng));
+    for (size_t n = 1; n <= 9; ++n) {
+      std::vector<uint64_t> in(n), out(n);
+      for (auto& b : in) b = rng.NextUint64();
+      XteaEncryptBlocks(sched, in.data(), out.data(), n);
+      std::vector<uint64_t> aliased = in;
+      XteaEncryptBlocks(sched, aliased.data(), aliased.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t want = XteaEncryptBlock(sched, in[i]);
+        EXPECT_EQ(out[i], want) << "trial " << trial << " n=" << n
+                                << " i=" << i;
+        EXPECT_EQ(aliased[i], want) << "trial " << trial << " n=" << n
+                                    << " i=" << i;
+      }
     }
   }
 }

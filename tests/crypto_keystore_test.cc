@@ -16,6 +16,7 @@
 #include "net/topology.h"
 #include "util/bytes.h"
 #include "util/random.h"
+#include "link_crypto_testing.h"
 
 namespace ipda::crypto {
 namespace {
@@ -63,7 +64,7 @@ TEST_F(LinkCryptoTest, SealOpenRoundTrip) {
   auto wire = alice_.Seal(2, plaintext);
   ASSERT_TRUE(wire.ok());
   EXPECT_EQ(wire->size(), plaintext.size() + kSealOverheadBytes);
-  auto opened = bob_.Open(1, *wire);
+  auto opened = OpenCopy(bob_, 1, *wire);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, plaintext);
 }
@@ -83,8 +84,8 @@ TEST_F(LinkCryptoTest, RepeatedSealsUseFreshNonces) {
   ASSERT_TRUE(w1.ok());
   ASSERT_TRUE(w2.ok());
   EXPECT_NE(*w1, *w2);  // Same plaintext, different wire bytes.
-  EXPECT_EQ(*bob_.Open(1, *w1), plaintext);
-  EXPECT_EQ(*bob_.Open(1, *w2), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *w1), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *w2), plaintext);
 }
 
 TEST_F(LinkCryptoTest, BothDirectionsIndependent) {
@@ -92,8 +93,8 @@ TEST_F(LinkCryptoTest, BothDirectionsIndependent) {
   const util::Bytes b_to_a{2, 2, 2};
   auto w1 = alice_.Seal(2, a_to_b);
   auto w2 = bob_.Seal(1, b_to_a);
-  EXPECT_EQ(*bob_.Open(1, *w1), a_to_b);
-  EXPECT_EQ(*alice_.Open(2, *w2), b_to_a);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *w1), a_to_b);
+  EXPECT_EQ(*OpenCopy(alice_, 2, *w2), b_to_a);
 }
 
 TEST_F(LinkCryptoTest, SealToUnknownPeerFails) {
@@ -103,7 +104,7 @@ TEST_F(LinkCryptoTest, SealToUnknownPeerFails) {
 }
 
 TEST_F(LinkCryptoTest, OpenFromUnknownPeerFails) {
-  EXPECT_FALSE(bob_.Open(99, util::Bytes(16, 0)).ok());
+  EXPECT_FALSE(OpenCopy(bob_, 99, util::Bytes(16, 0)).ok());
 }
 
 TEST_F(LinkCryptoTest, WrongKeyYieldsGarbage) {
@@ -111,7 +112,7 @@ TEST_F(LinkCryptoTest, WrongKeyYieldsGarbage) {
   eve.keystore().SetLinkKey(1, Key128::FromSeed(1234));
   const util::Bytes plaintext{9, 8, 7, 6};
   auto wire = alice_.Seal(2, plaintext);
-  auto opened = eve.Open(1, *wire);
+  auto opened = OpenCopy(eve, 1, *wire);
   ASSERT_TRUE(opened.ok());  // Decryption "succeeds"...
   EXPECT_NE(*opened, plaintext);  // ...but produces garbage.
 }
@@ -119,7 +120,39 @@ TEST_F(LinkCryptoTest, WrongKeyYieldsGarbage) {
 TEST_F(LinkCryptoTest, TruncatedWireFails) {
   auto wire = alice_.Seal(2, util::Bytes{1, 2, 3});
   util::Bytes truncated(wire->begin(), wire->begin() + 4);
-  EXPECT_FALSE(bob_.Open(1, truncated).ok());
+  EXPECT_FALSE(OpenCopy(bob_, 1, truncated).ok());
+}
+
+TEST_F(LinkCryptoTest, WireShorterThanNonceIsRejected) {
+  util::Bytes plaintext{0xEE};
+  for (size_t len = 0; len < kSealOverheadBytes; ++len) {
+    EXPECT_FALSE(bob_.Open(1, util::Bytes(len, 0x42), plaintext).ok())
+        << "length " << len;
+  }
+}
+
+TEST_F(LinkCryptoTest, OpenIntoReusedBufferMatchesFreshOpen) {
+  // A receiver opens every message into one buffer. After it held a
+  // longer plaintext, a shorter one must come out byte-identical to an
+  // open into a fresh buffer, with nothing of the old one left over.
+  const util::Bytes long_plaintext(40, 0x77);
+  const util::Bytes short_plaintext{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  auto long_wire = alice_.Seal(2, long_plaintext);
+  auto short_wire = alice_.Seal(2, short_plaintext);
+  ASSERT_TRUE(long_wire.ok());
+  ASSERT_TRUE(short_wire.ok());
+
+  LinkCrypto fresh_bob(2);
+  fresh_bob.keystore().SetLinkKey(1, Key128::FromSeed(42));
+  auto fresh = OpenCopy(fresh_bob, 1, *short_wire);
+  ASSERT_TRUE(fresh.ok());
+
+  util::Bytes reused;
+  ASSERT_TRUE(bob_.Open(1, *long_wire, reused).ok());
+  EXPECT_EQ(reused, long_plaintext);
+  ASSERT_TRUE(bob_.Open(1, *short_wire, reused).ok());
+  EXPECT_EQ(reused, *fresh);
+  EXPECT_EQ(reused, short_plaintext);
 }
 
 // The next four tests keep the names they had when a Compile() pass
@@ -172,9 +205,9 @@ TEST_F(LinkCryptoTest, OverwriteOfAUsedSlotRekeysIt) {
   EXPECT_EQ(*alice_.keystore().GetLinkKey(2), fresh);
   auto wire = alice_.Seal(2, plaintext);
   ASSERT_TRUE(wire.ok());
-  EXPECT_NE(*bob_.Open(1, *wire), plaintext);  // Bob still has the old key.
+  EXPECT_NE(*OpenCopy(bob_, 1, *wire), plaintext);  // Bob still has the old key.
   bob_.keystore().SetLinkKey(1, fresh);
-  EXPECT_EQ(*bob_.Open(1, *wire), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *wire), plaintext);
 }
 
 uint64_t NonceOf(const util::Bytes& wire) {
@@ -194,8 +227,8 @@ TEST_F(LinkCryptoTest, CompileMidStreamKeepsNoncesFresh) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(NonceOf(*before), util::Mix64(uint64_t{1} << 32 | 2, 0));
   EXPECT_EQ(NonceOf(*after), util::Mix64(uint64_t{1} << 32 | 2, 1));
-  EXPECT_EQ(*bob_.Open(1, *before), plaintext);
-  EXPECT_EQ(*bob_.Open(1, *after), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *before), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *after), plaintext);
 }
 
 TEST_F(LinkCryptoTest, RecompileAfterNewPeerShiftsSlotsSafely) {
@@ -210,8 +243,8 @@ TEST_F(LinkCryptoTest, RecompileAfterNewPeerShiftsSlotsSafely) {
   ASSERT_TRUE(w2.ok());
   EXPECT_EQ(NonceOf(*w1), util::Mix64(uint64_t{1} << 32 | 2, 0));
   EXPECT_EQ(NonceOf(*w2), util::Mix64(uint64_t{1} << 32 | 2, 1));
-  EXPECT_EQ(*bob_.Open(1, *w1), plaintext);
-  EXPECT_EQ(*bob_.Open(1, *w2), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *w1), plaintext);
+  EXPECT_EQ(*OpenCopy(bob_, 1, *w2), plaintext);
   // The new peer's own counter starts at 0.
   auto w3 = alice_.Seal(0, plaintext);
   ASSERT_TRUE(w3.ok());
@@ -242,7 +275,7 @@ TEST(PairwiseKeyScheme, ProvisionInstallsBothDirections) {
   EXPECT_FALSE(cryptos[0].keystore().HasLinkKey(2));
   // End-to-end over a provisioned link.
   auto wire = cryptos[1].Seal(2, util::Bytes{42});
-  EXPECT_EQ(*cryptos[2].Open(1, *wire), util::Bytes{42});
+  EXPECT_EQ(*OpenCopy(cryptos[2], 1, *wire), util::Bytes{42});
 }
 
 // --- Slots keyed on first use -------------------------------------------
@@ -281,10 +314,10 @@ TEST(LazyKeyStore, SlotScheduleBuiltOnceAndNeverForAnUnusedLink) {
     const util::Bytes plaintext(3 + i, static_cast<uint8_t>(i));
     auto to_bob = alice.Seal(2, plaintext);
     ASSERT_TRUE(to_bob.ok());
-    EXPECT_EQ(*bob.Open(1, *to_bob), plaintext);
+    EXPECT_EQ(*OpenCopy(bob, 1, *to_bob), plaintext);
     auto to_alice = bob.Seal(1, plaintext);
     ASSERT_TRUE(to_alice.ok());
-    EXPECT_EQ(*alice.Open(2, *to_alice), plaintext);
+    EXPECT_EQ(*OpenCopy(alice, 2, *to_alice), plaintext);
   }
   const CryptoStats used = ThreadCryptoStats() - base;
   // One per used link end, not per use, and none for the three unused
@@ -313,11 +346,11 @@ uint64_t SchedulesForFiveRoundTrips(KeyStore::DeriveScope scope,
     auto to_carol = alice.Seal(9, plaintext);
     EXPECT_TRUE(to_carol.ok());
     if (!to_carol.ok()) break;
-    EXPECT_EQ(*carol.Open(1, *to_carol), plaintext);
+    EXPECT_EQ(*OpenCopy(carol, 1, *to_carol), plaintext);
     auto to_alice = carol.Seal(1, plaintext);
     EXPECT_TRUE(to_alice.ok());
     if (!to_alice.ok()) break;
-    EXPECT_EQ(*alice.Open(9, *to_alice), plaintext);
+    EXPECT_EQ(*OpenCopy(alice, 9, *to_alice), plaintext);
   }
   return ThreadCryptoStats().schedules_built - before;
 }
@@ -543,7 +576,7 @@ void RunDifferential(uint64_t seed, bool churn) {
       ASSERT_EQ(*lazy_wire, *eager_wire)
           << "seed " << seed << " step " << step;
       if (rng.Bernoulli(0.8)) {
-        auto lazy_open = lazy[b].Open(a, *lazy_wire);
+        auto lazy_open = OpenCopy(lazy[b], a, *lazy_wire);
         auto eager_open = eager[b].Open(a, *eager_wire);
         ASSERT_EQ(lazy_open.ok(), eager_open.ok());
         if (lazy_open.ok()) {

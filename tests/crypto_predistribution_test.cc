@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "link_crypto_testing.h"
 #include "util/random.h"
 
 namespace ipda::crypto {
@@ -108,7 +109,7 @@ TEST(Predistribution, SecuredLinkEncryptsEndToEnd) {
   cryptos.emplace_back(1);
   ASSERT_EQ(scheme->Provision({{0, 1}}, cryptos), 1.0);
   auto wire = cryptos[0].Seal(1, util::Bytes{5, 5, 5});
-  EXPECT_EQ(*cryptos[1].Open(0, *wire), (util::Bytes{5, 5, 5}));
+  EXPECT_EQ(*OpenCopy(cryptos[1], 0, *wire), (util::Bytes{5, 5, 5}));
 }
 
 TEST(Predistribution, LinkKeyIdsParallelToLinks) {

@@ -23,6 +23,13 @@ class TreeBuilderHarness {
                  [this](const HelloMsg& hello) { joins_.push_back(hello); }) {
   }
 
+  // The builder's aggregator neighbors of `color`, returned.
+  std::vector<net::NodeId> Neighbors(TreeColor color) const {
+    std::vector<net::NodeId> out;
+    builder_.AggregatorNeighbors(color, out);
+    return out;
+  }
+
   // Fires every pending timer (decide timers re-arm at most once here).
   void FireTimers() {
     auto timers = std::move(timers_);
@@ -170,7 +177,7 @@ TEST(TreeBuilder, EqualHopParentIsFirstHeardSender) {
     h.builder_.OnHello(8, {TreeColor::kBlue, 1, std::nullopt});
     h.builder_.OnHello(4, {TreeColor::kRed, 2, std::nullopt});
     h.builder_.OnHello(7, {TreeColor::kBlue, 1, std::nullopt});  // Conflict.
-    EXPECT_EQ(h.builder_.AggregatorNeighbors(TreeColor::kRed),
+    EXPECT_EQ(h.Neighbors(TreeColor::kRed),
               (std::vector<net::NodeId>{9, 4}));
     h.FireTimers();
     if (h.builder_.role() != NodeRole::kRedAggregator) continue;
@@ -226,8 +233,8 @@ TEST(TreeBuilder, ConflictingColorsBlacklistSender) {
   EXPECT_EQ(h.builder_.hello_count(TreeColor::kRed), 0u);
   EXPECT_EQ(h.builder_.hello_count(TreeColor::kBlue), 0u);
   EXPECT_FALSE(h.builder_.covered());
-  EXPECT_TRUE(h.builder_.AggregatorNeighbors(TreeColor::kRed).empty());
-  EXPECT_TRUE(h.builder_.AggregatorNeighbors(TreeColor::kBlue).empty());
+  EXPECT_TRUE(h.Neighbors(TreeColor::kRed).empty());
+  EXPECT_TRUE(h.Neighbors(TreeColor::kBlue).empty());
 }
 
 TEST(TreeBuilder, ConflictAfterTimerArmRearmsSafely) {
@@ -251,10 +258,26 @@ TEST(TreeBuilder, AggregatorNeighborsByColor) {
   h.builder_.OnHello(2, {TreeColor::kBlue, 1, std::nullopt});
   h.builder_.OnHello(3, {TreeColor::kRed, 2, std::nullopt});
   h.builder_.OnHello(0, {TreeColor::kBoth, 0, std::nullopt});
-  const auto red = h.builder_.AggregatorNeighbors(TreeColor::kRed);
-  const auto blue = h.builder_.AggregatorNeighbors(TreeColor::kBlue);
+  const auto red = h.Neighbors(TreeColor::kRed);
+  const auto blue = h.Neighbors(TreeColor::kBlue);
   EXPECT_EQ(red, (std::vector<net::NodeId>{1, 3, 0}));
   EXPECT_EQ(blue, (std::vector<net::NodeId>{2, 0}));
+  // Written into a reused list: the longer red set leaves nothing behind.
+  std::vector<net::NodeId> reused = red;
+  h.builder_.AggregatorNeighbors(TreeColor::kBlue, reused);
+  EXPECT_EQ(reused, blue);
+}
+
+TEST(TreeBuilder, MoreSendersThanReservedStillRecorded) {
+  TreeBuilderHarness h;
+  h.builder_.ReserveSenders(2);
+  for (net::NodeId id = 1; id <= 6; ++id) {
+    h.builder_.OnHello(id, {id % 2 == 0 ? TreeColor::kBlue : TreeColor::kRed,
+                            1, std::nullopt});
+  }
+  EXPECT_EQ(h.Neighbors(TreeColor::kRed), (std::vector<net::NodeId>{1, 3, 5}));
+  EXPECT_EQ(h.Neighbors(TreeColor::kBlue),
+            (std::vector<net::NodeId>{2, 4, 6}));
 }
 
 TEST(TreeBuilder, ForcedBaseStationNeverDecides) {

@@ -2,13 +2,16 @@
 
 #include "net/mac.h"
 
+#include <cmath>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/random.h"
 
 namespace ipda::net {
 namespace {
@@ -226,6 +229,93 @@ TEST_F(MacTest, IdleReflectsState) {
   EXPECT_FALSE(network_->node(0).mac().idle());
   sim_->RunUntil(sim::Seconds(1));
   EXPECT_TRUE(network_->node(0).mac().idle());
+}
+
+TEST(DuplicateFilter, MatchesHashMapRefereeBeyondItsReservation) {
+  // Random per-sender streams of fresh frames and retransmissions from
+  // many more senders than the reserved table holds, checked against the
+  // hash map the MAC used to keep.
+  util::Rng rng(17);
+  DuplicateFilter filter(/*expected_senders=*/3);
+  std::unordered_map<NodeId, uint64_t> referee;
+  std::vector<uint64_t> next_seq(40, 1);
+  for (int step = 0; step < 20000; ++step) {
+    const auto src = static_cast<NodeId>(rng.UniformUint64(40));
+    uint64_t seq;
+    if (next_seq[src] > 1 && rng.Bernoulli(0.4)) {
+      seq = 1 + rng.UniformUint64(next_seq[src] - 1);  // Retransmission.
+    } else {
+      seq = next_seq[src]++;
+    }
+    auto [it, inserted] = referee.try_emplace(src, seq);
+    bool want = true;
+    if (!inserted) {
+      if (seq <= it->second) {
+        want = false;
+      } else {
+        it->second = seq;
+      }
+    }
+    ASSERT_EQ(filter.Accept(src, seq), want) << "step " << step;
+  }
+  EXPECT_EQ(filter.senders(), referee.size());
+  EXPECT_GT(filter.senders(), 3u);
+}
+
+TEST(MacDedup, MoreSendersThanDegreeWithRetransmissions) {
+  // Receiver 0 starts with one neighbor, so its dedup table is sized for
+  // one sender. Five more nodes then move into range and unicast to it,
+  // while every data frame to node 0 arrives twice (a stale copy) and
+  // every other ACK from node 0 is lost (forcing retransmissions). The
+  // application must see each frame exactly once, in order per sender.
+  constexpr NodeId kSenders = 6;
+  std::vector<Point2D> positions{{0, 0}, {40, 0}};
+  for (NodeId id = 2; id < kSenders + 1; ++id) {
+    positions.push_back({1000.0 + 200.0 * id, 1000.0});
+  }
+  auto topology = Topology::Build(positions, 50.0);
+  ASSERT_TRUE(topology.ok());
+  ASSERT_EQ(topology->degree(0), 1u);
+  sim::Simulator sim(5);
+  MacConfig config;
+  config.max_retries = 30;
+  Network network(&sim, std::move(*topology), PhyConfig{}, config);
+  for (NodeId id = 2; id < kSenders + 1; ++id) {
+    const double angle = 0.9 * static_cast<double>(id);
+    network.mutable_topology()->MoveNode(
+        id, {30.0 * std::cos(angle), 30.0 * std::sin(angle)});
+  }
+  ASSERT_GT(network.topology().degree(0), 1u + 1u);
+
+  size_t acks_seen = 0;
+  network.channel().SetLinkFaultHook(
+      [&acks_seen](NodeId sender, NodeId receiver, const Packet& packet) {
+        LinkFault fault;
+        if (receiver == 0 && packet.type != PacketType::kAck) {
+          fault.duplicate = true;
+        }
+        if (sender == 0 && packet.type == PacketType::kAck) {
+          fault.drop = (acks_seen++ % 2) == 0;
+        }
+        return fault;
+      });
+  std::vector<std::vector<uint8_t>> heard(kSenders + 1);
+  network.node(0).SetReceiveHandler([&heard](const Packet& packet) {
+    heard[packet.src].push_back(packet.payload[0]);
+  });
+  constexpr uint8_t kFrames = 5;
+  for (NodeId id = 1; id < kSenders + 1; ++id) {
+    for (uint8_t i = 0; i < kFrames; ++i) {
+      network.node(id).Unicast(0, PacketType::kControl, util::Bytes{i});
+    }
+  }
+  sim.RunUntil(sim::Seconds(10));
+  for (NodeId id = 1; id < kSenders + 1; ++id) {
+    EXPECT_EQ(heard[id], (std::vector<uint8_t>{0, 1, 2, 3, 4}))
+        << "sender " << id;
+  }
+  EXPECT_GT(network.counters().at(0).injected_dup, 0u);
+  EXPECT_GT(network.counters().Totals().arq_retries, 0u);
 }
 
 }  // namespace

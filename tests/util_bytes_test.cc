@@ -113,6 +113,20 @@ TEST(Bytes, RemainingTracksPosition) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(Bytes, WriterHeadroomThenExactlySizedBody) {
+  ByteWriter plain;
+  plain.WriteU8(7);
+  plain.WriteF64(-0.0);
+  ByteWriter roomy(8, 9);
+  roomy.WriteU8(7);
+  roomy.WriteF64(-0.0);
+  const Bytes wire = roomy.TakeBytes();
+  ASSERT_EQ(wire.size(), 8u + 9u);
+  EXPECT_EQ(wire.capacity(), wire.size());  // One allocation, no growth.
+  EXPECT_EQ(Bytes(wire.begin(), wire.begin() + 8), Bytes(8, 0));
+  EXPECT_EQ(Bytes(wire.begin() + 8, wire.end()), plain.bytes());
+}
+
 TEST(Bytes, TakeBytesMovesBuffer) {
   ByteWriter w;
   w.WriteU8(9);
