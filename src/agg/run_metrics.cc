@@ -87,6 +87,8 @@ void CollectRunMetrics(sim::Simulator& simulator,
     SetCounter(reg, "fault.churn_joins", churn->joins_fired());
     SetCounter(reg, "fault.churn_leaves", churn->leaves_fired());
     SetCounter(reg, "fault.churn_move_steps", churn->move_steps_fired());
+    SetCounter(reg, "fault.churn_edge_changes",
+               network.topology().edge_changes());
   }
 }
 

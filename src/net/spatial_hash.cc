@@ -88,20 +88,6 @@ void SpatialHash::Move(uint32_t id, Point2D from, Point2D to) {
   cells_[new_cell].push_back(id);
 }
 
-void SpatialHash::Candidates(Point2D center, double radius,
-                             std::vector<uint32_t>& out) const {
-  const size_t cx_lo = ClampedX(center.x - radius);
-  const size_t cx_hi = ClampedX(center.x + radius);
-  const size_t cy_lo = ClampedY(center.y - radius);
-  const size_t cy_hi = ClampedY(center.y + radius);
-  for (size_t cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (size_t cx = cx_lo; cx <= cx_hi; ++cx) {
-      const std::vector<uint32_t>& bucket = cells_[cy * nx_ + cx];
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
-  }
-}
-
 void SpatialHash::CellCandidates(size_t c, double radius, const double* xs,
                                  const double* ys,
                                  std::vector<uint32_t>& out) const {

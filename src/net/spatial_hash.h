@@ -39,17 +39,28 @@ class SpatialHash {
   // (cell lookup is monotone and clamped identically on both sides).
   void Move(uint32_t id, Point2D from, Point2D to);
 
-  // Appends every id whose cell intersects the disk around `center` to
-  // `out`, the node's own cell included. A superset of the true in-range
-  // set: callers filter with the exact distance predicate.
-  void Candidates(Point2D center, double radius,
-                  std::vector<uint32_t>& out) const;
+  // Calls fn(id) for every id whose cell intersects the disk around
+  // `center`, the node's own cell included, each id once. A superset of
+  // the true in-range set: callers filter with the exact distance
+  // predicate. Nothing is copied; fn must not move nodes.
+  template <typename Fn>
+  void ForEachCandidate(Point2D center, double radius, Fn&& fn) const {
+    const size_t cx_lo = ClampedX(center.x - radius);
+    const size_t cx_hi = ClampedX(center.x + radius);
+    const size_t cy_lo = ClampedY(center.y - radius);
+    const size_t cy_hi = ClampedY(center.y + radius);
+    for (size_t cy = cy_lo; cy <= cy_hi; ++cy) {
+      for (size_t cx = cx_lo; cx <= cx_hi; ++cx) {
+        for (uint32_t id : cells_[cy * nx_ + cx]) fn(id);
+      }
+    }
+  }
 
   // Bulk variant for cell-at-a-time builds: appends a superset of the
-  // union of Candidates(p, radius) over every member p of cell `c`. The
-  // block is derived from the members' actual coordinate min/max through
-  // the same monotone clamped lookup as the per-point query, so the
-  // superset guarantee is inherited, clamped border cells included.
+  // union of ForEachCandidate(p, radius) over every member p of cell `c`.
+  // The block is derived from the members' actual coordinate min/max
+  // through the same monotone clamped lookup as the per-point query, so
+  // the superset guarantee is inherited, clamped border cells included.
   void CellCandidates(size_t c, double radius, const double* xs,
                       const double* ys, std::vector<uint32_t>& out) const;
 

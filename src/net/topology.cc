@@ -20,6 +20,17 @@ util::Status ValidateBuild(const std::vector<Point2D>& positions,
   return util::OkStatus();
 }
 
+// Ascending-list edits for one end of a gained or lost edge.
+void InsertSorted(std::vector<NodeId>& list, NodeId v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it == list.end() || *it != v) list.insert(it, v);
+}
+
+void EraseSorted(std::vector<NodeId>& list, NodeId v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it != list.end() && *it == v) list.erase(it);
+}
+
 }  // namespace
 
 util::Result<Topology> Topology::Build(std::vector<Point2D> positions,
@@ -222,51 +233,55 @@ void Topology::RefreshEdges(NodeId id) {
   // Desired edge set under the unit-disk model, active nodes only. The
   // grid prunes the scan to the cell block around `id`; the exact
   // predicate below matches the build, so churn re-links agree with a
-  // from-scratch rebuild bit for bit.
+  // from-scratch rebuild bit for bit. A step usually changes about one
+  // edge, so the pass marks the current neighbors, visits the block once
+  // and touches only the lists of the edges it gained or lost.
   EnsureGrid();
-  scratch_.clear();
-  grid_.Candidates(position(id), range_, scratch_);
-  std::vector<NodeId> desired;
+  if (marks_.empty()) marks_.assign(node_count(), 0);
+  // Any refresh of an active node counts as a mutation (mutated()), even
+  // one that changes no edge.
+  if (patch_index_.empty()) patch_index_.assign(node_count(), -1);
+  // A mark still set after the block visit is a lost edge.
+  for (NodeId v : neighbors(id)) marks_[v] = 1;
+  gained_.clear();
+  const double x = xs_[id], y = ys_[id];
   const double range_sq = range_ * range_;
-  for (NodeId v : scratch_) {
-    if (v == id || !active(v)) continue;
-    const double dx = xs_[id] - xs_[v];
-    const double dy = ys_[id] - ys_[v];
-    if (dx * dx + dy * dy <= range_sq) desired.push_back(v);
-  }
-  std::sort(desired.begin(), desired.end());
-  // Current edges, copied before any PatchFor call can reallocate the
-  // overlay storage a NeighborSpan would point into.
-  const NeighborSpan span = neighbors(id);
-  const std::vector<NodeId> current(span.begin(), span.end());
-  for (NodeId v : current) {
-    if (!std::binary_search(desired.begin(), desired.end(), v)) {
-      std::vector<NodeId>& list = PatchFor(v);
-      const auto it = std::lower_bound(list.begin(), list.end(), id);
-      if (it != list.end() && *it == id) list.erase(it);
+  grid_.ForEachCandidate(position(id), range_, [&](uint32_t v) {
+    if (v == id || !active(v)) return;
+    const double dx = x - xs_[v];
+    const double dy = y - ys_[v];
+    if (!(dx * dx + dy * dy <= range_sq)) return;
+    if (marks_[v] != 0) {
+      marks_[v] = 0;  // Kept.
+    } else {
+      gained_.push_back(v);
+    }
+  });
+  lost_.clear();
+  for (NodeId v : neighbors(id)) {
+    if (marks_[v] != 0) {
+      lost_.push_back(v);
+      marks_[v] = 0;
     }
   }
-  for (NodeId v : desired) {
-    if (!std::binary_search(current.begin(), current.end(), v)) {
-      std::vector<NodeId>& list = PatchFor(v);
-      const auto it = std::lower_bound(list.begin(), list.end(), id);
-      if (it == list.end() || *it != id) list.insert(it, id);
-    }
-  }
-  PatchFor(id) = std::move(desired);
+  if (gained_.empty() && lost_.empty()) return;
+  edge_changes_ += gained_.size() + lost_.size();
+  for (NodeId v : lost_) EraseSorted(PatchFor(v), id);
+  for (NodeId v : gained_) InsertSorted(PatchFor(v), id);
+  std::vector<NodeId>& own = PatchFor(id);
+  for (NodeId v : lost_) EraseSorted(own, v);
+  for (NodeId v : gained_) InsertSorted(own, v);
 }
 
 void Topology::DetachNode(NodeId id) {
   IPDA_DCHECK(id < node_count());
   EnsureActiveFlags();
   active_[id] = 0;
+  // Copied into reused scratch before any PatchFor call can move the
+  // overlay storage a NeighborSpan would point into.
   const NeighborSpan span = neighbors(id);
-  const std::vector<NodeId> current(span.begin(), span.end());
-  for (NodeId v : current) {
-    std::vector<NodeId>& list = PatchFor(v);
-    const auto it = std::lower_bound(list.begin(), list.end(), id);
-    if (it != list.end() && *it == id) list.erase(it);
-  }
+  lost_.assign(span.begin(), span.end());
+  for (NodeId v : lost_) EraseSorted(PatchFor(v), id);
   PatchFor(id).clear();
 }
 
@@ -289,23 +304,22 @@ void Topology::MoveNode(NodeId id, Point2D to) {
 
 void Topology::Compact() {
   if (patch_index_.empty()) return;
-  std::vector<std::vector<NodeId>> adjacency(node_count());
-  for (NodeId i = 0; i < node_count(); ++i) {
-    const NeighborSpan span = neighbors(i);
-    adjacency[i].assign(span.begin(), span.end());
-  }
-  offsets_.assign(node_count() + 1, 0);
+  // Straight from the overlay into fresh CSR arrays: no per-node lists.
+  const size_t n = node_count();
+  std::vector<uint32_t> offsets(n + 1);
   size_t total = 0;
-  for (size_t i = 0; i < adjacency.size(); ++i) {
-    offsets_[i] = static_cast<uint32_t>(total);
-    total += adjacency[i].size();
+  for (NodeId i = 0; i < n; ++i) {
+    offsets[i] = static_cast<uint32_t>(total);
+    total += degree(i);
   }
-  offsets_[adjacency.size()] = static_cast<uint32_t>(total);
-  flat_.clear();
-  flat_.reserve(total);
-  for (const auto& list : adjacency) {
-    flat_.insert(flat_.end(), list.begin(), list.end());
+  offsets[n] = static_cast<uint32_t>(total);
+  std::vector<NodeId> flat(total);
+  for (NodeId i = 0; i < n; ++i) {
+    const NeighborSpan span = neighbors(i);
+    std::copy(span.begin(), span.end(), flat.begin() + offsets[i]);
   }
+  offsets_ = std::move(offsets);
+  flat_ = std::move(flat);
   patch_index_.clear();
   patch_lists_.clear();
 }

@@ -106,6 +106,10 @@ class Topology {
   void MoveNode(NodeId id, Point2D to);
   // MoveNode calls so far: no position changed between two equal readings.
   uint64_t moves() const { return moves_; }
+  // Edges gained plus edges lost by the re-links of MoveNode and
+  // AttachNode so far (DetachNode's removals are not counted): the useful
+  // work of the refreshes.
+  uint64_t edge_changes() const { return edge_changes_; }
   // Folds the patch overlay back into CSR form (round boundary). Active
   // flags persist; only the adjacency representation is rebuilt.
   void Compact();
@@ -141,8 +145,9 @@ class Topology {
   // the CSR arrays on first touch.
   std::vector<NodeId>& PatchFor(NodeId id);
   void EnsureActiveFlags();
-  // Recomputes `id`'s unit-disk edge set against active nodes and patches
-  // both sides of every gained/lost edge. O(k) via the spatial hash.
+  // Recomputes `id`'s unit-disk edge set against active nodes in one pass
+  // over its grid block and patches both ends of every gained or lost
+  // edge, leaving unchanged lists alone. O(k) via the spatial hash.
   void RefreshEdges(NodeId id);
 
   // SoA node coordinates, indexed by CSR node id.
@@ -151,7 +156,6 @@ class Topology {
   double range_ = 0.0;
   // Uniform-grid index over xs_/ys_ (empty until EnsureGrid).
   SpatialHash grid_;
-  std::vector<uint32_t> scratch_;  // Candidate buffer for grid queries.
   // CSR adjacency: node i's neighbors are flat_[offsets_[i]..offsets_[i+1]).
   std::vector<uint32_t> offsets_;
   std::vector<NodeId> flat_;
@@ -160,7 +164,15 @@ class Topology {
   std::vector<int32_t> patch_index_;
   std::vector<std::vector<NodeId>> patch_lists_;
   std::vector<uint8_t> active_;  // Empty = everyone active.
+  // RefreshEdges state, allocated on the first refresh: marks_[v] flags
+  // the refreshed node's current neighbors not yet seen in range (all
+  // zero between calls), and gained_/lost_ collect the edge changes;
+  // DetachNode reuses lost_.
+  std::vector<uint8_t> marks_;
+  std::vector<NodeId> gained_;
+  std::vector<NodeId> lost_;
   uint64_t moves_ = 0;
+  uint64_t edge_changes_ = 0;
 };
 
 }  // namespace ipda::net

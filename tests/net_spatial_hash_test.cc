@@ -9,6 +9,7 @@
 #include "net/spatial_hash.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,28 +35,39 @@ void ExpectSameGraph(const Topology& actual,
   }
 }
 
-// Reference neighbor list: brute-force over the *current* positions and
-// active flags, mirroring the unit-disk predicate exactly.
-std::vector<NodeId> BruteNeighbors(const Topology& topo, NodeId id) {
-  std::vector<NodeId> out;
-  if (!topo.active(id)) return out;
-  const double range_sq = topo.range() * topo.range();
-  for (NodeId v = 0; v < topo.node_count(); ++v) {
-    if (v == id || !topo.active(v)) continue;
-    const double dx = topo.x(id) - topo.x(v);
-    const double dy = topo.y(id) - topo.y(v);
-    if (dx * dx + dy * dy <= range_sq) out.push_back(v);
+// The all-pairs referee over the topology's current positions, restricted
+// to active nodes: a detached node has no edges and is nobody's neighbor.
+std::vector<std::vector<NodeId>> BruteAdjacencyOf(const Topology& topo) {
+  std::vector<Point2D> positions;
+  positions.reserve(topo.node_count());
+  for (NodeId id = 0; id < topo.node_count(); ++id) {
+    positions.push_back(topo.position(id));
   }
-  return out;
+  std::vector<std::vector<NodeId>> adjacency =
+      bench::BruteForceAdjacency(positions, topo.range());
+  for (NodeId id = 0; id < topo.node_count(); ++id) {
+    std::vector<NodeId>& list = adjacency[id];
+    if (!topo.active(id)) {
+      list.clear();
+      continue;
+    }
+    std::erase_if(list, [&](NodeId v) { return !topo.active(v); });
+  }
+  return adjacency;
 }
 
 void ExpectMatchesBrute(const Topology& topo) {
+  ExpectSameGraph(topo, BruteAdjacencyOf(topo));
+}
+
+// Every neighbor list, copied: the byte-identity snapshot.
+std::vector<std::vector<NodeId>> Lists(const Topology& topo) {
+  std::vector<std::vector<NodeId>> lists(topo.node_count());
   for (NodeId id = 0; id < topo.node_count(); ++id) {
-    const std::vector<NodeId> expected = BruteNeighbors(topo, id);
     const NeighborSpan span = topo.neighbors(id);
-    const std::vector<NodeId> actual(span.begin(), span.end());
-    ASSERT_EQ(actual, expected) << "node " << id;
+    lists[id].assign(span.begin(), span.end());
   }
+  return lists;
 }
 
 std::vector<Point2D> RandomPositions(util::Rng& rng, size_t n,
@@ -82,7 +94,12 @@ TEST(SpatialHash, CandidatesAreASupersetOfInRangeNodes) {
   std::vector<uint32_t> candidates;
   for (size_t i = 0; i < positions.size(); ++i) {
     candidates.clear();
-    grid.Candidates(positions[i], range, candidates);
+    grid.ForEachCandidate(positions[i], range,
+                          [&](uint32_t id) { candidates.push_back(id); });
+    std::vector<uint32_t> sorted = candidates;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "a candidate of " << i << " was visited twice";
     for (size_t j = 0; j < positions.size(); ++j) {
       if (Distance(positions[i], positions[j]) <= range) {
         EXPECT_NE(std::find(candidates.begin(), candidates.end(), j),
@@ -188,7 +205,7 @@ TEST(SpatialHashProperty, ChurnRelinksMatchBruteForce) {
                           churn_rng.UniformDouble() * 500.0 - 50.0});
           break;
       }
-      if (step % 30 == 9) ExpectMatchesBrute(*topo);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesBrute(*topo));
     }
     ExpectMatchesBrute(*topo);
 
@@ -201,6 +218,150 @@ TEST(SpatialHashProperty, ChurnRelinksMatchBruteForce) {
     topo->DetachNode(2);
     ExpectMatchesBrute(*topo);
   }
+}
+
+// Walks shaped like the churn injector's random-waypoint mobility (2.5-m
+// steps toward a waypoint, a new waypoint on arrival) interleaved with
+// leaves and rejoins, checked against the all-pairs referee after every
+// single step, across Compact() epochs.
+TEST(SpatialHashProperty, WaypointWalksMatchBruteForceEveryStep) {
+  constexpr double kStep = 2.5;  // 10 m/s over a 250-ms tick.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Rng rng(util::Mix64(seed, 0x3A1C));
+    DeploymentConfig config;
+    config.node_count = 150;
+    auto topo = Topology::RandomGeometric(config, 50.0, rng);
+    ASSERT_TRUE(topo.ok());
+    const double side = config.area.width;
+    util::Rng walk_rng(util::Mix64(seed, 0x3A1D));
+    std::vector<NodeId> walkers;
+    std::vector<Point2D> targets;
+    for (NodeId id = 1; id < topo->node_count(); id += 4) {
+      walkers.push_back(id);
+      targets.push_back(Point2D{walk_rng.UniformDouble(0.0, side),
+                                walk_rng.UniformDouble(0.0, side)});
+    }
+    for (int tick = 0; tick < 12; ++tick) {
+      for (size_t w = 0; w < walkers.size(); ++w) {
+        const NodeId id = walkers[w];
+        // Leave / rejoin now and then, as the churn injector does.
+        if (walk_rng.UniformUint64(40) == 0) {
+          if (topo->active(id)) {
+            topo->DetachNode(id);
+          } else {
+            topo->AttachNode(id);
+          }
+          ASSERT_NO_FATAL_FAILURE(ExpectMatchesBrute(*topo));
+        }
+        const Point2D from = topo->position(id);
+        const double dist = Distance(from, targets[w]);
+        Point2D next = targets[w];
+        if (dist > kStep) {
+          const double scale = kStep / dist;
+          next = Point2D{from.x + (targets[w].x - from.x) * scale,
+                         from.y + (targets[w].y - from.y) * scale};
+        } else {
+          targets[w] = Point2D{walk_rng.UniformDouble(0.0, side),
+                               walk_rng.UniformDouble(0.0, side)};
+        }
+        topo->MoveNode(id, next);
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesBrute(*topo));
+      }
+      if (tick % 4 == 3) {
+        topo->Compact();
+        ASSERT_FALSE(topo->mutated());
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesBrute(*topo));
+      }
+    }
+  }
+}
+
+// The unit-disk predicate is `<=`: a neighbor moved to exactly `range`
+// links, one ulp beyond it unlinks, whichever end of the pair moves.
+TEST(SpatialHashProperty, ExactRangeLinksAndOneUlpBeyondUnlinks) {
+  const double range = 50.0;
+  std::vector<Point2D> positions = {{0.0, 0.0},     {100.0, 100.0},
+                                    {300.0, 300.0}, {20.0, 380.0},
+                                    {380.0, 20.0},  {200.0, 200.0}};
+  auto topo = Topology::Build(positions, range);
+  ASSERT_TRUE(topo.ok());
+  ASSERT_FALSE(topo->AreNeighbors(1, 5));
+  // dx is exactly 50 and dy 0: the squared distance equals range² exactly.
+  topo->MoveNode(5, Point2D{150.0, 100.0});
+  EXPECT_TRUE(topo->AreNeighbors(1, 5));
+  EXPECT_TRUE(topo->AreNeighbors(5, 1));
+  ExpectMatchesBrute(*topo);
+  topo->MoveNode(5, Point2D{std::nextafter(150.0, 200.0), 100.0});
+  EXPECT_FALSE(topo->AreNeighbors(1, 5));
+  EXPECT_FALSE(topo->AreNeighbors(5, 1));
+  ExpectMatchesBrute(*topo);
+  // Now the other end moves: 1 steps to exactly range below 5, then one
+  // ulp further away.
+  topo->MoveNode(5, Point2D{150.0, 100.0});
+  topo->MoveNode(1, Point2D{150.0, 50.0});
+  EXPECT_TRUE(topo->AreNeighbors(1, 5));
+  ExpectMatchesBrute(*topo);
+  topo->MoveNode(1, Point2D{150.0, std::nextafter(50.0, 0.0)});
+  EXPECT_FALSE(topo->AreNeighbors(1, 5));
+  ExpectMatchesBrute(*topo);
+}
+
+// A detached node that moves keeps no edges and appears in no list; on
+// AttachNode it links by its new position.
+TEST(SpatialHashProperty, DetachedNodeMovesThenAttaches) {
+  util::Rng rng(21);
+  DeploymentConfig config;
+  config.node_count = 120;
+  auto topo = Topology::RandomGeometric(config, 50.0, rng);
+  ASSERT_TRUE(topo.ok());
+  const NodeId id = 7;
+  topo->DetachNode(id);
+  ExpectMatchesBrute(*topo);
+  const uint64_t moves = topo->moves();
+  topo->MoveNode(id, Point2D{10.0, 10.0});
+  topo->MoveNode(id, Point2D{390.0, 200.0});
+  topo->MoveNode(id, topo->position(1));  // On top of another node.
+  EXPECT_EQ(topo->moves(), moves + 3);
+  EXPECT_TRUE(topo->neighbors(id).empty());
+  for (NodeId v = 0; v < topo->node_count(); ++v) {
+    EXPECT_FALSE(topo->AreNeighbors(v, id)) << v;
+  }
+  ExpectMatchesBrute(*topo);
+  topo->AttachNode(id);
+  EXPECT_TRUE(topo->AreNeighbors(id, 1));
+  ExpectMatchesBrute(*topo);
+  topo->Compact();
+  ExpectMatchesBrute(*topo);
+}
+
+// Moves that gain and lose no edge leave every list byte-identical, but
+// still count as moves and still mark the topology mutated.
+TEST(SpatialHashProperty, NoOpMovesLeaveEveryListIdentical) {
+  util::Rng rng(5);
+  DeploymentConfig config;
+  config.node_count = 150;
+  auto topo = Topology::RandomGeometric(config, 50.0, rng);
+  ASSERT_TRUE(topo.ok());
+  const std::vector<std::vector<NodeId>> before = Lists(*topo);
+  for (NodeId id = 1; id < topo->node_count(); ++id) {
+    topo->MoveNode(id, topo->position(id));
+  }
+  EXPECT_TRUE(topo->mutated());
+  EXPECT_EQ(topo->moves(), topo->node_count() - 1);
+  EXPECT_EQ(Lists(*topo), before);
+  // A 1-mm step that crosses no range boundary changes nothing either.
+  const std::vector<std::vector<NodeId>> brute_before =
+      BruteAdjacencyOf(*topo);
+  for (NodeId id = 1; id < topo->node_count(); id += 3) {
+    const Point2D at = topo->position(id);
+    topo->MoveNode(id, Point2D{at.x + 1e-3, at.y});
+    if (BruteAdjacencyOf(*topo) != brute_before) {
+      topo->MoveNode(id, at);  // This step did cross a boundary.
+    }
+  }
+  EXPECT_EQ(Lists(*topo), before);
+  topo->Compact();
+  EXPECT_EQ(Lists(*topo), before);
 }
 
 // Compact() must preserve the exact byte layout contract: ascending
