@@ -22,7 +22,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
 
   // Every row is one cell; rows sharing a salt run on identical
@@ -42,10 +42,10 @@ int Run(int argc, char** argv) {
     rows.push_back({n, ipda});
   };
   // 1 + 2: role policy and k at N=500.
-  add_row("fixed 0.5/0.5", 500, PaperIpdaConfig(2, options.cipher), 0xAB1A,
+  add_row("fixed 0.5/0.5", 500, PaperIpdaConfig(2), 0xAB1A,
           runs);
   for (uint32_t k : {4u, 8u, 16u}) {
-    agg::IpdaConfig adaptive = PaperIpdaConfig(2, options.cipher);
+    agg::IpdaConfig adaptive = PaperIpdaConfig(2);
     adaptive.adaptive_roles = true;
     adaptive.k = k;
     add_row("adaptive k=" + std::to_string(k), 500, adaptive, 0xAB1A, runs);
@@ -66,7 +66,7 @@ int Run(int argc, char** argv) {
       {"impatient + repeats=2", 2, true},
   };
   for (const Variant& variant : variants) {
-    agg::IpdaConfig ipda = PaperIpdaConfig(2, options.cipher);
+    agg::IpdaConfig ipda = PaperIpdaConfig(2);
     ipda.hello_repeats = variant.repeats;
     ipda.impatient_join = variant.impatient;
     add_row(variant.name, 250, ipda, 0xAB1C, runs * 4);
@@ -74,7 +74,7 @@ int Run(int argc, char** argv) {
   // 4: slice count l at N=500.
   const uint32_t slice_counts[] = {1u, 2u, 3u, 4u};
   for (uint32_t l : slice_counts) {
-    add_row("l=" + std::to_string(l), 500, PaperIpdaConfig(l, options.cipher),
+    add_row("l=" + std::to_string(l), 500, PaperIpdaConfig(l),
             0xAB1D, runs);
   }
 

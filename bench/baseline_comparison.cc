@@ -2,8 +2,7 @@
 // aggregate, ref. [11]) vs iPDA across the four design goals of §II-D —
 // accuracy, efficiency (bytes), privacy (empirical disclosure under
 // p_x = 0.1 link compromise), and integrity (is pollution detected?).
-// The arms run as one bench sweep (bench_common.h); SMART, CPDA and iPDA
-// seal their traffic with --cipher.
+// The arms run as one bench sweep (bench_common.h).
 
 #include <cstdio>
 
@@ -46,8 +45,7 @@ attack::Eavesdropper MakeEve(const net::Topology& topology,
 // measure detection, and only unpolluted runs feed iPDA's accuracy,
 // bytes and leak (the detection fields are absent on unpolluted runs).
 util::Result<Record> RunArms(size_t r, uint64_t seed,
-                             const agg::RunControl& control,
-                             crypto::CipherKind cipher) {
+                             const agg::RunControl& control) {
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
   auto config = PaperRunConfig(400, seed);
@@ -68,7 +66,6 @@ util::Result<Record> RunArms(size_t r, uint64_t seed,
     agg::SmartConfig smart_config;
     smart_config.slice_count = 3;
     smart_config.slice_range = 1.0;
-    smart_config.cipher = cipher;
     IPDA_ASSIGN_OR_RETURN(
         const agg::SmartRunResult smart,
         agg::RunSmart(config, *function, *field, smart_config,
@@ -84,7 +81,6 @@ util::Result<Record> RunArms(size_t r, uint64_t seed,
   {
     agg::CpdaConfig cpda_config;
     cpda_config.coeff_range = 10.0;
-    cpda_config.cipher = cipher;
     IPDA_ASSIGN_OR_RETURN(
         const agg::CpdaRunResult cpda,
         agg::RunCpda(config, *function, *field, cpda_config));
@@ -108,7 +104,7 @@ util::Result<Record> RunArms(size_t r, uint64_t seed,
   }
   IPDA_ASSIGN_OR_RETURN(
       const agg::IpdaRunResult ipda,
-      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher),
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2),
                    hooks));
   if (!polluted_run) {
     record.Set("ipda_acc", ipda.accuracy)
@@ -122,7 +118,7 @@ util::Result<Record> RunArms(size_t r, uint64_t seed,
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
@@ -135,8 +131,8 @@ int Run(int argc, char** argv) {
       false};
   const SweepResult result = RunSweep(
       options, argv[0], spec,
-      [&options](const RunContext& ctx) {
-        return RunArms(ctx.run, ctx.seed, ctx.control, options.cipher);
+      [](const RunContext& ctx) {
+        return RunArms(ctx.run, ctx.seed, ctx.control);
       });
   const auto mean = [&result](const char* field) {
     return result.Get(0, field).summary.mean();
@@ -184,7 +180,6 @@ int Run(int argc, char** argv) {
     net::Network network(&simulator, std::move(*topology));
     agg::CpdaConfig cpda_config;
     cpda_config.coeff_range = 10.0;
-    cpda_config.cipher = options.cipher;
     agg::CpdaProtocol protocol(&network, function.get(), cpda_config);
     util::Rng rng(colluders);
     std::vector<net::NodeId> coalition;

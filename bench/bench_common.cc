@@ -153,7 +153,6 @@ size_t RunsPerPoint(size_t default_runs) {
 BenchOptions ParseBenchOptions(int argc, const char* const* argv,
                                BenchKind kind) {
   const bool sweep = kind != BenchKind::kAnalytic;
-  const bool encrypted = kind == BenchKind::kEncryptedSweep;
   // 0 = all hardware threads.
   const uint64_t default_jobs = EnvCount("IPDA_BENCH_JOBS", 0, 0);
   util::FlagSet flags;
@@ -176,13 +175,6 @@ BenchOptions ParseBenchOptions(int argc, const char* const* argv,
     flags.DefineInt("max-retries", 0,
                     "failed-run retries with a forked seed before the "
                     "point degrades");
-  }
-  if (encrypted) {
-    flags.DefineString("cipher", "xtea",
-                       "link cipher backend for encrypted arms: "
-                       "xtea | aesni | chacha20");
-  }
-  if (sweep) {
     flags.DefineString("agg-memory-budget", "unlimited",
                        "byte budget for the streaming result fold (e.g. "
                        "64k, 256M; 0/unlimited = never spill); output is "
@@ -208,13 +200,6 @@ BenchOptions ParseBenchOptions(int argc, const char* const* argv,
   if (!sweep) return options;
 
   util::InstallDrainHandler();
-  if (encrypted) {
-    const auto cipher = crypto::ParseCipherKind(flags.GetString("cipher"));
-    if (!cipher.ok()) {
-      ExitUsage("bad --cipher: " + cipher.status().ToString());
-    }
-    options.cipher = *cipher;
-  }
   options.journal = flags.GetString("journal");
   options.resume = flags.GetString("resume");
   const auto run_deadline = flags.GetFinite("run-deadline");
@@ -451,12 +436,10 @@ agg::RunConfig PaperRunConfig(size_t node_count, uint64_t seed) {
   return config;
 }
 
-agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count,
-                                crypto::CipherKind cipher) {
+agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count) {
   agg::IpdaConfig config;
   config.slice_count = slice_count;
   config.slice_range = 1.0;  // COUNT contributions are 1.
-  config.cipher = cipher;
   return config;
 }
 

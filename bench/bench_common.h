@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "agg/runner.h"
-#include "crypto/cipher.h"
 #include "stats/summary.h"
 #include "util/result.h"
 
@@ -41,9 +40,8 @@ size_t RunsPerPoint(size_t default_runs = 5);
 
 // Which of the shared flags a bench accepts.
 enum class BenchKind {
-  kAnalytic,        // --jobs and --help only: no Monte-Carlo sweep.
-  kSweep,           // Plus every sweep flag (journal, budget...).
-  kEncryptedSweep,  // Plus --cipher, routed into every encrypted arm.
+  kAnalytic,  // --jobs and --help only: no Monte-Carlo sweep.
+  kSweep,     // Plus every sweep flag (journal, budget...).
 };
 
 struct BenchOptions {
@@ -53,9 +51,6 @@ struct BenchOptions {
   double run_deadline_s = 0.0;  // --run-deadline: watchdog seconds.
   uint64_t event_budget = 0;    // --event-budget: events per attempt.
   uint32_t max_retries = 0;     // --max-retries: forked-seed retries.
-  // --cipher: link cipher for encrypted arms (result-affecting: wire
-  // bytes differ per backend, so it enters the canonical digest).
-  crypto::CipherKind cipher = crypto::CipherKind::kXtea;
   // --agg-memory-budget: byte budget for the streaming result fold
   // (exp::PartialAggStore); 0 = unlimited. Purely a memory/scheduling
   // knob — the folded tables are byte-identical at every budget — so it
@@ -202,10 +197,8 @@ std::vector<size_t> NetworkSizes();
 // 400x400 m area, 50 m range, 1 Mbps — the §IV-B setup.
 agg::RunConfig PaperRunConfig(size_t node_count, uint64_t seed);
 
-// COUNT aggregation with slice noise matched to the data domain, slices
-// sealed with `cipher`.
-agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count,
-                                crypto::CipherKind cipher);
+// COUNT aggregation with slice noise matched to the data domain.
+agg::IpdaConfig PaperIpdaConfig(uint32_t slice_count);
 
 // Banner naming the experiment and its place in the paper.
 void PrintHeader(const char* experiment_id, const char* description);

@@ -62,7 +62,7 @@ void PrintArm(const SweepResult& result, size_t cell, const char* arm,
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
@@ -94,7 +94,7 @@ int Run(int argc, char** argv) {
         config.churn = MakePlan(rate, speed);
         Record record;
         for (const auto& [response, name] : arms) {
-          agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+          agg::IpdaConfig proto = PaperIpdaConfig(2);
           proto.retarget_slices = true;
           proto.parent_failover = true;
           proto.churn_response = response;

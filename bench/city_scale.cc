@@ -70,7 +70,7 @@ agg::RunConfig CityConfig(size_t nodes, uint64_t seed) {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint(/*default_runs=*/3);
   const uint64_t max_nodes = EnvCount("IPDA_BENCH_MAX_NODES", 25000, 1000);
   auto function = agg::MakeSum();
@@ -91,7 +91,7 @@ int Run(int argc, char** argv) {
   // first-touch page faults; one untimed round of the first cell's
   // deployment, outside the journaled sweep, absorbs that.
   (void)agg::RunIpda(CityConfig(grid.front().first, spec.sweep_seed),
-                     *function, *field, PaperIpdaConfig(2, options.cipher));
+                     *function, *field, PaperIpdaConfig(2));
 
   const SweepResult result = RunSweep(
       options, argv[0], spec,
@@ -103,7 +103,7 @@ int Run(int argc, char** argv) {
         if (ctx.run == 0 && sinks == 1) {
           IPDA_RETURN_IF_ERROR(TimeBuilds(config, ctx.seed, record));
         }
-        const agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+        const agg::IpdaConfig proto = PaperIpdaConfig(2);
         const auto round_start = std::chrono::steady_clock::now();
         const auto finish = [&](const auto& run, const auto& outcome) {
           return record.Set("accuracy", run.accuracy)

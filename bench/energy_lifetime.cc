@@ -35,8 +35,7 @@ void Price(const std::string& arm, const obs::Snapshot& metrics,
 }
 
 // All five protocol arms priced on one shared deployment seed.
-util::Result<Record> PriceAllProtocols(const agg::RunConfig& config,
-                                       crypto::CipherKind cipher) {
+util::Result<Record> PriceAllProtocols(const agg::RunConfig& config) {
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
   Record record;
@@ -49,7 +48,6 @@ util::Result<Record> PriceAllProtocols(const agg::RunConfig& config,
     agg::SmartConfig smart;
     smart.slice_count = 3;
     smart.slice_range = 1.0;
-    smart.cipher = cipher;
     IPDA_ASSIGN_OR_RETURN(const agg::SmartRunResult run,
                           agg::RunSmart(config, *function, *field, smart));
     Price("smart", run.metrics, record);
@@ -57,7 +55,6 @@ util::Result<Record> PriceAllProtocols(const agg::RunConfig& config,
   {
     agg::CpdaConfig cpda;
     cpda.coeff_range = 10.0;
-    cpda.cipher = cipher;
     IPDA_ASSIGN_OR_RETURN(const agg::CpdaRunResult run,
                           agg::RunCpda(config, *function, *field, cpda));
     Price("cpda", run.metrics, record);
@@ -72,14 +69,14 @@ util::Result<Record> PriceAllProtocols(const agg::RunConfig& config,
   }
   IPDA_ASSIGN_OR_RETURN(
       const agg::IpdaRunResult run,
-      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher)));
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2)));
   Price("ipda", run.metrics, record);
   return record;
 }
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   const SweepSpec spec{
       "energy_lifetime",
@@ -89,10 +86,10 @@ int Run(int argc, char** argv) {
       false};
   const SweepResult result = RunSweep(
       options, argv[0], spec,
-      [&options](const RunContext& ctx) {
+      [](const RunContext& ctx) {
         agg::RunConfig config = PaperRunConfig(kNodes, ctx.seed);
         config.control = ctx.control;
-        return PriceAllProtocols(config, options.cipher);
+        return PriceAllProtocols(config);
       });
   const auto mean = [&result](const std::string& field) {
     return result.Get(0, field).summary.mean();

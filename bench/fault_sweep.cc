@@ -60,7 +60,7 @@ void PrintArm(const SweepResult& result, size_t cell, const char* arm,
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
@@ -96,7 +96,7 @@ int Run(int argc, char** argv) {
         config.control = ctx.control;
         config.faults = MakePlan(crash, loss, kIpdaCrashAt);
         for (bool failover : {false, true}) {
-          agg::IpdaConfig proto = PaperIpdaConfig(2, options.cipher);
+          agg::IpdaConfig proto = PaperIpdaConfig(2);
           proto.retarget_slices = failover;
           proto.parent_failover = failover;
           IPDA_ASSIGN_OR_RETURN(
@@ -119,8 +119,6 @@ int Run(int argc, char** argv) {
   std::printf("{\n  \"experiment\": \"fault_sweep\",\n");
   std::printf("  \"nodes\": %zu,\n  \"runs_per_point\": %zu,\n", kNodes,
               runs);
-  std::printf("  \"cipher\": \"%s\",\n",
-              crypto::CipherKindName(options.cipher));
   std::printf("  \"failed_runs\": %zu,\n", result.failed_runs());
   std::printf("  \"grid\": [\n");
   for (size_t cell = 0; cell < grid.size(); ++cell) {

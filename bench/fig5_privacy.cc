@@ -54,7 +54,7 @@ struct SliceTrace {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   const uint32_t slice_counts[] = {2u, 3u};
   const double pxs[] = {0.02, 0.05, 0.08, 0.1};
@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
     }
     auto function = agg::MakeCount();
     auto field = agg::MakeConstantField(1.0);
-    agg::IpdaConfig ipda = PaperIpdaConfig(l, options.cipher);
+    agg::IpdaConfig ipda = PaperIpdaConfig(l);
     ipda.impatient_join = true;  // Keep participation high at this scale.
     agg::IpdaRunHooks hooks;
     hooks.slice_observer = [&trace](net::NodeId from, net::NodeId to,

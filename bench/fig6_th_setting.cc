@@ -18,7 +18,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
 
   // One cell per (regime, N, l). Same seed across l values: paired
@@ -67,7 +67,7 @@ int Run(int argc, char** argv) {
         IPDA_ASSIGN_OR_RETURN(
             const agg::IpdaRunResult run,
             agg::RunIpda(config, *function, *field,
-                         PaperIpdaConfig(point.l, options.cipher)));
+                         PaperIpdaConfig(point.l)));
         return Record()
             .Set("red", run.stats.decision.acc_red[0])
             .Set("blue", run.stats.decision.acc_blue[0])

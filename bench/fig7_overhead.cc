@@ -20,7 +20,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   const std::vector<size_t> sizes = NetworkSizes();
   SweepSpec spec{"fig7_overhead", 0, "", {}, false};
@@ -57,7 +57,7 @@ int Run(int argc, char** argv) {
           IPDA_ASSIGN_OR_RETURN(
               const agg::IpdaRunResult ipda,
               agg::RunIpda(config, *function, *field,
-                           PaperIpdaConfig(l, options.cipher)));
+                           PaperIpdaConfig(l)));
           traffic("ipda" + std::to_string(l), ipda.metrics);
         }
         return record;

@@ -23,7 +23,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   const std::vector<size_t> sizes = NetworkSizes();
   SweepSpec spec{"fig8_coverage", 0, "", {}, false};
@@ -55,7 +55,7 @@ int Run(int argc, char** argv) {
           IPDA_ASSIGN_OR_RETURN(
               const agg::IpdaRunResult ipda,
               agg::RunIpda(config, *function, *field,
-                           PaperIpdaConfig(l, options.cipher)));
+                           PaperIpdaConfig(l)));
           const std::string suffix = std::to_string(l);
           record.Set("covered" + suffix,
                      static_cast<double>(ipda.stats.covered_both) / sensors)

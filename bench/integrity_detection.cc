@@ -40,8 +40,7 @@ struct Point {
 
 // One polluted round: "rejected" is set only when an attacker actually
 // aggregated (fired), so its count is the polluted-run count.
-util::Result<Record> Detect(const Point& point, agg::RunConfig config,
-                            crypto::CipherKind cipher) {
+util::Result<Record> Detect(const Point& point, agg::RunConfig config) {
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
   // Independent attackers tamper by *different* amounts — identical
@@ -68,7 +67,7 @@ util::Result<Record> Detect(const Point& point, agg::RunConfig config,
   };
   IPDA_ASSIGN_OR_RETURN(
       const agg::IpdaRunResult run,
-      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher),
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2),
                    hooks));
   Record record;
   if (fired > 0) record.Set("rejected", !run.stats.decision.accepted);
@@ -77,7 +76,7 @@ util::Result<Record> Detect(const Point& point, agg::RunConfig config,
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   auto function = agg::MakeCount();
   auto field = agg::MakeConstantField(1.0);
@@ -112,9 +111,9 @@ int Run(int argc, char** argv) {
         auto config = PaperRunConfig(kNodes, ctx.seed);
         config.control = ctx.control;
         if (point.kind == Kind::kDetect) {
-          return Detect(point, config, options.cipher);
+          return Detect(point, config);
         }
-        agg::IpdaConfig ipda = PaperIpdaConfig(2, options.cipher);
+        agg::IpdaConfig ipda = PaperIpdaConfig(2);
         agg::IpdaRunHooks hooks;
         std::shared_ptr<bool> hit_red, hit_blue;
         if (point.kind == Kind::kHonest) {
@@ -207,7 +206,7 @@ int Run(int argc, char** argv) {
       agg::IpdaRunHooks hooks;
       hooks.pollution = attack::MakePollutionHook(attack_config);
       hooks.excluded = excluded;
-      agg::IpdaConfig round_ipda = PaperIpdaConfig(2, options.cipher);
+      agg::IpdaConfig round_ipda = PaperIpdaConfig(2);
       round_ipda.impatient_join = true;
       auto round = agg::RunIpda(PaperRunConfig(n, 0xD05 + n), *function,
                                 *field, round_ipda, hooks);

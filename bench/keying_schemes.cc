@@ -7,14 +7,11 @@
 // participation/accuracy, and how far a 10-node-capture adversary sees
 // under each scheme (EG leaks third-party links; pairwise never does).
 //
-// The table also folds in the cipher dimension: each row carries the
-// keystream bytes a node CTR-crypts per aggregation round (scheme-
-// dependent — unkeyed links mean fewer sealed slices), and per-backend
-// µJ/node/round columns derived from measured 4 KiB keystream throughput
-// (xtea/aesni/chacha20), so keying scheme and cipher choice read off one
-// table. Wire bytes per backend are identical; only the cycles differ.
-// The scheme rows are cells of one bench sweep (bench_common.h); --cipher
-// picks the backend the swept rounds seal with.
+// Each row also carries the keystream bytes a node XTEA-CTR-crypts per
+// aggregation round (scheme-dependent — unkeyed links mean fewer sealed
+// slices), and a µJ/node/round column derived from measured 4 KiB
+// keystream throughput. The scheme rows are cells of one bench sweep
+// (bench_common.h).
 
 #include <chrono>
 #include <cstdio>
@@ -28,7 +25,6 @@
 #include "agg/reading.h"
 #include "agg/runner.h"
 #include "attack/eavesdropper.h"
-#include "crypto/cipher.h"
 #include "crypto/ctr.h"
 #include "crypto/link_security.h"
 #include "crypto/pairwise.h"
@@ -47,19 +43,17 @@ constexpr size_t kCaptured = 10;
 // column, not a calibrated board model.
 constexpr double kActivePowerWatts = 0.030;
 
-// Bytes/s CTR-crypting 4 KiB buffers through the generic backend path —
-// the same chunked loop LinkCrypto::Seal drives. Grows the pass count
-// until the sample dwarfs clock granularity.
-double MeasureKeystreamThroughput(crypto::CipherKind kind) {
-  const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
-  crypto::CipherSchedule sched;
-  backend.build(crypto::Key128::FromSeed(0x5EED), sched);
+// Bytes/s CTR-crypting 4 KiB buffers — the same chunked loop
+// LinkCrypto::Seal drives. Grows the pass count until the sample dwarfs
+// clock granularity.
+double MeasureKeystreamThroughput() {
+  const crypto::XteaSchedule sched(crypto::Key128::FromSeed(0x5EED));
   std::vector<uint8_t> buf(4096, 0xA5);
   size_t passes = 64;
   for (;;) {
     const auto start = std::chrono::steady_clock::now();
     for (size_t p = 0; p < passes; ++p) {
-      crypto::CtrCrypt(backend, sched, /*nonce=*/p, buf.data(), buf.size());
+      crypto::CtrCrypt(sched, /*nonce=*/p, buf.data(), buf.size());
     }
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -74,8 +68,7 @@ double MeasureKeystreamThroughput(crypto::CipherKind kind) {
 // 10-node capture exposes, and an iPDA round sealed through the
 // scheme's link keys.
 util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
-                               const agg::RunControl& control,
-                               crypto::CipherKind cipher) {
+                               const agg::RunControl& control) {
   agg::RunConfig config = PaperRunConfig(kNodes, seed);
   config.control = control;
   IPDA_ASSIGN_OR_RETURN(const net::Topology topology,
@@ -93,14 +86,14 @@ util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
   std::optional<crypto::KeyPredistribution> predistribution;
   if (eg == nullptr) {
     cryptos = agg::ProvisionPairwiseKeys(
-        topology, crypto::PairwiseKeyScheme(seed * 31 + 7), cipher,
+        topology, crypto::PairwiseKeyScheme(seed * 31 + 7),
         crypto::KeyStore::DeriveScope::kProvisionedPeers);
     record.Set("keyed", 1.0);
     capture = crypto::NodeCaptureUnderPairwise(links, topology.node_count(),
                                                kCaptured, rng);
   } else {
     for (net::NodeId id = 0; id < topology.node_count(); ++id) {
-      cryptos.emplace_back(id, cipher);
+      cryptos.emplace_back(id);
     }
     IPDA_ASSIGN_OR_RETURN(
         predistribution,
@@ -123,7 +116,7 @@ util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
   hooks.link_crypto = &cryptos;
   IPDA_ASSIGN_OR_RETURN(
       const agg::IpdaRunResult run,
-      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2, cipher),
+      agg::RunIpda(config, *function, *field, PaperIpdaConfig(2),
                    hooks));
   const agg::IpdaStats& stats = run.stats;
   // Keystream: CTR payload bytes per node.
@@ -140,7 +133,7 @@ util::Result<Record> RunScheme(uint64_t seed, const crypto::EgConfig* eg,
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   struct Row {
     const char* name;
@@ -161,51 +154,35 @@ int Run(int argc, char** argv) {
       options, argv[0], spec,
       [&](const RunContext& ctx) {
         const Row& row = rows[ctx.cell];
-        return RunScheme(ctx.seed, row.eg ? &*row.eg : nullptr, ctx.control,
-                         options.cipher);
+        return RunScheme(ctx.seed, row.eg ? &*row.eg : nullptr, ctx.control);
       });
 
   PrintHeader("Key-management ablation — pairwise vs EG predistribution",
               "keyable links, participation, 10-node-capture exposure, "
-              "per-cipher energy");
-  // One throughput sample per backend (4 KiB buffers, this core); the
-  // energy columns below divide each scheme's per-node keystream bytes
-  // by these rates.
-  const crypto::CipherKind ciphers[] = {crypto::CipherKind::kXtea,
-                                        crypto::CipherKind::kAesNi,
-                                        crypto::CipherKind::kChaCha20};
-  double throughput[std::size(ciphers)];
-  std::printf("keystream throughput (4 KiB CTR buffers):");
-  for (size_t c = 0; c < std::size(ciphers); ++c) {
-    throughput[c] = MeasureKeystreamThroughput(ciphers[c]);
-    std::printf(" %s[%s]=%.0f MB/s",
-                crypto::CipherKindName(ciphers[c]),
-                crypto::GetCipherBackend(ciphers[c]).impl,
-                throughput[c] / 1e6);
-  }
-  std::printf("\n\n");
+              "cipher energy");
+  // One throughput sample (4 KiB buffers, this core); the energy column
+  // below divides each scheme's per-node keystream bytes by this rate.
+  const double throughput = MeasureKeystreamThroughput();
+  std::printf("keystream throughput (4 KiB CTR buffers): xtea=%.0f MB/s\n\n",
+              throughput / 1e6);
   stats::Table table({"scheme", "keyed links", "participate", "accuracy",
                       "capture exposure", "P_disclose", "ks B/node",
-                      "xtea uJ/rnd", "aesni uJ/rnd", "chacha uJ/rnd"});
+                      "xtea uJ/rnd"});
   for (size_t cell = 0; cell < std::size(rows); ++cell) {
     const auto mean = [&](const char* field) {
       return result.Get(cell, field).summary.mean();
     };
     const double ks_bytes = mean("ks_bytes");
     // µJ/node/round = keystream seconds at the measured rate x active
-    // power. Cipher does not change the bytes, only the rate.
-    std::vector<std::string> cells = {
-        rows[cell].name, stats::FormatDouble(mean("keyed"), 3),
-        stats::FormatDouble(mean("participation"), 3),
-        stats::FormatDouble(mean("accuracy"), 3),
-        stats::FormatDouble(mean("exposure"), 4),
-        stats::FormatDouble(mean("disclosure"), 4),
-        stats::FormatDouble(ks_bytes, 1)};
-    for (size_t c = 0; c < std::size(ciphers); ++c) {
-      cells.push_back(stats::FormatDouble(
-          ks_bytes / throughput[c] * kActivePowerWatts * 1e6, 4));
-    }
-    table.AddRow(cells);
+    // power.
+    table.AddRow({rows[cell].name, stats::FormatDouble(mean("keyed"), 3),
+                  stats::FormatDouble(mean("participation"), 3),
+                  stats::FormatDouble(mean("accuracy"), 3),
+                  stats::FormatDouble(mean("exposure"), 4),
+                  stats::FormatDouble(mean("disclosure"), 4),
+                  stats::FormatDouble(ks_bytes, 1),
+                  stats::FormatDouble(
+                      ks_bytes / throughput * kActivePowerWatts * 1e6, 4)});
   }
   table.PrintTo(stdout);
   std::printf(
@@ -213,10 +190,9 @@ int Run(int argc, char** argv) {
       "links; EG predistribution trades keyable-link coverage (hurting\n"
       "slice-target choice) against storage, and captured rings expose\n"
       "third-party links — the §IV-A-3 discussion, quantified. The\n"
-      "energy columns convert each scheme's per-node keystream bytes\n"
-      "into cipher time at the measured rates (30 mW active): fewer\n"
-      "keyed links mean fewer sealed slices AND a cheaper round, and a\n"
-      "faster backend shrinks the crypto term for every scheme.\n");
+      "energy column converts each scheme's per-node keystream bytes\n"
+      "into cipher time at the measured rate (30 mW active): fewer\n"
+      "keyed links mean fewer sealed slices AND a cheaper round.\n");
   PrintFooter();
   return 0;
 }

@@ -26,7 +26,7 @@ constexpr size_t kNodes = 400;
 
 int Run(int argc, char** argv) {
   const BenchOptions options =
-      ParseBenchOptions(argc, argv, BenchKind::kEncryptedSweep);
+      ParseBenchOptions(argc, argv, BenchKind::kSweep);
   const size_t runs = RunsPerPoint();
   auto field = agg::MakeUniformField(5.0, 95.0, 77);
 
@@ -68,7 +68,6 @@ int Run(int argc, char** argv) {
         // r^k spans a huge range; slice noise and Th must scale with it.
         ipda.slice_range = std::pow(95.0, k) / 100.0;
         ipda.threshold = std::pow(95.0, k) / 10.0;
-        ipda.cipher = options.cipher;
         IPDA_ASSIGN_OR_RETURN(
             const agg::IpdaRunResult run,
             agg::RunIpda(config, *function, *field, ipda));

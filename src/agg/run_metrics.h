@@ -30,9 +30,8 @@ namespace ipda::agg {
 //                     bytes histogram, energy gauges
 //   crypto.*        — hot-path deltas vs `crypto_base`, the tally
 //                     ThreadCryptoStats() returned before the run started
-//                     (runs execute whole on one thread), plus a
-//                     crypto.backend.<name> gauge naming the run's active
-//                     cipher backend
+//                     (runs execute whole on one thread), plus the
+//                     crypto.backend.xtea gauge naming the link cipher
 //   fault.*         — injector totals when a fault or churn plan was armed
 // Call after the simulation has run and before taking a snapshot.
 void CollectRunMetrics(sim::Simulator& simulator,
@@ -40,6 +39,7 @@ void CollectRunMetrics(sim::Simulator& simulator,
                        const crypto::CryptoStats& crypto_base,
                        const fault::FaultInjector* injector = nullptr,
                        const fault::ChurnInjector* churn = nullptr,
+                       // Kept only for roundbench; XTEA is the one cipher.
                        crypto::CipherKind cipher = crypto::CipherKind::kXtea);
 
 // iPDA layer: IpdaStats as agg.* instruments, plus the round's phase

@@ -95,7 +95,6 @@ constexpr bool kHasChurnHooks = requires(Protocol& p) {
 //   Round::Protocol               the protocol type;
 //   Make(net::Network*)           constructs it on the run's network;
 //   Prepare(Protocol&)            installs hooks after SetReadings;
-//   cipher()                      names the link backend in the metrics;
 //   Fill(protocol, simulator, readings, result)
 //                                 truth, accuracy and any protocol metrics,
 //                                 before the registry is snapshotted;
@@ -153,7 +152,7 @@ util::Result<Result> RunRound(const RunConfig& config,
       ->Set(sim::ToSeconds(protocol.Duration()));
   CollectRunMetrics(simulator, network, crypto_base,
                     injector.has_value() ? &*injector : nullptr,
-                    churn.has_value() ? &*churn : nullptr, round.cipher());
+                    churn.has_value() ? &*churn : nullptr);
   result.metrics = obs::TakeSnapshot(simulator.metrics(), &simulator.trace());
   result.average_degree = network.topology().AverageDegree();
   result.result = protocol.FinalizedResult();
@@ -172,10 +171,6 @@ struct AdditiveRound {
     return Protocol(network, &function, config);
   }
   void Prepare(Protocol&) const {}
-  crypto::CipherKind cipher() const {
-    if constexpr (requires { config.cipher; }) return config.cipher;
-    return crypto::CipherKind::kXtea;  // TAG seals nothing.
-  }
   template <typename Result>
   void Fill(const Protocol&, sim::Simulator&,
             const std::vector<double>& readings, Result& result) const {
@@ -201,8 +196,6 @@ struct KipdaRound {
     return Protocol(network, config);
   }
   void Prepare(Protocol&) const {}
-  // KIPDA seals nothing; the backend gauge names the default.
-  crypto::CipherKind cipher() const { return crypto::CipherKind::kXtea; }
   void Fill(const Protocol& protocol, sim::Simulator&,
             const std::vector<double>& readings,
             KipdaRunResult& result) const {

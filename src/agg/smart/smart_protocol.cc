@@ -74,7 +74,7 @@ void SmartProtocol::Start() {
         network_->topology(),
         crypto::PairwiseKeyScheme(util::Mix64(
             network_->sim().seed(), 0x534d415254ULL)),  // "SMART".
-        config_.cipher, crypto::KeyStore::DeriveScope::kProvisionedPeers);
+        crypto::KeyStore::DeriveScope::kProvisionedPeers);
     cryptos_ = &owned_cryptos_;
   }
   tree_.Start();

@@ -30,7 +30,6 @@ struct SmartConfig {
   uint32_t slice_count = 3;     // J: pieces per reading (PDA evaluates 3).
   double slice_range = 50.0;    // Random slices uniform in +/- range.
   bool encrypt_slices = true;
-  crypto::CipherKind cipher = crypto::CipherKind::kXtea;
   sim::SimTime hello_jitter_max = sim::Milliseconds(50);
   sim::SimTime build_window = sim::Seconds(2);
   sim::SimTime slice_window = sim::Milliseconds(800);

@@ -1,49 +1,51 @@
 #include "crypto/ctr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "crypto/stats.h"
 
 namespace ipda::crypto {
 
-void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
-              uint64_t nonce, uint8_t* data, size_t size) {
-  const size_t block_bytes = backend.block_bytes;
-  ThreadCryptoStats().ctr_blocks_batched +=
-      (size + block_bytes - 1) / block_bytes;
+void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, uint8_t* data,
+              size_t size) {
+  ThreadCryptoStats().ctr_blocks_batched += (size + 7) / 8;
   ThreadCryptoStats().keystream_bytes += size;
-  // One keystream chunk at a time through a stack buffer: a whole number
-  // of blocks for every backend (8/16/64 all divide 512), small enough to
-  // stay in L1. Keystream block i depends only on (sched, nonce, i), so
-  // chunk boundaries never show up in the output bytes.
-  constexpr size_t kChunkBytes = 512;
-  alignas(16) uint8_t ks[kChunkBytes];
+  // 64 keystream blocks (512 B) at a time on the stack, small enough to
+  // stay in L1. Block i depends only on (sched, nonce + i), so chunk
+  // boundaries never show up in the output bytes.
+  constexpr size_t kChunkBlocks = 64;
+  uint64_t ks[kChunkBlocks];
   uint64_t block = 0;
   size_t offset = 0;
   while (offset < size) {
-    const size_t want = std::min(kChunkBytes, size - offset);
-    const size_t blocks = (want + block_bytes - 1) / block_bytes;
-    backend.keystream(sched, nonce, block, ks, blocks);
+    const size_t n = std::min(8 * kChunkBlocks, size - offset);
+    const size_t blocks = (n + 7) / 8;
+    for (size_t i = 0; i < blocks; ++i) ks[i] = nonce + block + i;
+    XteaEncryptBlocks(sched, ks, ks, blocks);
     block += blocks;
-    const size_t n = std::min(blocks * block_bytes, size - offset);
+    uint8_t* chunk = data + offset;
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
+      uint64_t k = ks[i / 8];
+      if constexpr (std::endian::native == std::endian::big) {
+        k = __builtin_bswap64(k);  // Keystream bytes are little-endian.
+      }
       uint64_t w;
-      uint64_t k;
-      std::memcpy(&w, data + offset + i, 8);
-      std::memcpy(&k, ks + i, 8);
+      std::memcpy(&w, chunk + i, 8);
       w ^= k;
-      std::memcpy(data + offset + i, &w, 8);
+      std::memcpy(chunk + i, &w, 8);
     }
-    for (; i < n; ++i) data[offset + i] ^= ks[i];
+    for (; i < n; ++i) {
+      chunk[i] ^= static_cast<uint8_t>(ks[i / 8] >> (8 * (i % 8)));
+    }
     offset += n;
   }
 }
 
-void CtrCrypt(const CipherBackend& backend, const CipherSchedule& sched,
-              uint64_t nonce, util::Bytes& data) {
-  CtrCrypt(backend, sched, nonce, data.data(), data.size());
+void CtrCrypt(const XteaSchedule& sched, uint64_t nonce, util::Bytes& data) {
+  CtrCrypt(sched, nonce, data.data(), data.size());
 }
 
 }  // namespace ipda::crypto

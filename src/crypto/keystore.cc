@@ -13,9 +13,8 @@ namespace ipda::crypto {
 namespace {
 
 // Every key expansion a store performs, counted for the cost gate.
-void BuildSchedule(const CipherBackend& backend, const Key128& key,
-                   CipherSchedule& out) {
-  backend.build(key, out);
+void BuildSchedule(const Key128& key, XteaSchedule& out) {
+  out = XteaSchedule(key);
   ++ThreadCryptoStats().schedules_built;
 }
 
@@ -53,7 +52,7 @@ void KeyStore::SetLinkKey(PeerId peer, const Key128& key) {
   Slot& s = slots_[static_cast<size_t>(slot)];
   s.key = key;
   if (s.schedule < kKeyed) {
-    BuildSchedule(*backend_, key, schedules_[s.schedule]);
+    BuildSchedule(key, schedules_[s.schedule]);
   } else {
     s.schedule = kKeyed;
   }
@@ -71,7 +70,7 @@ int KeyStore::ResolveSlot(PeerId peer) {
   return InsertSlot(peer, Slot{Key128{}, kDerive});
 }
 
-const CipherSchedule& KeyStore::SlotSchedule(int slot) {
+const XteaSchedule& KeyStore::SlotSchedule(int slot) {
   Slot& s = slots_[static_cast<size_t>(slot)];
   if (s.schedule >= kKeyed) {
     if (s.schedule == kDerive) {
@@ -84,7 +83,7 @@ const CipherSchedule& KeyStore::SlotSchedule(int slot) {
       schedules_.reserve(std::min(peers_.size(), kScheduleReserve));
     }
     s.schedule = static_cast<uint32_t>(schedules_.size());
-    BuildSchedule(*backend_, s.key, schedules_.emplace_back());
+    BuildSchedule(s.key, schedules_.emplace_back());
   }
   return schedules_[s.schedule];
 }
@@ -109,7 +108,7 @@ util::Status LinkCrypto::SealInPlace(PeerId peer, util::Bytes& wire) {
   const uint64_t nonce = util::Mix64(
       static_cast<uint64_t>(self_) << 32 | peer,
       keystore_.NextSendCounter(slot));
-  CtrCrypt(keystore_.backend(), keystore_.SlotSchedule(slot), nonce,
+  CtrCrypt(keystore_.SlotSchedule(slot), nonce,
            wire.data() + kSealOverheadBytes,
            wire.size() - kSealOverheadBytes);
   // Same little-endian layout ByteWriter::WriteU64 emits.
@@ -136,8 +135,7 @@ util::Status LinkCrypto::Open(PeerId peer, const util::Bytes& wire,
   if (slot < 0) return util::NotFoundError("no link key for peer");
   ++ThreadCryptoStats().keystore_dense_hits;
   plaintext.assign(wire.begin() + kSealOverheadBytes, wire.end());
-  CtrCrypt(keystore_.backend(), keystore_.SlotSchedule(slot), nonce,
-           plaintext);
+  CtrCrypt(keystore_.SlotSchedule(slot), nonce, plaintext);
   return util::OkStatus();
 }
 

@@ -9,16 +9,13 @@
 // Hot-path layout: every peer the store holds lives in one sorted slot
 // table (peer ids in one array, key + schedule state in a parallel one,
 // send counters in a third), so the per-message lookup is one binary
-// search over a handful of u32s. A slot's key and cipher schedule are
+// search over a handful of u32s. A slot's key and XTEA schedule are
 // made on its first Seal/Open, never before: most provisioned links carry
 // no slice in a round, and their key work would be wasted. Slots come from
 // Provision() (pairwise keys derived on demand), from SetLinkKey() on a
 // peer not yet held (EG predistribution, CPDA cluster keys), and, under
 // DeriveScope::kAnyPeer, from the first Seal/Open to any other peer.
-//
-// Which cipher fills the schedules (XTEA default, AES-NI, ChaCha20 — see
-// crypto/cipher.h) is fixed per store at construction; the wire format
-// and nonce discipline are cipher-independent.
+// Payloads are sealed with XTEA-CTR (crypto/ctr.h).
 
 #ifndef IPDA_CRYPTO_KEYSTORE_H_
 #define IPDA_CRYPTO_KEYSTORE_H_
@@ -27,8 +24,8 @@
 #include <functional>
 #include <vector>
 
-#include "crypto/cipher.h"
 #include "crypto/key.h"
+#include "crypto/xtea.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -48,14 +45,6 @@ class KeyStore {
     kProvisionedPeers,  // Only the provisioned slots.
     kAnyPeer,           // Also any other peer, on first contact.
   };
-
-  explicit KeyStore(CipherKind cipher = CipherKind::kXtea)
-      : backend_(&GetCipherBackend(cipher)) {}
-
-  // The backend whose schedules this store caches (fixed at construction;
-  // both link ends must agree, like the keys themselves).
-  const CipherBackend& backend() const { return *backend_; }
-  CipherKind cipher() const { return backend_->kind; }
 
   // Makes `peers` (sorted ascending, distinct) this empty store's first
   // slots. A slot's key comes from `deriver` on its first Seal/Open (or
@@ -82,8 +71,8 @@ class KeyStore {
   int FindSlot(PeerId peer) const;
   // FindSlot(), but a first-contact peer under kAnyPeer gets a slot.
   int ResolveSlot(PeerId peer);
-  // The slot's cipher schedule, keyed and built on the first call.
-  const CipherSchedule& SlotSchedule(int slot);
+  // The slot's XTEA schedule, keyed and built on the first call.
+  const XteaSchedule& SlotSchedule(int slot);
   // The slot's next send counter, starting at 0 for every peer. The
   // counter is inserted and shifted together with its slot, so it stays
   // with its peer and a per-link nonce never repeats.
@@ -106,13 +95,12 @@ class KeyStore {
   // array, with a fresh send counter; returns the new slot's index.
   int InsertSlot(PeerId peer, const Slot& slot);
 
-  const CipherBackend* backend_;
   // Parallel, sorted by peer id.
   std::vector<PeerId> peers_;
   std::vector<Slot> slots_;
   std::vector<uint64_t> send_counters_;
   // Built schedules, in first-use order; slots point in by index.
-  std::vector<CipherSchedule> schedules_;
+  std::vector<XteaSchedule> schedules_;
   KeyDeriver deriver_;  // Provisioned key source (see Provision()).
   bool derive_any_peer_ = false;
 };
@@ -120,8 +108,7 @@ class KeyStore {
 // Stateful sealer/opener bound to one node's KeyStore.
 class LinkCrypto {
  public:
-  explicit LinkCrypto(PeerId self, CipherKind cipher = CipherKind::kXtea)
-      : self_(self), keystore_(cipher) {}
+  explicit LinkCrypto(PeerId self) : self_(self) {}
 
   KeyStore& keystore() { return keystore_; }
   const KeyStore& keystore() const { return keystore_; }

@@ -17,8 +17,8 @@
 namespace ipda::crypto {
 
 struct CryptoStats {
-  uint64_t ctr_blocks_batched = 0;   // Chunked CTR keystream blocks
-                                     // (of the active backend's size).
+  uint64_t ctr_blocks_batched = 0;   // 8-byte XTEA-CTR keystream
+                                     // blocks.
   uint64_t keystream_bytes = 0;      // Payload bytes CTR-crypted.
   uint64_t keystore_dense_hits = 0;  // Seal/Open resolved to a slot.
   uint64_t schedules_built = 0;  // Key expansions: one per used slot,

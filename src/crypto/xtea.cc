@@ -91,8 +91,9 @@ inline void EncryptLanes(const uint32_t k[2 * kXteaRounds],
 
 }  // namespace
 
-void XteaEncryptBlocks(const uint32_t k[2 * kXteaRounds], const uint64_t* in,
+void XteaEncryptBlocks(const XteaSchedule& sched, const uint64_t* in,
                        uint64_t* out, size_t n) {
+  const uint32_t* k = sched.k.data();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) EncryptLanes<4>(k, in + i, out + i);
   // The tail runs as interleaved lanes too: a 10-byte slice is two blocks.

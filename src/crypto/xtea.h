@@ -3,7 +3,9 @@
 // 64-bit blocks, 128-bit keys, 32 rounds. Chosen because it is the kind of
 // lightweight cipher actually deployed on sensor motes; iPDA's design is
 // cipher-agnostic ("can be built on top of any key management scheme"), so
-// any pseudorandom permutation serves the protocol.
+// any pseudorandom permutation serves the protocol. It is the
+// simulator's one link cipher, run in counter mode by crypto/ctr.h
+// (DESIGN.md §14 records the backends that were dropped).
 //
 // The per-round subkey (sum + key.words[...]) depends only on the key and
 // the round number, so XteaSchedule folds the whole selection into 64
@@ -44,15 +46,9 @@ uint64_t XteaDecryptBlock(const XteaSchedule& sched, uint64_t block);
 
 // Encrypts `n` independent blocks (`out[i] = E(in[i])`), four lanes in
 // flight; a 2- or 3-block remainder runs as that many lanes. `in` and
-// `out` may alias only if identical. The raw-pointer form takes the 64
-// expanded round-key words directly (cipher.cc stores them inside a
-// type-erased CipherSchedule blob).
-void XteaEncryptBlocks(const uint32_t k[2 * kXteaRounds], const uint64_t* in,
+// `out` may alias only if identical.
+void XteaEncryptBlocks(const XteaSchedule& sched, const uint64_t* in,
                        uint64_t* out, size_t n);
-inline void XteaEncryptBlocks(const XteaSchedule& sched, const uint64_t* in,
-                              uint64_t* out, size_t n) {
-  XteaEncryptBlocks(sched.k.data(), in, out, n);
-}
 
 }  // namespace ipda::crypto
 

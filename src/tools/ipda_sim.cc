@@ -65,8 +65,6 @@ int Main(int argc, char** argv) {
   flags.DefineBool("adaptive", false, "adaptive role probabilities (Eq.1)");
   flags.DefineBool("impatient", false, "impatient-join extension");
   flags.DefineBool("encrypt", true, "link-encrypt slices");
-  flags.DefineString("cipher", "xtea",
-                     "link cipher backend: xtea | aesni | chacha20");
   flags.DefineString("faults", "",
                      "fault spec: crash=<id>@<s>, recover=<id>@<s>, "
                      "crash-frac=<f>@<s>, loss=<p>, dup=<p>, jitter=<ms>; "
@@ -206,15 +204,6 @@ int Main(int argc, char** argv) {
   ipda.adaptive_roles = flags.GetBool("adaptive");
   ipda.impatient_join = flags.GetBool("impatient");
   ipda.encrypt_slices = flags.GetBool("encrypt");
-  {
-    auto cipher = crypto::ParseCipherKind(flags.GetString("cipher"));
-    if (!cipher.ok()) {
-      std::fprintf(stderr, "bad --cipher: %s\n",
-                   cipher.status().ToString().c_str());
-      return 2;
-    }
-    ipda.cipher = *cipher;
-  }
   if (flags.GetBool("failover")) {
     ipda.retarget_slices = true;
     ipda.parent_failover = true;
@@ -262,10 +251,8 @@ int Main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("l")) + 1;  // J = l+1 pieces.
   smart.slice_range = ipda.slice_range;
   smart.encrypt_slices = ipda.encrypt_slices;
-  smart.cipher = ipda.cipher;
   agg::CpdaConfig cpda;
   cpda.encrypt_shares = ipda.encrypt_slices;
-  cpda.cipher = ipda.cipher;
   agg::KipdaConfig kipda;
   kipda.maximize = flags.GetString("function") == "max";
   kipda.value_floor = reading_lo - 1.0;

@@ -342,11 +342,11 @@ TEST(BenchInputs, MalformedCountsExitTwo) {
        "--max-retries must be at most 4294967295"},
       {nullptr, nullptr, {"--runs=3"}, BenchKind::kSweep,
        "unknown flag --runs"},
-      // A bench with no encrypted arm has no --cipher to ignore.
-      {nullptr, nullptr, {"--cipher=aesni"}, BenchKind::kSweep,
+      // XTEA is the one link cipher: no bench takes --cipher.
+      {nullptr, nullptr, {"--cipher=xtea"}, BenchKind::kSweep,
        "unknown flag --cipher"},
-      {nullptr, nullptr, {"--cipher=rot13"}, BenchKind::kEncryptedSweep,
-       "bad --cipher"},
+      {nullptr, nullptr, {"--cipher=xtea"}, BenchKind::kAnalytic,
+       "unknown flag --cipher"},
       {nullptr, nullptr, {"--journal"}, BenchKind::kSweep,
        "--journal is missing a value"},
       {"IPDA_BENCH_JOBS", "many", {}, BenchKind::kAnalytic,
@@ -395,12 +395,11 @@ TEST(BenchInputs, MalformedCountsExitTwo) {
 TEST(BenchInputs, WellFormedCountsParse) {
   const BenchOptions options =
       Parse({"--jobs=3", "--max-retries=2", "--event-budget=500",
-             "--cipher=chacha20", "--agg-memory-budget=64k"},
-            BenchKind::kEncryptedSweep);
+             "--agg-memory-budget=64k"},
+            BenchKind::kSweep);
   EXPECT_EQ(options.jobs, 3u);
   EXPECT_EQ(options.max_retries, 2u);
   EXPECT_EQ(options.event_budget, 500u);
-  EXPECT_EQ(options.cipher, crypto::CipherKind::kChaCha20);
   EXPECT_EQ(options.agg_memory_budget, 64u * 1024u);
   EXPECT_EQ(EnvCount("IPDA_BENCH_TEST_UNSET_VARIABLE", 7), 7u);
 }
@@ -411,12 +410,12 @@ TEST(BenchInputs, WellFormedCountsParse) {
 TEST(BenchInputs, CanonicalFlagStringIsPinned) {
   EXPECT_EQ(Parse({"--jobs=3", "--journal=j.jsonl", "--run-deadline=5",
                    "--event-budget=500", "--max-retries=2",
-                   "--cipher=chacha20", "--agg-memory-budget=64k"},
-                  BenchKind::kEncryptedSweep)
+                   "--agg-memory-budget=64k"},
+                  BenchKind::kSweep)
                 .canonical,
-            "event-budget=500,max-retries=2,cipher=chacha20");
-  EXPECT_EQ(Parse({}, BenchKind::kEncryptedSweep).canonical,
-            "event-budget=0,max-retries=0,cipher=xtea");
+            "event-budget=500,max-retries=2");
+  EXPECT_EQ(Parse({}, BenchKind::kSweep).canonical,
+            "event-budget=0,max-retries=0");
 }
 
 }  // namespace

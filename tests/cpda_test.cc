@@ -211,7 +211,6 @@ TEST(CpdaProtocol, ExternalPairwiseKeysWork) {
   // Pairwise keys on the topology's edges only.
   std::vector<crypto::LinkCrypto> cryptos = ProvisionPairwiseKeys(
       network.topology(), crypto::PairwiseKeyScheme(99),
-      crypto::CipherKind::kXtea,
       crypto::KeyStore::DeriveScope::kProvisionedPeers);
 
   auto function = MakeCount();

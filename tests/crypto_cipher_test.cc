@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include "agg/aggregate_function.h"
+#include "agg/reading.h"
+#include "agg/runner.h"
 #include "crypto/cipher.h"
 #include "crypto/ctr.h"
 #include "crypto/key.h"
 #include "crypto/keystore.h"
 #include "crypto/xtea.h"
+#include "link_crypto_testing.h"
 #include "util/random.h"
 
 namespace ipda::crypto {
@@ -69,7 +73,7 @@ TEST(Xtea, AvalancheOnPlaintextBitFlip) {
 
 // The textbook per-block XTEA-CTR loop: one block cipher call per 8
 // bytes, block input nonce + block index, keystream bytes little-endian.
-// It is the referee the generic kXtea path must match byte for byte.
+// It is the referee the chunked CtrCrypt path must match byte for byte.
 void ScalarXteaCtr(const Key128& key, uint64_t nonce, util::Bytes& data) {
   uint64_t counter = 0;
   size_t offset = 0;
@@ -82,12 +86,9 @@ void ScalarXteaCtr(const Key128& key, uint64_t nonce, util::Bytes& data) {
   }
 }
 
-// The production path: generic chunked CTR over the kXtea backend.
+// The production path: chunked CTR over a precomputed schedule.
 void XteaCtr(const Key128& key, uint64_t nonce, util::Bytes& data) {
-  const CipherBackend& backend = GetCipherBackend(CipherKind::kXtea);
-  CipherSchedule sched;
-  backend.build(key, sched);
-  CtrCrypt(backend, sched, nonce, data);
+  CtrCrypt(XteaSchedule(key), nonce, data);
 }
 
 util::Bytes XteaCtrCopy(const Key128& key, uint64_t nonce,
@@ -282,6 +283,137 @@ TEST(Ctr, BatchedPathMatchesScalarAtRandomLengths) {
     XteaCtr(key, nonce, batched);
     EXPECT_EQ(batched, scalar) << "trial=" << trial << " len=" << len;
   }
+}
+
+TEST(Ctr, KeystreamChunkingIsIndependent) {
+  // Keystream block i depends only on (key, nonce, i), so a message's
+  // keystream is a prefix of any longer message's under the same nonce,
+  // however CtrCrypt's 512-byte chunks split the two. Lengths straddle
+  // the first and second chunk boundaries.
+  const Key128 key = Key128::FromSeed(5);
+  constexpr size_t kLongest = 1100;
+  util::Bytes longest(kLongest, 0x00);
+  XteaCtr(key, 99, longest);
+  for (size_t base : {size_t{512}, size_t{1024}}) {
+    for (size_t len = base - 9; len <= base + 9; ++len) {
+      util::Bytes zeros(len, 0x00);
+      XteaCtr(key, 99, zeros);
+      EXPECT_TRUE(std::equal(zeros.begin(), zeros.end(), longest.begin()))
+          << "len=" << len;
+    }
+  }
+}
+
+// The CipherBackend cases drive the XTEA-only compatibility names of
+// crypto/cipher.h (GetCipherBackend, CipherSchedule, the four-argument
+// CtrCrypt, IpdaConfig::cipher) that roundbench still spells: each must
+// reach the one XTEA-CTR path with the same bytes.
+
+TEST(CipherBackend, CtrCryptMatchesReferenceAllLengths) {
+  const CipherBackend& backend = GetCipherBackend(CipherKind::kXtea);
+  const Key128 key = Key128::FromSeed(77);
+  CipherSchedule sched;
+  backend.build(key, sched);
+  for (size_t len = 0; len <= 300; ++len) {
+    util::Bytes chunked(len);
+    for (size_t i = 0; i < len; ++i) {
+      chunked[i] = static_cast<uint8_t>(i * 31 + 7);
+    }
+    util::Bytes ref = chunked;
+    CtrCrypt(backend, sched, /*nonce=*/len, chunked.data(), chunked.size());
+    ScalarXteaCtr(key, /*nonce=*/len, ref);
+    EXPECT_EQ(chunked, ref) << "len=" << len;
+    if (chunked != ref) break;
+  }
+}
+
+TEST(CipherBackend, CtrCryptMatchesReferenceRandomLengthsAndNonces) {
+  util::Rng rng(0x17E);
+  const CipherBackend& backend = GetCipherBackend(CipherKind::kXtea);
+  const Key128 key = Key128::Random(rng);
+  CipherSchedule sched;
+  backend.build(key, sched);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t len = rng.NextUint64() % 2048;
+    const uint64_t nonce = rng.NextUint64();
+    util::Bytes chunked(len);
+    for (auto& b : chunked) b = static_cast<uint8_t>(rng.NextUint64());
+    util::Bytes ref = chunked;
+    CtrCrypt(backend, sched, nonce, chunked.data(), chunked.size());
+    ScalarXteaCtr(key, nonce, ref);
+    ASSERT_EQ(chunked, ref) << "len=" << len;
+  }
+}
+
+TEST(CipherBackend, XteaBackendMatchesLegacyPaths) {
+  // The backend's CTR bytes must equal XTEA over the counter blocks
+  // nonce + i, through both the batched XteaSchedule primitive and the
+  // scalar block function — the equivalence the committed golden traces
+  // rest on.
+  const Key128 key = Key128::FromSeed(1234);
+  const CipherBackend& backend = GetCipherBackend(CipherKind::kXtea);
+  CipherSchedule generic;
+  backend.build(key, generic);
+  const XteaSchedule legacy(key);
+  constexpr uint64_t kNonce = 7;
+  for (size_t len : {size_t{0}, size_t{1}, size_t{8}, size_t{26},
+                     size_t{255}}) {
+    util::Bytes plain(len);
+    for (size_t i = 0; i < len; ++i) plain[i] = static_cast<uint8_t>(0x40 + i);
+    util::Bytes sealed = plain;
+    CtrCrypt(backend, generic, kNonce, sealed.data(), sealed.size());
+    const size_t blocks = (len + 7) / 8;
+    std::vector<uint64_t> counters(blocks), keystream(blocks);
+    for (size_t i = 0; i < blocks; ++i) counters[i] = kNonce + i;
+    XteaEncryptBlocks(legacy, counters.data(), keystream.data(), blocks);
+    for (size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(keystream[i / 8], XteaEncryptBlock(key, counters[i / 8]));
+      const auto ks_byte =
+          static_cast<uint8_t>(keystream[i / 8] >> (8 * (i % 8)));
+      EXPECT_EQ(sealed[i], plain[i] ^ ks_byte) << "len=" << len << " i=" << i;
+    }
+  }
+}
+
+TEST(CipherBackend, SealOpenRoundTripsEveryBackend) {
+  // XTEA is the one backend: a sealed payload grows by exactly the seal
+  // overhead and opens to the plaintext at the peer.
+  LinkCrypto alice(1), bob(2);
+  const Key128 shared = Key128::FromSeed(91);
+  alice.keystore().SetLinkKey(2, shared);
+  bob.keystore().SetLinkKey(1, shared);
+  util::Bytes plaintext(26);
+  for (size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<uint8_t>(i);
+  }
+  auto wire = alice.Seal(2, plaintext);
+  ASSERT_TRUE(wire.ok());
+  EXPECT_EQ(wire->size(), plaintext.size() + kSealOverheadBytes);
+  auto opened = OpenCopy(bob, 1, *wire);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, plaintext);
+}
+
+TEST(CipherBackend, SimulationResultsAreCipherIndependent) {
+  // IpdaConfig::cipher is kept for roundbench and read by nothing: an
+  // encrypted round that sets it must land on the accuracy and traffic
+  // of one that leaves it at its default.
+  agg::RunConfig config;
+  config.deployment.node_count = 60;
+  config.seed = 404;
+  auto function = agg::MakeCount();
+  auto field = agg::MakeConstantField(1.0);
+  agg::IpdaConfig defaulted;
+  defaulted.slice_range = 1.0;
+  agg::IpdaConfig spelled = defaulted;
+  spelled.cipher = CipherKind::kXtea;
+  auto a = agg::RunIpda(config, *function, *field, defaulted);
+  auto b = agg::RunIpda(config, *function, *field, spelled);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_GT(a->traffic.bytes_sent, 0u);
+  EXPECT_EQ(b->accuracy, a->accuracy);
+  EXPECT_EQ(b->traffic.bytes_sent, a->traffic.bytes_sent);
 }
 
 class XteaPermutationProperty : public ::testing::TestWithParam<uint64_t> {};

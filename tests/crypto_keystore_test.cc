@@ -267,8 +267,7 @@ TEST(PairwiseKeyScheme, ProvisionInstallsBothDirections) {
   auto ring = net::Topology::RegularRing(4, 2);
   ASSERT_TRUE(ring.ok());
   std::vector<LinkCrypto> cryptos = agg::ProvisionPairwiseKeys(
-      *ring, PairwiseKeyScheme(10), CipherKind::kXtea,
-      KeyStore::DeriveScope::kProvisionedPeers);
+      *ring, PairwiseKeyScheme(10), KeyStore::DeriveScope::kProvisionedPeers);
   EXPECT_TRUE(cryptos[0].keystore().HasLinkKey(1));
   EXPECT_TRUE(cryptos[1].keystore().HasLinkKey(0));
   EXPECT_TRUE(cryptos[1].keystore().HasLinkKey(2));
@@ -409,7 +408,7 @@ TEST(LazyKeyStore, HasLinkKeyIsTopologyAdjacency) {
     ASSERT_TRUE(topology.ok());
     const uint64_t before = ThreadCryptoStats().schedules_built;
     std::vector<LinkCrypto> cryptos = agg::ProvisionPairwiseKeys(
-        *topology, PairwiseKeyScheme(seed), CipherKind::kXtea,
+        *topology, PairwiseKeyScheme(seed),
         KeyStore::DeriveScope::kProvisionedPeers);
     EXPECT_EQ(ThreadCryptoStats().schedules_built, before);
     ASSERT_EQ(cryptos.size(), topology->node_count());
@@ -431,13 +430,12 @@ TEST(LazyKeyStore, HasLinkKeyIsTopologyAdjacency) {
 // slot table should build for the same script.
 class EagerLinkCrypto {
  public:
-  EagerLinkCrypto(PeerId self, CipherKind cipher)
-      : self_(self), backend_(&GetCipherBackend(cipher)) {}
+  explicit EagerLinkCrypto(PeerId self) : self_(self) {}
 
   void Provision(const std::vector<PeerId>& peers,
                  const PairwiseKeyScheme& scheme, bool any_peer) {
     for (PeerId peer : peers) {
-      Install(dense_[peer], scheme.LinkKey(self_, peer));
+      dense_[peer] = XteaSchedule(scheme.LinkKey(self_, peer));
     }
     if (any_peer) deriver_ = scheme;
   }
@@ -445,7 +443,7 @@ class EagerLinkCrypto {
     if (used_.count(peer) > 0) ++first_use_builds;  // Rekeys a built slot.
     const auto it = dense_.find(peer);
     if (it != dense_.end()) {
-      Install(it->second, key);
+      it->second = XteaSchedule(key);
     } else {
       late_[peer] = key;
     }
@@ -456,10 +454,10 @@ class EagerLinkCrypto {
   }
 
   util::Result<util::Bytes> Seal(PeerId peer, util::Bytes plaintext) {
-    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched, Schedule(peer));
+    IPDA_ASSIGN_OR_RETURN(const XteaSchedule sched, Schedule(peer));
     const uint64_t nonce = util::Mix64(
         static_cast<uint64_t>(self_) << 32 | peer, counters_[peer]++);
-    CtrCrypt(*backend_, sched, nonce, plaintext);
+    CtrCrypt(sched, nonce, plaintext);
     util::Bytes wire;
     for (size_t i = 0; i < kSealOverheadBytes; ++i) {
       wire.push_back(static_cast<uint8_t>(nonce >> (8 * i)));
@@ -475,9 +473,9 @@ class EagerLinkCrypto {
     for (size_t i = 0; i < kSealOverheadBytes; ++i) {
       nonce |= static_cast<uint64_t>(wire[i]) << (8 * i);
     }
-    IPDA_ASSIGN_OR_RETURN(const CipherSchedule sched, Schedule(peer));
+    IPDA_ASSIGN_OR_RETURN(const XteaSchedule sched, Schedule(peer));
     util::Bytes body(wire.begin() + kSealOverheadBytes, wire.end());
-    CtrCrypt(*backend_, sched, nonce, body);
+    CtrCrypt(sched, nonce, body);
     return body;
   }
 
@@ -487,10 +485,7 @@ class EagerLinkCrypto {
   uint64_t first_use_builds = 0;
 
  private:
-  void Install(CipherSchedule& slot, const Key128& key) {
-    backend_->build(key, slot);
-  }
-  util::Result<CipherSchedule> Schedule(PeerId peer) {
+  util::Result<XteaSchedule> Schedule(PeerId peer) {
     if (HasLinkKey(peer) && used_.insert(peer).second) ++first_use_builds;
     const auto dense = dense_.find(peer);
     if (dense != dense_.end()) {
@@ -505,14 +500,11 @@ class EagerLinkCrypto {
     }
     if (!key.has_value()) return util::NotFoundError("no link key");
     ++dynamic_hits;
-    CipherSchedule sched;
-    backend_->build(*key, sched);
-    return sched;
+    return XteaSchedule(*key);
   }
 
   PeerId self_;
-  const CipherBackend* backend_;
-  std::map<PeerId, CipherSchedule> dense_;
+  std::map<PeerId, XteaSchedule> dense_;
   std::map<PeerId, Key128> late_;
   std::optional<PairwiseKeyScheme> deriver_;  // Churn fallback.
   std::map<PeerId, uint64_t> counters_;
@@ -529,7 +521,6 @@ class EagerLinkCrypto {
 void RunDifferential(uint64_t seed, bool churn) {
   constexpr PeerId kNodes = 24;
   util::Rng rng(seed);
-  const CipherKind cipher = static_cast<CipherKind>(seed % kCipherKindCount);
   std::vector<std::vector<PeerId>> adjacency(kNodes);
   for (PeerId a = 0; a < kNodes; ++a) {
     for (PeerId b = a + 1; b < kNodes; ++b) {
@@ -547,9 +538,9 @@ void RunDifferential(uint64_t seed, bool churn) {
   std::vector<EagerLinkCrypto> eager;
   for (PeerId id = 0; id < kNodes; ++id) {
     std::sort(adjacency[id].begin(), adjacency[id].end());
-    lazy.emplace_back(id, cipher).keystore().Provision(
-        adjacency[id], DeriverFor(scheme, id), scope);
-    eager.emplace_back(id, cipher).Provision(adjacency[id], scheme, churn);
+    lazy.emplace_back(id).keystore().Provision(adjacency[id],
+                                               DeriverFor(scheme, id), scope);
+    eager.emplace_back(id).Provision(adjacency[id], scheme, churn);
   }
 
   const CryptoStats base = ThreadCryptoStats();
