@@ -13,6 +13,8 @@
 // keystream throughput. The scheme rows are cells of one bench sweep
 // (bench_common.h).
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <iterator>
@@ -44,24 +46,31 @@ constexpr size_t kCaptured = 10;
 constexpr double kActivePowerWatts = 0.030;
 
 // Bytes/s CTR-crypting 4 KiB buffers — the same chunked loop
-// LinkCrypto::Seal drives. Grows the pass count until the sample dwarfs
-// clock granularity.
+// LinkCrypto::Seal drives: the median of five samples, each grown in
+// passes until it dwarfs clock granularity, so one preempted sample does
+// not move the energy column.
 double MeasureKeystreamThroughput() {
   const crypto::XteaSchedule sched(crypto::Key128::FromSeed(0x5EED));
   std::vector<uint8_t> buf(4096, 0xA5);
   size_t passes = 64;
-  for (;;) {
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t p = 0; p < passes; ++p) {
-      crypto::CtrCrypt(sched, /*nonce=*/p, buf.data(), buf.size());
+  std::array<double, 5> samples;
+  for (double& sample : samples) {
+    for (;;) {
+      const auto start = std::chrono::steady_clock::now();
+      for (size_t p = 0; p < passes; ++p) {
+        crypto::CtrCrypt(sched, /*nonce=*/p, buf.data(), buf.size());
+      }
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      if (elapsed.count() >= 0.02) {
+        sample = static_cast<double>(passes) * 4096.0 / elapsed.count();
+        break;
+      }
+      passes *= 4;
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (elapsed.count() >= 0.02) {
-      return static_cast<double>(passes) * 4096.0 / elapsed.count();
-    }
-    passes *= 4;
   }
+  std::nth_element(samples.begin(), samples.begin() + 2, samples.end());
+  return samples[2];
 }
 
 // One keyed deployment: how many links the scheme keys, what a

@@ -25,9 +25,16 @@ void TreeBuilder::ForceRole(NodeRole role) {
 }
 
 void TreeBuilder::OnHello(net::NodeId src, const HelloMsg& msg) {
+  // A clear filter bit proves `src` new, which spares the first HELLO
+  // from each sender (the common case) the scan.
+  uint64_t& word = heard_filter_[(src / 64) % heard_filter_.size()];
+  const uint64_t bit = uint64_t{1} << (src % 64);
   const auto it =
-      std::find_if(heard_.begin(), heard_.end(),
-                   [src](const HeardEntry& e) { return e.id == src; });
+      (word & bit) == 0
+          ? heard_.end()
+          : std::find_if(heard_.begin(), heard_.end(),
+                         [src](const HeardEntry& e) { return e.id == src; });
+  word |= bit;
   if (it == heard_.end()) {
     heard_.push_back(HeardEntry{src, msg.hop, msg.color});
   } else {

@@ -15,6 +15,8 @@
 #ifndef IPDA_AGG_IPDA_TREE_CONSTRUCTION_H_
 #define IPDA_AGG_IPDA_TREE_CONSTRUCTION_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -139,6 +141,8 @@ class TreeBuilder {
   // tie-break). A node hears a few dozen senders, so a linear scan of
   // this contiguous table beats hashing.
   std::vector<HeardEntry> heard_;
+  // Bit (id mod 256) is set once a sender with that id was heard.
+  std::array<uint64_t, 4> heard_filter_{};
 
   // Lowest-hop entry serving `color`; the earlier sender wins a tie.
   // nullptr if none does.

@@ -220,10 +220,14 @@ std::vector<NodeId>& Topology::PatchFor(NodeId id) {
   if (p < 0) {
     p = static_cast<int32_t>(patch_lists_.size());
     // Materialize from the CSR arrays directly: patch_index_[id] is still
-    // -1, so neighbors(id) would read the same bytes.
-    const uint32_t begin = offsets_[id];
-    patch_lists_.emplace_back(flat_.begin() + begin,
-                              flat_.begin() + offsets_[id + 1]);
+    // -1, so neighbors(id) would read the same bytes. A few spare slots
+    // keep the first edges the node gains from reallocating the list.
+    constexpr size_t kSpareSlots = 4;
+    const auto begin = flat_.begin() + offsets_[id];
+    const auto end = flat_.begin() + offsets_[id + 1];
+    std::vector<NodeId>& list = patch_lists_.emplace_back();
+    list.reserve(static_cast<size_t>(end - begin) + kSpareSlots);
+    list.assign(begin, end);
     patch_index_[id] = p;
   }
   return patch_lists_[p];
@@ -275,6 +279,7 @@ void Topology::RefreshEdges(NodeId id) {
 
 void Topology::DetachNode(NodeId id) {
   IPDA_DCHECK(id < node_count());
+  ++mutations_;
   EnsureActiveFlags();
   active_[id] = 0;
   // Copied into reused scratch before any PatchFor call can move the
@@ -287,6 +292,7 @@ void Topology::DetachNode(NodeId id) {
 
 void Topology::AttachNode(NodeId id) {
   IPDA_DCHECK(id < node_count());
+  ++mutations_;
   EnsureActiveFlags();
   active_[id] = 1;
   RefreshEdges(id);
@@ -295,6 +301,7 @@ void Topology::AttachNode(NodeId id) {
 void Topology::MoveNode(NodeId id, Point2D to) {
   IPDA_DCHECK(id < node_count());
   ++moves_;
+  ++mutations_;
   if (!grid_.empty()) grid_.Move(id, position(id), to);
   xs_[id] = to.x;
   ys_[id] = to.y;
@@ -304,6 +311,7 @@ void Topology::MoveNode(NodeId id, Point2D to) {
 
 void Topology::Compact() {
   if (patch_index_.empty()) return;
+  ++mutations_;
   // Straight from the overlay into fresh CSR arrays: no per-node lists.
   const size_t n = node_count();
   std::vector<uint32_t> offsets(n + 1);

@@ -97,6 +97,9 @@ class Topology {
   }
   // True while the patch overlay holds uncompacted mutations.
   bool mutated() const { return !patch_index_.empty(); }
+  // DetachNode, AttachNode, MoveNode and overlay-folding Compact calls so
+  // far. While it reads 0, positions and the CSR arrays are as built.
+  uint64_t mutations() const { return mutations_; }
   // Removes every edge of `id` and marks it inactive (leave / pre-join).
   void DetachNode(NodeId id);
   // Marks `id` active and recomputes its unit-disk edges against the
@@ -113,6 +116,12 @@ class Topology {
   // Folds the patch overlay back into CSR form (round boundary). Active
   // flags persist; only the adjacency representation is rebuilt.
   void Compact();
+
+  // Slot of `id`'s first neighbor in the CSR neighbor array, which holds
+  // edge_slots() entries: one per (node, neighbor) pair. Stable while
+  // mutations() reads 0, so callers may key per-edge data by it.
+  uint32_t edge_slot(NodeId id) const { return offsets_[id]; }
+  size_t edge_slots() const { return flat_.size(); }
 
   // Mean degree over all nodes.
   double AverageDegree() const;
@@ -172,6 +181,7 @@ class Topology {
   std::vector<NodeId> gained_;
   std::vector<NodeId> lost_;
   uint64_t moves_ = 0;
+  uint64_t mutations_ = 0;
   uint64_t edge_changes_ = 0;
 };
 

@@ -280,6 +280,34 @@ TEST(TreeBuilder, MoreSendersThanReservedStillRecorded) {
             (std::vector<net::NodeId>{2, 4, 6}));
 }
 
+TEST(TreeBuilder, SendersSharingAFilterBitStayDistinct) {
+  // 5 and 261 differ by 256: the first-heard filter cannot tell them
+  // apart, so only the scan of the heard table can.
+  TreeBuilderHarness h;
+  h.builder_.OnHello(5, {TreeColor::kRed, 1, std::nullopt});
+  h.builder_.OnHello(261, {TreeColor::kBlue, 2, std::nullopt});
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kRed), 1u);
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kBlue), 1u);
+  EXPECT_TRUE(h.builder_.covered());
+  // A repeat from either is a duplicate, not a new sender.
+  h.builder_.OnHello(261, {TreeColor::kBlue, 1, std::nullopt});
+  h.builder_.OnHello(5, {TreeColor::kRed, 1, std::nullopt});
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kRed), 1u);
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kBlue), 1u);
+  // 261 claiming red is a double color: it alone is blacklisted.
+  h.builder_.OnHello(261, {TreeColor::kRed, 1, std::nullopt});
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kRed), 1u);
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kBlue), 0u);
+  EXPECT_EQ(h.Neighbors(TreeColor::kRed), (std::vector<net::NodeId>{5}));
+  EXPECT_TRUE(h.Neighbors(TreeColor::kBlue).empty());
+  // So is 5 once it claims blue; 517, on the same bit, is new.
+  h.builder_.OnHello(5, {TreeColor::kBlue, 1, std::nullopt});
+  h.builder_.OnHello(517, {TreeColor::kBlue, 3, std::nullopt});
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kRed), 0u);
+  EXPECT_EQ(h.builder_.hello_count(TreeColor::kBlue), 1u);
+  EXPECT_EQ(h.Neighbors(TreeColor::kBlue), (std::vector<net::NodeId>{517}));
+}
+
 TEST(TreeBuilder, ForcedBaseStationNeverDecides) {
   TreeBuilderHarness h;
   h.builder_.ForceRole(NodeRole::kBaseStation);

@@ -75,6 +75,7 @@ struct Script {
   std::vector<Action> actions;  // In scheduling order.
   std::vector<sim::SimTime> deadlines;
   uint64_t fault_seed = 0;
+  bool link_faults = true;  // Install the link-fault hook.
 };
 
 Script MakeScript(uint64_t seed, const PhyConfig& phy, Shape shape) {
@@ -159,6 +160,18 @@ Script MakeScript(uint64_t seed, const PhyConfig& phy, Shape shape) {
   return script;
 }
 
+// The script without its link faults and topology actions: every frame
+// then fans out through the channel's per-sender table, which the full
+// scripts leave after their first move, detach or attach.
+Script WithoutFaultsOrChurn(Script script) {
+  std::erase_if(script.actions, [](const Action& action) {
+    return action.kind == Action::kMove || action.kind == Action::kDetach ||
+           action.kind == Action::kAttach;
+  });
+  script.link_faults = false;
+  return script;
+}
+
 struct Logs {
   std::vector<std::string> events;  // Deliveries, overhears, probes.
   std::vector<sim::SimTime> clocks;  // now() after each RunUntil.
@@ -188,25 +201,27 @@ Logs RunScript(const Script& script, const PhyConfig& phy, bool overhear_tap) {
   Logs logs;
 
   util::Rng faults(script.fault_seed);
-  channel.SetLinkFaultHook([&faults](NodeId, NodeId, const Packet&) {
-    LinkFault fault;
-    if (faults.Bernoulli(0.1)) {
-      fault.drop = true;
+  if (script.link_faults) {
+    channel.SetLinkFaultHook([&faults](NodeId, NodeId, const Packet&) {
+      LinkFault fault;
+      if (faults.Bernoulli(0.1)) {
+        fault.drop = true;
+        return fault;
+      }
+      fault.duplicate = faults.Bernoulli(0.1);
+      // A sixth of the links add 1 ns, a sixth 17 byte times, and a rare
+      // one 100 ms, which keeps its frame on the air long after the rest.
+      const uint64_t draw = faults.UniformUint64(60);
+      if (draw < 10) {
+        fault.extra_delay = 1;
+      } else if (draw < 20) {
+        fault.extra_delay = kByteTime * 17;
+      } else if (draw == 20) {
+        fault.extra_delay = sim::Milliseconds(100);
+      }
       return fault;
-    }
-    fault.duplicate = faults.Bernoulli(0.1);
-    // A sixth of the links add 1 ns, a sixth 17 byte times, and a rare
-    // one 100 ms, which keeps its frame on the air long after the rest.
-    const uint64_t draw = faults.UniformUint64(60);
-    if (draw < 10) {
-      fault.extra_delay = 1;
-    } else if (draw < 20) {
-      fault.extra_delay = kByteTime * 17;
-    } else if (draw == 20) {
-      fault.extra_delay = sim::Milliseconds(100);
-    }
-    return fault;
-  });
+    });
+  }
   for (NodeId id = 0; id < nodes; ++id) {
     channel.SetDeliveryHandler(id, [&, id](const Packet& packet) {
       logs.events.push_back(Frame("deliver", sim.now(), id, packet));
@@ -306,11 +321,14 @@ void ExpectSameCounters(const NodeCounters& a, const NodeCounters& b,
 }
 
 void CheckSeed(uint64_t seed, const PhyConfig& phy, Shape shape,
-               bool overhear_tap) {
+               bool overhear_tap, bool plain) {
   SCOPED_TRACE("seed " + std::to_string(seed) + " on " +
                std::to_string(shape.nodes) + " nodes" +
-               (overhear_tap ? " with overhear tap" : ""));
-  const Script script = MakeScript(seed, phy, shape);
+               (overhear_tap ? " with overhear tap" : "") +
+               (plain ? " without faults or churn" : ""));
+  const Script script = plain
+                            ? WithoutFaultsOrChurn(MakeScript(seed, phy, shape))
+                            : MakeScript(seed, phy, shape);
   const Logs want = RunScript<ReferenceChannel>(script, phy, overhear_tap);
   const Logs got = RunScript<Channel>(script, phy, overhear_tap);
   ASSERT_EQ(want.events.size(), got.events.size());
@@ -335,10 +353,10 @@ PhyConfig UniformOneNanosecondDelay() {
 }
 
 void CheckSeeds(uint64_t first, uint64_t last, const PhyConfig& phy,
-                Shape shape) {
+                Shape shape, bool plain = false) {
   for (uint64_t seed = first; seed <= last; ++seed) {
-    CheckSeed(seed, phy, shape, /*overhear_tap=*/false);
-    CheckSeed(seed, phy, shape, /*overhear_tap=*/true);
+    CheckSeed(seed, phy, shape, /*overhear_tap=*/false, plain);
+    CheckSeed(seed, phy, shape, /*overhear_tap=*/true, plain);
   }
 }
 
@@ -359,6 +377,15 @@ TEST(ChannelDifferential, MatchesReferenceOnSparseTopology) {
 TEST(ChannelDifferential, MatchesReferenceOnWideClique) {
   CheckSeeds(401, 405, PhyConfig{}, kWide);
   CheckSeeds(501, 505, UniformOneNanosecondDelay(), kWide);
+}
+
+TEST(ChannelDifferential, MatchesReferenceWithoutFaultsOrChurn) {
+  CheckSeeds(601, 630, PhyConfig{}, kDense, /*plain=*/true);
+  CheckSeeds(701, 730, UniformOneNanosecondDelay(), kDense, /*plain=*/true);
+  CheckSeeds(801, 830, PhyConfig{}, kSparse, /*plain=*/true);
+  CheckSeeds(901, 930, UniformOneNanosecondDelay(), kSparse, /*plain=*/true);
+  CheckSeeds(1001, 1005, PhyConfig{}, kWide, /*plain=*/true);
+  CheckSeeds(1101, 1105, UniformOneNanosecondDelay(), kWide, /*plain=*/true);
 }
 
 // Nightly (ctest soak_net_channel_diff): 1,000 seeds per delay mode,

@@ -4,8 +4,15 @@
 
 #include "net/channel.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <numbers>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -534,6 +541,134 @@ TEST_F(ChannelTest, ClockAfterRunUntilStopsAtTheLastReceptionEdge) {
   EXPECT_EQ(sim_->now(), end);
   EXPECT_EQ(counters_->at(2).energy_rx_j,
             channel_->config().energy.RxCost(p.size_bytes()));
+}
+
+// A channel over `topology` whose deliveries are logged, and the check
+// that a broadcast from node 0 reaches every current neighbor one
+// propagation delay (from the current positions) plus an airtime later,
+// in key order: by time, then by fan-out index.
+class BroadcastLog {
+ public:
+  BroadcastLog(Topology* topology, PhyConfig phy)
+      : topology_(topology),
+        counters_(topology->node_count()),
+        channel_(&sim_, topology, phy, &counters_) {
+    for (NodeId id = 0; id < topology->node_count(); ++id) {
+      channel_.SetDeliveryHandler(id, [this, id](const Packet&) {
+        heard_.emplace_back(id, sim_.now());
+      });
+    }
+  }
+
+  // Returns the number of receivers.
+  size_t ExpectComputedTimes(sim::SimTime at) {
+    Packet packet;
+    packet.dst = kBroadcastId;
+    packet.payload.assign(10, 0xaa);
+    heard_.clear();
+    sim_.At(at, [&] { channel_.StartTransmission(0, packet); });
+    sim_.RunAll();
+    const sim::SimTime air = channel_.AirTime(packet.size_bytes());
+    std::vector<std::pair<NodeId, sim::SimTime>> want;
+    for (NodeId r : topology_->neighbors(0)) {
+      want.emplace_back(r, at + channel_.PropagationDelay(0, r) + air);
+    }
+    std::stable_sort(want.begin(), want.end(), [](const auto& a,
+                                                  const auto& b) {
+      return a.second < b.second;
+    });
+    EXPECT_EQ(heard_, want);
+    return heard_.size();
+  }
+
+ private:
+  Topology* topology_;
+  sim::Simulator sim_{1};
+  CounterBoard counters_;
+  Channel channel_;
+  std::vector<std::pair<NodeId, sim::SimTime>> heard_;
+};
+
+// The channel keeps each sender's propagation delays and reception order
+// from its first send while the topology is as built. Every mutation,
+// including one Compact() has folded back into the CSR arrays, must send
+// it back to computing them from the geometry of the moment.
+struct Mutation {
+  const char* name;
+  std::function<void(Topology&)> apply;
+};
+
+void PrintTo(const Mutation& mutation, std::ostream* out) {
+  *out << mutation.name;
+}
+
+class ChannelMutationTest : public ::testing::TestWithParam<Mutation> {};
+
+TEST_P(ChannelMutationTest, SwitchesTheChannelToComputedDelays) {
+  // Node 0 reaches 1, 2 and 3, 10, 20 and 30 m away; 4 is out of range.
+  auto topology = Topology::Build(
+      {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {90, 0}}, 50.0);
+  ASSERT_TRUE(topology.ok());
+  BroadcastLog log(&*topology, PhyConfig{});
+  ASSERT_EQ(log.ExpectComputedTimes(0), 3u);
+  GetParam().apply(*topology);
+  EXPECT_GT(topology->mutations(), 0u);
+  log.ExpectComputedTimes(sim::Seconds(1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, ChannelMutationTest,
+    ::testing::Values(
+        // Same edges, shorter delay to 3.
+        Mutation{"MoveNode",
+                 [](Topology& t) { t.MoveNode(3, Point2D{5, 0}); }},
+        // The neighbor list shifts: 2 takes 1's old place.
+        Mutation{"DetachNode", [](Topology& t) { t.DetachNode(1); }},
+        // 3 rejoins where it moved while detached.
+        Mutation{"AttachNode",
+                 [](Topology& t) {
+                   t.DetachNode(3);
+                   t.MoveNode(3, Point2D{5, 0});
+                   t.AttachNode(3);
+                 }},
+        // Compact() clears the overlay, not the new geometry.
+        Mutation{"Compact",
+                 [](Topology& t) {
+                   t.MoveNode(3, Point2D{5, 0});
+                   t.DetachNode(1);
+                   t.Compact();
+                   ASSERT_FALSE(t.mutated());
+                 }}),
+    [](const ::testing::TestParamInfo<Mutation>& info) {
+      return std::string(info.param.name);
+    });
+
+// The table holds delays up to 65,535 ns and up to 256 neighbors; a
+// sender beyond either computes its fan-out.
+TEST(ChannelFanOut, SenderWithALongDelayComputesItsFanOut) {
+  auto topology = Topology::Build({{0, 0}, {10, 0}, {40, 0}}, 50.0);
+  ASSERT_TRUE(topology.ok());
+  PhyConfig phy;
+  phy.propagation_speed = 1e3;  // 10 ms and 40 ms.
+  BroadcastLog log(&*topology, phy);
+  EXPECT_EQ(log.ExpectComputedTimes(0), 2u);
+  EXPECT_EQ(log.ExpectComputedTimes(sim::Seconds(1)), 2u);
+}
+
+TEST(ChannelFanOut, SenderWithOver256NeighborsComputesItsFanOut) {
+  // 300 nodes on a 1-m circle around node 0, in id order around it.
+  std::vector<Point2D> positions{{0, 0}};
+  for (int i = 0; i < 300; ++i) {
+    const double angle = 2 * std::numbers::pi * i / 300;
+    positions.push_back({std::cos(angle), std::sin(angle)});
+  }
+  auto topology = Topology::Build(positions, 50.0);
+  ASSERT_TRUE(topology.ok());
+  PhyConfig phy;
+  phy.propagation_speed = 1e7;  // About 100 ns each: ties by index.
+  BroadcastLog log(&*topology, phy);
+  EXPECT_EQ(log.ExpectComputedTimes(0), 300u);
+  EXPECT_EQ(log.ExpectComputedTimes(sim::Seconds(1)), 300u);
 }
 
 }  // namespace

@@ -80,6 +80,26 @@ TEST(Topology, DisconnectedNodeDetected) {
   EXPECT_EQ(topo->HopCounts()[2], UINT32_MAX);
 }
 
+TEST(Topology, MutationsCountEveryChangeButAnIdleCompact) {
+  auto topo = Topology::Build({{0, 0}, {30, 0}, {60, 0}}, 50.0);
+  ASSERT_TRUE(topo.ok());
+  // Slots follow the CSR order: 0 has one neighbor, 1 two, 2 one.
+  EXPECT_EQ(topo->edge_slots(), 4u);
+  EXPECT_EQ(topo->edge_slot(1), 1u);
+  EXPECT_EQ(topo->edge_slot(2), 3u);
+  topo->Compact();  // Nothing to fold.
+  EXPECT_EQ(topo->mutations(), 0u);
+  topo->MoveNode(2, Point2D{70, 0});
+  EXPECT_EQ(topo->mutations(), 1u);
+  topo->DetachNode(1);
+  EXPECT_EQ(topo->mutations(), 2u);
+  topo->AttachNode(1);
+  EXPECT_EQ(topo->mutations(), 3u);
+  topo->Compact();
+  EXPECT_EQ(topo->mutations(), 4u);
+  EXPECT_FALSE(topo->mutated());
+}
+
 TEST(Topology, RegularRingHasExactDegree) {
   auto topo = Topology::RegularRing(20, 6);
   ASSERT_TRUE(topo.ok());
