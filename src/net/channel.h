@@ -38,8 +38,8 @@
 #define IPDA_NET_CHANNEL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -268,8 +268,19 @@ class Channel final : private sim::UnqueuedEvents {
   std::vector<DeliveryHandler> delivery_;
   OverhearHandler overhear_;
   LinkFaultHook link_fault_;
-  // Frame table: a deque, so a handler reading one frame may store more.
-  std::deque<Frame> frames_;
+  // Frame table: fixed blocks of kFrameBlock slots that never move as
+  // the table grows, so a handler reading one frame may store more, and a
+  // slot is found with a shift and a mask.
+  static constexpr uint32_t kFrameBlockBits = 4;
+  static constexpr uint32_t kFrameBlock = 1u << kFrameBlockBits;
+  Frame& FrameAt(uint32_t index) {
+    return frame_blocks_[index >> kFrameBlockBits][index & (kFrameBlock - 1)];
+  }
+  const Frame& FrameAt(uint32_t index) const {
+    return frame_blocks_[index >> kFrameBlockBits][index & (kFrameBlock - 1)];
+  }
+  std::vector<std::unique_ptr<Frame[]>> frame_blocks_;
+  uint32_t frame_slots_ = 0;  // Slots handed out so far.
   uint32_t free_frame_ = kNoFrame;
   // Frames on the air: sent, and not yet past their last end. A handful
   // at a time (at most 7 on the paper's N=600 round), so scans are cheap.

@@ -342,6 +342,32 @@ TEST_F(ChannelTest, UidAssignedUniquely) {
   EXPECT_NE(delivered_[0].second.uid, delivered_[1].second.uid);
 }
 
+TEST_F(ChannelTest, HandlerReadsItsFrameAfterTheTableGrowsUnderIt) {
+  // Node 1's handler sends 200 frames from node 2 before it reads the
+  // frame it was handed: the frame table grows many times over while the
+  // handler holds a reference into it.
+  Packet sent = MakePacket(kBroadcastId, 40);
+  for (size_t i = 0; i < sent.payload.size(); ++i) {
+    sent.payload[i] = static_cast<uint8_t>(i);
+  }
+  bool sent_more = false;
+  Packet read;
+  channel_->SetDeliveryHandler(1, [&](const Packet& packet) {
+    if (sent_more) return;
+    sent_more = true;
+    for (int i = 0; i < 200; ++i) {
+      channel_->StartTransmission(2, MakePacket(kBroadcastId, 8));
+    }
+    read = packet;
+  });
+  channel_->StartTransmission(0, sent);
+  sim_->RunAll();
+  ASSERT_TRUE(sent_more);
+  EXPECT_EQ(read.uid, 1u);
+  EXPECT_EQ(read.src, sent.src);
+  EXPECT_EQ(read.payload, sent.payload);
+}
+
 // ---------------------------------------------------------------------
 // Tie order. Events at one nanosecond run in scheduling order, and a
 // reception's begin and end take their places in that order when the
@@ -560,6 +586,8 @@ class BroadcastLog {
     }
   }
 
+  const Channel& channel() const { return channel_; }
+
   // Returns the number of receivers.
   size_t ExpectComputedTimes(sim::SimTime at) {
     Packet packet;
@@ -669,6 +697,48 @@ TEST(ChannelFanOut, SenderWithOver256NeighborsComputesItsFanOut) {
   BroadcastLog log(&*topology, phy);
   EXPECT_EQ(log.ExpectComputedTimes(0), 300u);
   EXPECT_EQ(log.ExpectComputedTimes(sim::Seconds(1)), 300u);
+}
+
+// The table's order sorts keys (delay << 8) | k. With 256 neighbors at
+// one distance every delay ties, and index 255 fills the key's low byte.
+TEST(ChannelFanOut, SenderWith256TiedNeighborsOrdersThemByIndex) {
+  std::vector<Point2D> positions{{0, 0}};
+  for (int i = 0; i < 256; ++i) {
+    const double angle = 2 * std::numbers::pi * i / 256;
+    positions.push_back({1.003 * std::cos(angle), 1.003 * std::sin(angle)});
+  }
+  auto topology = Topology::Build(positions, 50.0);
+  ASSERT_TRUE(topology.ok());
+  PhyConfig phy;
+  phy.propagation_speed = 1e7;  // 100.3 ns, truncated to 100 for every one.
+  BroadcastLog log(&*topology, phy);
+  ASSERT_EQ(topology->neighbors(0).size(), 256u);
+  for (NodeId r : topology->neighbors(0)) {
+    ASSERT_EQ(log.channel().PropagationDelay(0, r), 100);
+  }
+  EXPECT_EQ(log.ExpectComputedTimes(0), 256u);
+  topology->MoveNode(256, Point2D{0.5, 0});
+  EXPECT_EQ(log.ExpectComputedTimes(sim::Seconds(1)), 256u);
+}
+
+// Delays that fall as the fan-out index rises: the order reverses the
+// neighbor list.
+TEST(ChannelFanOut, DelaysFallingWithTheIndexReverseTheOrder) {
+  // Node i sits 50 - i m from node 0 (3.3 ns apart).
+  std::vector<Point2D> positions{{0, 0}};
+  for (int i = 1; i <= 40; ++i) positions.push_back({50.0 - i, 0});
+  auto topology = Topology::Build(positions, 50.0);
+  ASSERT_TRUE(topology.ok());
+  BroadcastLog log(&*topology, PhyConfig{});
+  const NeighborSpan neighbors = topology->neighbors(0);
+  ASSERT_EQ(neighbors.size(), 40u);
+  for (size_t k = 1; k < neighbors.size(); ++k) {
+    ASSERT_GT(log.channel().PropagationDelay(0, neighbors[k - 1]),
+              log.channel().PropagationDelay(0, neighbors[k]));
+  }
+  EXPECT_EQ(log.ExpectComputedTimes(0), 40u);
+  topology->MoveNode(1, Point2D{5.5, 0});
+  EXPECT_EQ(log.ExpectComputedTimes(sim::Seconds(1)), 40u);
 }
 
 }  // namespace
